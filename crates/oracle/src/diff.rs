@@ -25,7 +25,7 @@ use aji_approx::{approximate_interpret_parsed, ApproxOptions, ApproxStats};
 use aji_ast::{Loc, Project};
 use aji_bench::{run_corpus_map, ProjectResult};
 use aji_interp::InterpOptions;
-use aji_pta::{analyze_parsed, AnalysisOptions, Accuracy};
+use aji_pta::{Accuracy, AnalysisOptions, ConstraintGraph};
 use aji_support::{Json, ToJson};
 use std::collections::BTreeSet;
 
@@ -276,18 +276,25 @@ pub fn run_oracle_parsed(
 ) -> Result<ProjectOracle, PipelineError> {
     let _span = aji_obs::span("oracle");
 
-    let baseline = {
-        let _s = aji_obs::span("baseline");
-        analyze_parsed(project, parsed, None, &AnalysisOptions::baseline())
-    };
+    // Approximate interpretation runs before the constraint graph is
+    // built, so the solved graph never shares the heap with the
+    // interpreter; the extended analysis extends the baseline fixpoint.
     let approx = {
         let _s = aji_obs::span("approx");
         approximate_interpret_parsed(project, parsed, &opts.approx)
     };
+    let (mut graph, baseline) = {
+        let _s = aji_obs::span("baseline");
+        let mut graph = ConstraintGraph::build(project, parsed);
+        let baseline = graph.extend(None, &AnalysisOptions::baseline());
+        (graph, baseline)
+    };
     let extended = {
         let _s = aji_obs::span("extended");
-        analyze_parsed(project, parsed, Some(&approx.hints), &opts.analysis)
+        graph.extend(Some(&approx.hints), &opts.analysis)
     };
+    // Freed before the dynamic run builds its interpreter.
+    drop(graph);
     let dynamic = {
         let _s = aji_obs::span("dynamic");
         dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp).ok_or_else(|| {

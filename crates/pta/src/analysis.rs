@@ -1,13 +1,21 @@
 //! Top-level analysis driver: parse → resolve scopes → generate
 //! constraints → apply hints (\[DPR\]/\[DPW\]/module hints) → solve → extract
 //! the call graph.
+//!
+//! Scope resolution and constraint generation build a [`ConstraintGraph`]
+//! once per project; the rest is [`ConstraintGraph::extend`], which can
+//! run again on the solved graph with more hint rules enabled. The hint
+//! rules only add tokens and constraints (paper §4), so extending the
+//! baseline fixpoint reaches the same fixpoint as a from-scratch extended
+//! solve.
 
 use crate::callgraph::{extract, CallGraph};
 use crate::gen::{generate, GenOutput};
 use crate::scopes;
-use crate::solver::{CellKind, SolverStats, TokenData};
+use crate::solver::{CellId, CellKind, Constraint, FuncIdx, Solver, SolverStats, Token, TokenData};
 use aji_approx::Hints;
 use aji_ast::{Loc, Project};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Which hint rules the analysis applies. The baseline disables all of
@@ -146,12 +154,16 @@ pub fn analyze(
     Ok(analyze_parsed(project, &parsed, hints, opts))
 }
 
-/// [`analyze`] over an already-parsed project.
+/// [`analyze`] over an already-parsed project: builds the project's
+/// [`ConstraintGraph`] and extends it once.
 ///
 /// Infallible: parse errors are the only failure mode of the analysis,
 /// and the caller has already parsed. `parsed` must be the parse of
 /// `project` (the project supplies vulnerability annotations and file
-/// paths; the AST and source map come from `parsed`).
+/// paths; the AST and source map come from `parsed`). Callers that run
+/// several configurations over one project — baseline, then extended —
+/// should build the graph themselves and extend it once per
+/// configuration.
 pub fn analyze_parsed(
     project: &Project,
     parsed: &aji_parser::ParsedProject,
@@ -159,35 +171,160 @@ pub fn analyze_parsed(
     opts: &AnalysisOptions,
 ) -> Analysis {
     let start = Instant::now();
-    let res = {
-        let _s = aji_obs::span("resolve-scopes");
-        scopes::resolve(&parsed.modules)
-    };
-    let paths: Vec<String> = project.files.iter().map(|f| f.path.clone()).collect();
-    let gen_span = aji_obs::span("generate");
-    let GenOutput {
-        mut solver,
-        dyn_reads,
-        dyn_writes,
-        funcs_by_loc,
-        objs_by_loc,
-    } = generate(&parsed.modules, &parsed.source_map, &res, paths);
-    drop(gen_span);
+    let mut analysis = ConstraintGraph::build(project, parsed).extend(hints, opts);
+    analysis.analysis_seconds = start.elapsed().as_secs_f64();
+    analysis
+}
 
-    // Apply hints.
-    let hint_span = aji_obs::span("apply-hints");
-    // Flight-recorder sink, fetched once: one `HintApply` event per rule
-    // application, named by the rule and detailed by the property (or
-    // location/path) it injected. Hint maps iterate in `BTreeMap` order,
-    // so the event stream is deterministic.
-    let rec = aji_obs::trace_recorder();
-    let mut hints_applied = 0;
-    if let Some(h) = hints {
+/// A project's constraint graph: scopes resolved and constraints
+/// generated once, with no hints, then solved by [`ConstraintGraph::extend`]
+/// under one or more hint configurations.
+///
+/// Each `extend` applies only the hint rules not applied by an earlier
+/// call and re-solves from the current fixpoint, so the usual chain —
+/// baseline, then extended — pays for one generation and one
+/// propagation of the baseline solution. The result of every `extend`
+/// is the [`Analysis`] a from-scratch [`analyze_parsed`] would return
+/// for the same hints and options, up to wall-clock time.
+///
+/// # Example
+///
+/// ```
+/// use aji_approx::{approximate_interpret_parsed, ApproxOptions};
+/// use aji_ast::Project;
+/// use aji_pta::{AnalysisOptions, ConstraintGraph};
+///
+/// let mut project = Project::new("demo");
+/// project.add_file(
+///     "index.js",
+///     "var api = {};\n\
+///      ['run'].forEach(function(m) { api[m] = function() { return 1; }; });\n\
+///      api.run();",
+/// );
+/// let parsed = aji_parser::parse_project(&project).unwrap();
+/// let hints = approximate_interpret_parsed(&project, &parsed, &ApproxOptions::default()).hints;
+/// let mut graph = ConstraintGraph::build(&project, &parsed);
+/// let baseline = graph.extend(None, &AnalysisOptions::baseline());
+/// let extended = graph.extend(Some(&hints), &AnalysisOptions::extended());
+/// assert!(extended.call_graph.edge_count() > baseline.call_graph.edge_count());
+/// ```
+pub struct ConstraintGraph<'p> {
+    project: &'p Project,
+    solver: Solver,
+    dyn_reads: HashMap<Loc, (CellId, CellId)>,
+    dyn_writes: HashMap<Loc, (CellId, CellId)>,
+    funcs_by_loc: HashMap<Loc, FuncIdx>,
+    objs_by_loc: HashMap<Loc, Token>,
+    /// The hint rules applied so far.
+    applied: AnalysisOptions,
+    hints_applied: usize,
+}
+
+impl<'p> ConstraintGraph<'p> {
+    /// Resolves scopes and generates the hint-free constraints of
+    /// `project`. `parsed` must be the parse of `project`.
+    pub fn build(project: &'p Project, parsed: &aji_parser::ParsedProject) -> Self {
+        let res = {
+            let _s = aji_obs::span("resolve-scopes");
+            scopes::resolve(&parsed.modules)
+        };
+        let paths: Vec<String> = project.files.iter().map(|f| f.path.clone()).collect();
+        let _s = aji_obs::span("generate");
+        let GenOutput {
+            solver,
+            dyn_reads,
+            dyn_writes,
+            funcs_by_loc,
+            objs_by_loc,
+        } = generate(&parsed.modules, &parsed.source_map, &res, paths);
+        ConstraintGraph {
+            project,
+            solver,
+            dyn_reads,
+            dyn_writes,
+            funcs_by_loc,
+            objs_by_loc,
+            applied: AnalysisOptions::baseline(),
+            hints_applied: 0,
+        }
+    }
+
+    /// Applies the hint rules `opts` enables that are not applied yet,
+    /// solves to the new fixpoint and extracts the call graph.
+    ///
+    /// With `hints == None` no rule is applied (and none is marked
+    /// applied). Every call on one graph must pass the same hint set.
+    /// `analysis_seconds` covers this call only; `solver_stats` and
+    /// `hints_applied` are totals over the graph's life.
+    ///
+    /// # Panics
+    ///
+    /// If `opts` disables a rule an earlier call applied: a graph only
+    /// grows, so it cannot be narrowed to a smaller configuration.
+    pub fn extend(&mut self, hints: Option<&Hints>, opts: &AnalysisOptions) -> Analysis {
+        let start = Instant::now();
+        {
+            let _s = aji_obs::span("apply-hints");
+            if let Some(h) = hints {
+                self.apply_hints(h, opts);
+            }
+        }
+        {
+            let _s = aji_obs::span("solve");
+            self.solver.solve();
+        }
+        let call_graph = {
+            let _s = aji_obs::span("extract-cg");
+            extract(&self.solver, self.project)
+        };
+        let stats = &self.solver.stats;
+        aji_obs::counter_add("pta.cells", stats.cells as u64);
+        aji_obs::counter_add("pta.tokens", stats.tokens as u64);
+        aji_obs::counter_add("pta.call_edges", call_graph.edge_count() as u64);
+        aji_obs::counter_add("pta.hints_applied", self.hints_applied as u64);
+        Analysis {
+            call_graph,
+            solver_stats: stats.clone(),
+            analysis_seconds: start.elapsed().as_secs_f64(),
+            hints_applied: self.hints_applied,
+        }
+    }
+
+    fn apply_hints(&mut self, h: &Hints, opts: &AnalysisOptions) {
+        let was = self.applied;
+        for (name, before, now) in [
+            ("read", was.use_read_hints, opts.use_read_hints),
+            ("write", was.use_write_hints, opts.use_write_hints),
+            ("module", was.use_module_hints, opts.use_module_hints),
+            (
+                "non-relational",
+                was.nonrelational_writes,
+                opts.nonrelational_writes,
+            ),
+            (
+                "proxy-read",
+                was.use_proxy_read_hints,
+                opts.use_proxy_read_hints,
+            ),
+        ] {
+            assert!(
+                now || !before,
+                "{name} hints are already applied to this constraint graph"
+            );
+        }
+        self.applied = *opts;
+        let solver = &mut self.solver;
+        // Flight-recorder sink, fetched once: one `HintApply` event per rule
+        // application, named by the rule and detailed by the property (or
+        // location/path) it injected. Hint maps iterate in `BTreeMap` order,
+        // so the event stream is deterministic.
+        let rec = aji_obs::trace_recorder();
         // Hint locations resolve to function tokens first, then to known
         // (or freshly minted) object allocation-site tokens. Line-0
         // sentinel locations denote module `exports` / `module` objects
         // (see the interpreter's module loader).
-        let token_at = |solver: &mut crate::solver::Solver, loc: Loc| {
+        let (funcs_by_loc, objs_by_loc) = (&self.funcs_by_loc, &self.objs_by_loc);
+        let token_at = |solver: &mut Solver, loc: Loc| {
             if loc.line == 0 {
                 return if loc.col == 0 {
                     solver.token(TokenData::Exports(loc.file))
@@ -209,113 +346,83 @@ pub fn analyze_parsed(
                 solver.token(TokenData::Obj(loc))
             }
         };
-        if opts.use_write_hints && !rule_ablated("dpw") {
+        if opts.use_write_hints && !was.use_write_hints && !rule_ablated("dpw") {
             // [DPW]: t_{ℓ''} ∈ ⟦t_ℓ.p⟧
             for w in &h.writes {
-                let t_obj = token_at(&mut solver, w.obj);
-                let t_val = token_at(&mut solver, w.value);
+                let t_obj = token_at(solver, w.obj);
+                let t_val = token_at(solver, w.value);
                 let prop = solver.interner.intern(&w.prop);
                 let field = solver.cell(CellKind::Field(t_obj, prop));
                 solver.add_token(field, t_val);
-                hints_applied += 1;
+                self.hints_applied += 1;
                 if let Some(rec) = &rec {
                     rec.record(aji_obs::TraceKind::HintApply, "dpw", &w.prop);
                 }
             }
         }
-        if opts.use_read_hints {
+        if opts.use_read_hints && !was.use_read_hints {
             // [DPR]: t_{ℓ'} ∈ ⟦E[E']⟧
             for (op, locs) in &h.reads {
-                let Some((_, cell)) = dyn_reads.get(op) else {
+                let Some((_, cell)) = self.dyn_reads.get(op) else {
                     continue;
                 };
                 for l in locs {
-                    let t = token_at(&mut solver, *l);
+                    let t = token_at(solver, *l);
                     solver.add_token(*cell, t);
-                    hints_applied += 1;
+                    self.hints_applied += 1;
                     if let Some(rec) = &rec {
                         rec.record(aji_obs::TraceKind::HintApply, "dpr", &l.to_string());
                     }
                 }
             }
         }
-        if opts.nonrelational_writes {
+        if opts.nonrelational_writes && !was.nonrelational_writes {
             // §4's discussed alternative: every observed name at a write
             // site becomes a static write of the site's value expression
             // into that property of *all* base objects.
             for (site, props) in &h.write_props {
-                let Some((base, value)) = dyn_writes.get(site) else {
+                let Some((base, value)) = self.dyn_writes.get(site) else {
                     continue;
                 };
                 for p in props {
                     let prop = solver.interner.intern(p);
-                    solver.add_constraint(
-                        *base,
-                        crate::solver::Constraint::Store { prop, src: *value },
-                    );
-                    hints_applied += 1;
+                    solver.add_constraint(*base, Constraint::Store { prop, src: *value });
+                    self.hints_applied += 1;
                     if let Some(rec) = &rec {
                         rec.record(aji_obs::TraceKind::HintApply, "nonrel-write", p);
                     }
                 }
             }
         }
-        if opts.use_proxy_read_hints {
+        if opts.use_proxy_read_hints && !was.use_proxy_read_hints {
             // §6 extension: only where no ordinary read hints exist.
             for (site, props) in &h.proxy_reads {
                 if h.reads.contains_key(site) {
                     continue;
                 }
-                let Some((base, result)) = dyn_reads.get(site) else {
+                let Some((base, result)) = self.dyn_reads.get(site) else {
                     continue;
                 };
                 for p in props {
                     let prop = solver.interner.intern(p);
-                    solver.add_constraint(
-                        *base,
-                        crate::solver::Constraint::Load { prop, dst: *result },
-                    );
-                    hints_applied += 1;
+                    solver.add_constraint(*base, Constraint::Load { prop, dst: *result });
+                    self.hints_applied += 1;
                     if let Some(rec) = &rec {
                         rec.record(aji_obs::TraceKind::HintApply, "proxy-read", p);
                     }
                 }
             }
         }
-        if opts.use_module_hints {
+        if opts.use_module_hints && !was.use_module_hints {
             for (site, paths) in &h.modules {
-                hints_applied += paths.len();
+                self.hints_applied += paths.len();
                 if let Some(rec) = &rec {
                     for p in paths {
                         rec.record(aji_obs::TraceKind::HintApply, "module", p);
                     }
                 }
-                solver
-                    .module_hints
-                    .insert(*site, paths.iter().cloned().collect());
+                solver.add_module_hint(*site, paths.iter().cloned().collect());
             }
         }
-    }
-
-    drop(hint_span);
-
-    {
-        let _s = aji_obs::span("solve");
-        solver.solve();
-    }
-    let call_graph = {
-        let _s = aji_obs::span("extract-cg");
-        extract(&solver, project)
-    };
-    let analysis_seconds = start.elapsed().as_secs_f64();
-    aji_obs::counter_add("pta.cells", solver.stats.cells as u64);
-    aji_obs::counter_add("pta.tokens", solver.stats.tokens as u64);
-    aji_obs::counter_add("pta.call_edges", call_graph.edge_count() as u64);
-    aji_obs::counter_add("pta.hints_applied", hints_applied as u64);
-    Analysis {
-        call_graph,
-        solver_stats: solver.stats.clone(),
-        analysis_seconds,
-        hints_applied,
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// The computed call graph, in terms of source locations (comparable with
 /// the dynamic call graphs produced by the interpreter).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallGraph {
     /// All call edges (call-site location → callee definition location).
     pub edges: BTreeSet<(Loc, Loc)>,

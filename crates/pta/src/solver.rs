@@ -251,7 +251,10 @@ pub struct Solver {
     /// Discovered module-load edges: (site, loaded file).
     pub module_edges: HashSet<(u32, FileId)>,
     /// Module hints: `require` site loc → file paths (extended mode).
-    pub module_hints: HashMap<Loc, Vec<String>>,
+    module_hints: HashMap<Loc, Vec<String>>,
+    /// Sites the `require` builtin has fired at, by location: a module
+    /// hint added after the fact is wired into these directly.
+    required_at: HashMap<Loc, Vec<u32>>,
 
     /// The interned element property for arrays.
     pub elems_sym: Sym,
@@ -285,6 +288,7 @@ impl Solver {
             call_edges: HashSet::new(),
             module_edges: HashSet::new(),
             module_hints: HashMap::new(),
+            required_at: HashMap::new(),
             elems_sym,
             prototype_sym,
             stats: SolverStats::default(),
@@ -378,6 +382,16 @@ impl Solver {
     /// Looks up a cell without creating it.
     pub fn cell_if_exists(&self, kind: CellKind) -> Option<CellId> {
         self.cell_ids.get(&kind).copied()
+    }
+
+    /// Adds a module hint: the `require` call at `site` also loads the
+    /// project files `paths`. A site the builtin has already fired at is
+    /// wired at once; [`Solver::solve`] then propagates the new exports.
+    pub fn add_module_hint(&mut self, site: Loc, paths: Vec<String>) {
+        for idx in self.required_at.get(&site).cloned().unwrap_or_default() {
+            self.wire_require_targets(idx, &paths);
+        }
+        self.module_hints.insert(site, paths);
     }
 
     /// Runs propagation to a fixpoint.
@@ -701,16 +715,8 @@ impl Solver {
                 if let Some(hinted) = self.module_hints.get(&loc).cloned() {
                     targets.extend(hinted);
                 }
-                for path in targets {
-                    if let Some(idx) = self.paths.iter().position(|p| *p == path) {
-                        let fid = FileId(idx as u32);
-                        self.module_edges.insert((site, fid));
-                        let mobj = self.token(TokenData::ModuleObj(fid));
-                        let exports_sym = self.interner.intern("exports");
-                        let f = self.cell(CellKind::Field(mobj, exports_sym));
-                        self.add_edge(f, result);
-                    }
-                }
+                self.wire_require_targets(site, &targets);
+                self.required_at.entry(loc).or_default().push(site);
             }
             "Object.create" => {
                 let newtok = self.token(TokenData::Obj(loc));
@@ -761,6 +767,23 @@ impl Solver {
                         },
                     );
                 }
+            }
+        }
+    }
+
+    /// Makes `require` call `site` load each of the project files
+    /// `targets`: a module edge, and the file's `module.exports` flowing
+    /// into the call's result. Paths outside the project are ignored.
+    fn wire_require_targets(&mut self, site: u32, targets: &[String]) {
+        let result = self.sites[site as usize].result;
+        for path in targets {
+            if let Some(idx) = self.paths.iter().position(|p| p == path) {
+                let fid = FileId(idx as u32);
+                self.module_edges.insert((site, fid));
+                let mobj = self.token(TokenData::ModuleObj(fid));
+                let exports_sym = self.interner.intern("exports");
+                let f = self.cell(CellKind::Field(mobj, exports_sym));
+                self.add_edge(f, result);
             }
         }
     }

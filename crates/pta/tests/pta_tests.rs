@@ -3,7 +3,7 @@
 
 use aji_approx::{approximate_interpret, ApproxOptions, Hints};
 use aji_ast::{Loc, Project};
-use aji_pta::{analyze, Analysis, AnalysisOptions, CgMetrics};
+use aji_pta::{analyze, analyze_parsed, Analysis, AnalysisOptions, CgMetrics, ConstraintGraph};
 use std::collections::BTreeSet;
 
 fn project(files: &[(&str, &str)]) -> Project {
@@ -258,6 +258,45 @@ fn dynamic_require_needs_module_hints() {
         .edges
         .iter()
         .any(|(cs, f)| cs.line == 3 && f.file.index() == 1));
+}
+
+#[test]
+fn late_module_hint_is_wired_into_a_fired_require_site() {
+    let p = project(&[
+        (
+            "index.js",
+            "var which = 'en';\n\
+             var lang = require('./langs/' + which);\n\
+             lang.hello();",
+        ),
+        (
+            "langs/en.js",
+            "exports.hello = function hello() { return 'hi'; };",
+        ),
+    ]);
+    let hints = approximate_interpret(&p, &ApproxOptions::default())
+        .expect("approx")
+        .hints;
+    assert!(!hints.modules.is_empty());
+    let modules_only = AnalysisOptions {
+        use_module_hints: true,
+        ..AnalysisOptions::baseline()
+    };
+    let parsed = aji_parser::parse_project(&p).expect("parse");
+    let mut graph = ConstraintGraph::build(&p, &parsed);
+    // The baseline solve fires `require` at line 2 with no target.
+    let b = graph.extend(None, &AnalysisOptions::baseline());
+    assert!(b.call_graph.edges.is_empty());
+    // The hint arrives afterwards and must still reach that site.
+    let late = graph.extend(Some(&hints), &modules_only);
+    assert!(late
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, f)| cs.line == 3 && f.file.index() == 1));
+    let scratch = analyze_parsed(&p, &parsed, Some(&hints), &modules_only);
+    assert_eq!(late.call_graph, scratch.call_graph);
+    assert_eq!(late.solver_stats.propagations, scratch.solver_stats.propagations);
 }
 
 // ----- prototypes, new, classes -----

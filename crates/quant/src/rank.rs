@@ -9,8 +9,8 @@
 //!
 //! * [`Cause::HigherOrderProxy`] — the one cause with a real lever in
 //!   the solver: re-solve the static call graph with the §6 proxy-read
-//!   hint class force-enabled ([`AnalysisOptions::with_proxy_reads`])
-//!   and count which of the family's missed edges the re-solved graph
+//!   hint class force-enabled on top of the extended analysis (by
+//!   default [`AnalysisOptions::with_proxy_reads`]) and count which of the family's missed edges the re-solved graph
 //!   actually lands (strategy `"resolve"`). This is a *measured* gain,
 //!   not an upper bound — the re-solve can and does fall short when the
 //!   proxy-read key never flowed into a recorded hint.
@@ -38,7 +38,7 @@ use aji_approx::approximate_interpret_parsed;
 use aji_ast::{Loc, Project};
 use aji_bench::{run_corpus_map, ProjectResult};
 use aji_oracle::{triage, triage_spurious, Cause, EdgeDiff, OracleOptions, SpuriousCause};
-use aji_pta::{analyze_parsed, AnalysisOptions};
+use aji_pta::{AnalysisOptions, ConstraintGraph};
 use aji_support::Json;
 use std::collections::BTreeSet;
 
@@ -217,9 +217,10 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
     let _span = aji_obs::span("quant.rank");
     let parsed = aji_parser::parse_project(project)?;
 
-    let baseline = analyze_parsed(project, &parsed, None, &AnalysisOptions::baseline());
     let approx = approximate_interpret_parsed(project, &parsed, &opts.approx);
-    let extended = analyze_parsed(project, &parsed, Some(&approx.hints), &opts.analysis);
+    let mut graph = ConstraintGraph::build(project, &parsed);
+    let baseline = graph.extend(None, &AnalysisOptions::baseline());
+    let extended = graph.extend(Some(&approx.hints), &opts.analysis);
     let dynamic = dynamic_call_graph_parsed(project, &parsed, &opts.dynamic_interp)
         .ok_or_else(|| {
             PipelineError::Dynamic("could not construct the concrete interpreter".to_string())
@@ -234,17 +235,19 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
     );
     let spurious = triage_spurious(&parsed, &baseline.call_graph, &diff.spurious);
 
-    // The one measured counterfactual: §6 proxy-read hints force-enabled.
-    // Only worth a re-solve when the family is non-empty.
+    // The one measured counterfactual: §6 proxy-read hints force-enabled
+    // on top of the extended analysis. Only worth a re-solve when the
+    // family is non-empty; the re-solve extends the extended fixpoint.
     let proxy_missed = missed
         .iter()
         .any(|m| m.cause == Cause::HigherOrderProxy);
     let resolve_recovered: BTreeSet<(Loc, Loc)> = if proxy_missed {
-        let resolved = analyze_parsed(
-            project,
-            &parsed,
+        let resolved = graph.extend(
             Some(&approx.hints),
-            &AnalysisOptions::with_proxy_reads(),
+            &AnalysisOptions {
+                use_proxy_read_hints: true,
+                ..opts.analysis
+            },
         );
         diff.missed
             .iter()

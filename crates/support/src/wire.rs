@@ -89,18 +89,19 @@ pub fn write_frame<W: Write>(w: &mut W, doc: &Json) -> io::Result<()> {
 /// non-JSON line.
 pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Json>, WireError> {
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    let trimmed = line.trim_end_matches(['\n', '\r']);
-    if trimmed.is_empty() {
+    loop {
+        line.clear();
+        if r.read_line(&mut line)? == 0 {
+            return Ok(None);
+        }
+        let trimmed = line.trim_end_matches(['\n', '\r']);
         // A blank line is a keep-alive no-op frame boundary; skip it.
-        return read_frame(r);
+        if !trimmed.is_empty() {
+            return Json::parse(trimmed)
+                .map(Some)
+                .map_err(WireError::Protocol);
+        }
     }
-    Json::parse(trimmed)
-        .map(Some)
-        .map_err(WireError::Protocol)
 }
 
 /// One-shot request over a Unix socket: connect to `socket_path`, send
@@ -158,6 +159,16 @@ mod tests {
         let mut r = io::BufReader::new(&bytes[..]);
         let frame = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(frame.get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn a_long_run_of_blank_lines_does_not_grow_the_stack() {
+        let mut bytes = "\n".repeat(200_000).into_bytes();
+        bytes.extend_from_slice(b"\r\n{\"ok\":true}\n");
+        let mut r = io::BufReader::new(&bytes[..]);
+        let frame = read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(frame.get("ok"), Some(&Json::Bool(true)));
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

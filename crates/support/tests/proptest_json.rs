@@ -201,3 +201,67 @@ fn exponent_numbers_parse_and_round_trip() {
     // (the value model holds finite numbers only).
     assert!(Json::parse("1e999").is_err());
 }
+
+/// One piece of a hand-written JSON string literal: the source text the
+/// parser reads and the characters it must produce.
+fn arbitrary_piece(tc: &mut TestCase) -> (String, String) {
+    const RAW: &[&str] = &["a", "Z", " ", "é", "€", "𝄞", "😀", "日本", "\u{7f}", "/"];
+    const ESCAPED: &[(&str, &str)] = &[
+        (r#"\""#, "\""),
+        (r"\\", "\\"),
+        (r"\/", "/"),
+        (r"\n", "\n"),
+        (r"\t", "\t"),
+        (r"\u0001", "\u{01}"),
+        (r"\u00e9", "é"),
+        (r"\u20AC", "€"),
+        (r"\ud834\udd1e", "𝄞"),
+    ];
+    if tc.bool() {
+        let raw = *tc.pick(RAW);
+        let n = tc.int_in(1usize..4);
+        (raw.repeat(n), raw.repeat(n))
+    } else {
+        let (src, chars) = *tc.pick(ESCAPED);
+        (src.to_string(), chars.to_string())
+    }
+}
+
+#[test]
+fn strings_mixing_multibyte_runs_and_escapes_parse_and_round_trip() {
+    property("json_mixed_string").cases(256).run(|tc| {
+        let pieces = tc.vec_of(0..16, arbitrary_piece);
+        let src: String = pieces.iter().map(|(s, _)| s.as_str()).collect();
+        let want: String = pieces.iter().map(|(_, c)| c.as_str()).collect();
+        let text = format!("\"{src}\"");
+        let parsed = Json::parse(&text).map_err(|e| format!("parse of {text:?}: {e}"))?;
+        prop_assert_eq!(&parsed, &Json::Str(want.clone()), "source {text:?}");
+        let again = Json::parse(&parsed.to_string()).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&again, &parsed, "round trip of {want:?}");
+        Ok(())
+    });
+}
+
+#[test]
+fn a_one_mebibyte_string_parses() {
+    // Mostly multi-byte text with an escape every 4 KiB, so both the
+    // raw-run and the escape paths are exercised at scale.
+    let mut want = String::new();
+    let mut text = String::from("\"");
+    while want.len() < 1 << 20 {
+        for _ in 0..1024 {
+            want.push_str("aé€𝄞");
+            text.push_str("aé€𝄞");
+        }
+        want.push('\n');
+        text.push_str(r"\n");
+    }
+    text.push('"');
+    let start = std::time::Instant::now();
+    assert_eq!(Json::parse(&text).unwrap(), Json::Str(want));
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(10),
+        "1 MiB string took {:?}: string parsing is not linear",
+        start.elapsed()
+    );
+}
