@@ -7,6 +7,7 @@
 
 use crate::source::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an AST node, unique across all files parsed with the same
 /// [`NodeIdGen`].
@@ -103,7 +104,7 @@ pub enum StmtKind {
     /// `var`/`let`/`const` declaration list.
     VarDecl(VarDecl),
     /// Function declaration `function f(...) {...}`.
-    FuncDecl(Box<Function>),
+    FuncDecl(Arc<Function>),
     /// Class declaration.
     ClassDecl(Box<Class>),
     /// `return E?;`
@@ -326,9 +327,9 @@ pub enum ExprKind {
     /// Object literal.
     Object(Vec<Property>),
     /// Function expression (`function (..) {..}` or named).
-    Function(Box<Function>),
+    Function(Arc<Function>),
     /// Arrow function.
-    Arrow(Box<Function>),
+    Arrow(Arc<Function>),
     /// Class expression.
     Class(Box<Class>),
     /// Unary operator application.
@@ -449,7 +450,7 @@ pub enum Property {
         /// Ordinary method, getter or setter.
         kind: MethodKind,
         /// Underlying function.
-        func: Box<Function>,
+        func: Arc<Function>,
     },
     /// `...e` spread into the literal.
     Spread(Expr),
@@ -563,13 +564,13 @@ pub struct ClassMember {
 #[derive(Debug, Clone)]
 pub enum ClassMemberKind {
     /// `constructor(..) {..}`.
-    Constructor(Box<Function>),
+    Constructor(Arc<Function>),
     /// Method / getter / setter.
     Method {
         /// Method flavor.
         kind: MethodKind,
         /// Underlying function.
-        func: Box<Function>,
+        func: Arc<Function>,
     },
     /// Field with optional initializer.
     Field(Option<Expr>),

@@ -6,6 +6,7 @@
 //! the traversal below that node.
 
 use crate::ast::*;
+use std::sync::Arc;
 
 /// A read-only visitor over the AST.
 ///
@@ -24,8 +25,10 @@ pub trait Visit: Sized {
     fn visit_expr(&mut self, e: &Expr) {
         walk_expr(self, e);
     }
-    /// Visits a function (declaration, expression, arrow, method).
-    fn visit_function(&mut self, f: &Function) {
+    /// Visits a function (declaration, expression, arrow, method). The
+    /// function arrives as the tree's own shared pointer, so a visitor can
+    /// keep it without copying the body.
+    fn visit_function(&mut self, f: &Arc<Function>) {
         walk_function(self, f);
     }
     /// Visits a class.
@@ -339,7 +342,7 @@ pub struct FunctionCollector {
 }
 
 impl Visit for FunctionCollector {
-    fn visit_function(&mut self, f: &Function) {
+    fn visit_function(&mut self, f: &Arc<Function>) {
         self.functions.push((f.id, f.span, f.name.clone()));
         walk_function(self, f);
     }
@@ -392,7 +395,7 @@ mod tests {
                     init: Some(Expr {
                         id: g.fresh(),
                         span: dummy_span(),
-                        kind: ExprKind::Function(Box::new(inner)),
+                        kind: ExprKind::Function(Arc::new(inner)),
                     }),
                 }],
             }),
@@ -414,7 +417,7 @@ mod tests {
             body: vec![Stmt {
                 id: g.fresh(),
                 span: dummy_span(),
-                kind: StmtKind::FuncDecl(Box::new(outer)),
+                kind: StmtKind::FuncDecl(Arc::new(outer)),
             }],
         };
         let mut c = FunctionCollector::default();

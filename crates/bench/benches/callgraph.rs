@@ -24,6 +24,7 @@ fn size_class(libs: usize, mods: usize, seed: u64) -> GenConfig {
         hard_dispatch_fraction: 0.0,
         computed_writes: 0,
         accessor_methods: 0,
+        typo_injections: 0,
     }
 }
 

@@ -27,6 +27,7 @@ fn main() {
         hard_dispatch_fraction: 0.0,
         computed_writes: 0,
         accessor_methods: 0,
+        typo_injections: 0,
     });
 
     let mut suite = Suite::new("table3-stages").iters(20);

@@ -24,6 +24,7 @@ fn bench_parser(suite: &mut Suite) {
         hard_dispatch_fraction: 0.0,
         computed_writes: 0,
         accessor_methods: 0,
+        typo_injections: 0,
     });
     let total: usize = project.files.iter().map(|f| f.src.len()).sum();
     let r = suite.bench(format!("parse-project/{total}B"), || {
@@ -65,6 +66,7 @@ fn bench_budget_ablation(suite: &mut Suite) {
         hard_dispatch_fraction: 0.0,
         computed_writes: 0,
         accessor_methods: 0,
+        typo_injections: 0,
     });
     for loop_limit in [100u64, 1_000, 10_000] {
         let opts = ApproxOptions {

@@ -3,9 +3,9 @@
 //!
 //! The gate's contract follows the repo's determinism split:
 //!
-//! * **Deterministic counters** (steps, IC hits/misses, edges, hint
-//!   counts, …) must match **exactly** — they are thread-count and rerun
-//!   invariant by construction, so any drift is a real behavior change.
+//! * **Deterministic counters** (steps, calls, edges, hint counts, …)
+//!   must match **exactly** — they are thread-count and rerun invariant
+//!   by construction, so any drift is a real behavior change.
 //! * **Wall-clock quantities** (span `total_ns`, `*_secs`, `*_per_sec`
 //!   throughputs, speedups, RSS peaks) get a **relative tolerance band**
 //!   (default ±25%), because a shared CI box cannot promise more.
@@ -90,7 +90,7 @@ const WALL_MARKERS: &[&str] = &[
 /// Counter families whose *total* disappearance from the new document is
 /// a gate failure, not a warning (see module docs). Matched as a prefix
 /// of any `/`-separated path segment, so `obs/counters/interp.steps/value`
-/// and a name-keyed `counters/interp.ic.hits` both count.
+/// and a name-keyed `counters/interp.calls` both count.
 const GUARDED_FAMILIES: &[&str] = &["interp.", "oracle.", "quant."];
 
 fn in_family(path: &str, family: &str) -> bool {

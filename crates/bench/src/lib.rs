@@ -208,12 +208,32 @@ pub fn collect_reports<R, E: fmt::Display>(results: Vec<ProjectResult<R, E>>) ->
     (ok, failures)
 }
 
+/// The profile a corpus binary prints at exit when collection is on
+/// (`AJI_OBS=1`): everything absorbed from its workers, rendered as text.
+/// `None` when collection is off.
+pub fn exit_profile() -> Option<String> {
+    if !aji_obs::enabled() {
+        return None;
+    }
+    let reg = aji_obs::current_registry()?;
+    Some(aji_obs::render_text(
+        &reg.report(),
+        &aji_obs::RenderOptions::default(),
+    ))
+}
+
 /// The uniform experiment-binary exit code: success only if every corpus
 /// project succeeded.
+///
+/// This is also where a corpus binary prints its [`exit_profile`], on
+/// stderr, so stdout (and `--json` output) stays byte-identical.
 ///
 /// (Usage errors exit with code 2 from [`CorpusCli::from_env`] before any
 /// work starts.)
 pub fn exit_code(failures: usize) -> ExitCode {
+    if let Some(text) = exit_profile() {
+        eprint!("{text}");
+    }
     if failures == 0 {
         ExitCode::SUCCESS
     } else {

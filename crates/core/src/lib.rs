@@ -119,8 +119,8 @@ impl PipelineOptions {
     /// responses by `(source digest, options fingerprint)`; two
     /// [`PipelineOptions`] with the same fingerprint are guaranteed to
     /// produce byte-identical [`BenchmarkReport::metrics_json`] output on
-    /// the same sources. Engine-selection knobs that are observationally
-    /// neutral (the bytecode VM toggle) do not participate — see
+    /// the same sources. Knobs that never change a result (property
+    /// observation) do not participate — see
     /// [`aji_interp::InterpOptions::fingerprint_into`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -704,10 +704,10 @@ mod tests {
         let mut tight = PipelineOptions::default();
         tight.approx.interp.max_steps = 1;
         assert_ne!(base, tight.fingerprint());
-        // The VM toggle is observationally neutral and shares cache keys.
-        let mut no_vm = PipelineOptions::default();
-        no_vm.approx.interp.use_vm = false;
-        assert_eq!(base, no_vm.fingerprint());
+        // Property observation never changes a result and shares cache keys.
+        let mut observing = PipelineOptions::default();
+        observing.approx.interp.observe_props = true;
+        assert_eq!(base, observing.fingerprint());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::machine::Interp;
 use crate::value::{ObjId, Value};
 use aji_ast::ast::*;
 use std::rc::Rc;
+use std::sync::Arc;
 
 impl Interp {
     /// Evaluates an expression in a scope.
@@ -375,8 +376,7 @@ impl Interp {
         self.unary_value(op, &v)
     }
 
-    /// Applies a simple (non-`typeof`, non-`delete`) unary operator —
-    /// shared by the tree-walker and the bytecode VM.
+    /// Applies a simple (non-`typeof`, non-`delete`) unary operator.
     pub(crate) fn unary_value(&mut self, op: UnaryOp, v: &Value) -> Result<Value, JsError> {
         Ok(match op {
             UnaryOp::Neg => Value::Num(-self.to_number_value(v)?),
@@ -633,10 +633,9 @@ impl Interp {
         }
     }
 
-    /// Reads `base[kv]` once the key expression has been evaluated —
-    /// shared by the tree-walker and the bytecode VM. Emits the dynamic
-    /// read hint (and the proxy-base hint of the §6 extension) when the
-    /// access has a static location.
+    /// Reads `base[kv]` once the key expression has been evaluated. Emits
+    /// the dynamic read hint (and the proxy-base hint of the §6 extension)
+    /// when the access has a static location.
     pub(crate) fn computed_member_read(
         &mut self,
         base: &Value,
@@ -669,9 +668,8 @@ impl Interp {
         Ok(result)
     }
 
-    /// Writes `base[kv] = v` once the key expression has been evaluated —
-    /// shared by the tree-walker and the bytecode VM. Proxy keys skip the
-    /// write (and the hint) entirely.
+    /// Writes `base[kv] = v` once the key expression has been evaluated.
+    /// Proxy keys skip the write (and the hint) entirely.
     pub(crate) fn computed_member_write(
         &mut self,
         base: &Value,
@@ -845,11 +843,8 @@ impl Interp {
         });
 
         // Build the constructor function object.
-        let ctor_def: Rc<Function> = match &ctor_func {
-            Some(f) => self
-                .registry
-                .get(f.id)
-                .unwrap_or_else(|| Rc::new((**f).clone())),
+        let ctor_def: Arc<Function> = match &ctor_func {
+            Some(f) => self.registry.get(f.id).unwrap_or_else(|| f.clone()),
             None => {
                 // Synthesize an empty constructor attributed to the class.
                 let f = Function {
@@ -863,7 +858,7 @@ impl Interp {
                     is_async: false,
                     is_generator: false,
                 };
-                let rc = Rc::new(f);
+                let rc = Arc::new(f);
                 self.registry
                     .add_dynamic(rc.clone(), self.static_loc(c.span));
                 rc
@@ -1004,7 +999,7 @@ impl Interp {
                             is_async: false,
                             is_generator: false,
                         };
-                        let rc = Rc::new(f);
+                        let rc = Arc::new(f);
                         self.registry.add_dynamic(rc.clone(), None);
                         let thunk = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
                             def: rc,

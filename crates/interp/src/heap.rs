@@ -8,6 +8,7 @@ use aji_ast::ast::Function;
 use aji_ast::{Loc, NodeId};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A property slot.
 #[derive(Debug, Clone)]
@@ -135,49 +136,13 @@ impl OrderedMap {
     pub fn keys(&self) -> Vec<Rc<str>> {
         self.iter().map(|(k, _)| k.clone()).collect()
     }
-
-    // ---- inline-cache support -----------------------------------------
-    //
-    // The bytecode VM caches (object, entry index) pairs per access site.
-    // Entry indices are stable: `insert` replaces in place, `remove`
-    // tombstones without shifting. A cached index is revalidated against
-    // the key (and liveness) on every hit, so a tombstoned or reshuffled
-    // entry simply misses.
-
-    /// The live entry at `slot`, if any (inline-cache validation).
-    pub fn entry_at(&self, slot: usize) -> Option<(&Rc<str>, &Prop)> {
-        self.entries
-            .get(slot)
-            .and_then(|(k, p)| p.as_ref().map(|p| (k, p)))
-    }
-
-    /// The entry index and live property for `key` (inline-cache fill).
-    pub fn slot_and_prop(&self, key: &str) -> Option<(usize, &Prop)> {
-        let i = *self.index.get(key)?;
-        self.entries[i].1.as_ref().map(|p| (i, p))
-    }
-
-    /// Replaces the live data property at `slot` with `Prop::data(v)` iff
-    /// the entry is live, keyed `key`, and currently a data property —
-    /// exactly what `insert` would do for an existing key (enumerability
-    /// resets to `true`). Returns whether the fast path applied; a `false`
-    /// return leaves the map untouched.
-    pub fn replace_data_at(&mut self, slot: usize, key: &str, v: Value) -> bool {
-        match self.entries.get_mut(slot) {
-            Some((k, Some(p))) if &**k == key && matches!(p.value, PropValue::Data(_)) => {
-                *p = Prop::data(v);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Closure data of a user-defined function object.
 #[derive(Debug, Clone)]
 pub struct FuncData {
     /// The function definition (shared with the registry).
-    pub def: Rc<Function>,
+    pub def: Arc<Function>,
     /// Captured defining scope.
     pub env: ScopeRef,
     /// Bound `this` (from `Function.prototype.bind` or class semantics).

@@ -47,7 +47,6 @@ mod registry;
 mod stmts;
 pub mod tracer;
 pub mod value;
-mod vm;
 
 pub use error::{BudgetKind, Flow, JsError};
 pub use machine::{Interp, InterpOptions, Protos};

@@ -17,6 +17,7 @@ use aji_ast::ast::{Function, Module};
 use aji_ast::{Loc, NodeIdGen, Project, SourceMap, Span};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Tuning knobs for an interpreter instance.
 #[derive(Debug, Clone)]
@@ -34,17 +35,11 @@ pub struct InterpOptions {
     /// Maximum iterations of any single loop execution (the paper's
     /// long-running-loop abort).
     pub max_loop_iters: u64,
-    /// Execute compiled-subset function bodies on the bytecode VM
-    /// (`aji-bytecode`) instead of tree-walking them. Observationally
-    /// identical — same steps, tracer events and budgets — just faster;
-    /// disable to force the tree-walker (differential testing).
-    pub use_vm: bool,
     /// Emit [`crate::Tracer::on_prop_access`] events for *static* member
     /// reads (and string-keyed computed reads) on plain objects — the feed
     /// of the `aji-quant` statistical property-access finder. Off by
-    /// default: the event carries the receiver's own-key shape, which the
-    /// VM's inline-cache hit path cannot reconstruct, so turning this on
-    /// forces the tree-walker for function bodies (`use_vm` is ignored).
+    /// default: the event carries the receiver's own-key shape, which
+    /// costs a key walk per read.
     pub observe_props: bool,
 }
 
@@ -55,7 +50,6 @@ impl Default for InterpOptions {
             max_steps: 20_000_000,
             max_stack: 64,
             max_loop_iters: 500_000,
-            use_vm: true,
             observe_props: false,
         }
     }
@@ -70,7 +64,6 @@ impl InterpOptions {
             max_steps: 5_000_000,
             max_stack: 48,
             max_loop_iters: 10_000,
-            use_vm: true,
             observe_props: false,
         }
     }
@@ -79,12 +72,9 @@ impl InterpOptions {
     /// the digest (the `aji serve` hint store) never serve a result
     /// computed under different budgets or engine settings.
     ///
-    /// `use_vm` is deliberately **excluded**: the bytecode VM is
-    /// observationally identical to the tree-walker (pinned by
-    /// `tests/bytecode_differential.rs`), so both engines may share cache
-    /// entries. `observe_props` is excluded for the same reason — it adds
-    /// tracer events but never changes a computed result, so an observing
-    /// run may reuse cached analysis answers.
+    /// `observe_props` is deliberately **excluded**: it adds tracer
+    /// events but never changes a computed result, so an observing run
+    /// may reuse cached analysis answers.
     pub fn fingerprint_into(&self, h: &mut aji_support::Fnv64) {
         h.write_u64(u64::from(self.approx));
         h.write_u64(self.max_steps);
@@ -154,9 +144,6 @@ pub struct Interp {
     /// remainder is batched in on flush/reset (one atomic add instead of
     /// one per step — the hot path stays counter-free).
     pub(crate) steps_reported: u64,
-    /// Inline-cache hits not yet folded into `interp.ic_hits` (same
-    /// batching; a plain integer increment on the VM's hottest path).
-    pub(crate) ic_hits_pending: u64,
     pub(crate) depth: u32,
     pub(crate) eval_depth: u32,
     pub(crate) rng: u64,
@@ -169,9 +156,6 @@ pub struct Interp {
     /// blocks keep executing — and stepping — after an uncatchable
     /// `Budget` error).
     pub(crate) budget_tripped: bool,
-    /// Per-definition bytecode cache: `Some` holds the compiled chunk,
-    /// `None` memoizes a compiler bail (the definition tree-walks forever).
-    pub(crate) vm_cache: HashMap<aji_ast::NodeId, Option<Rc<crate::vm::VmCode>>>,
     /// Step-attributed hot-function profiler, present only when the
     /// registry active at construction carried a flight recorder with
     /// profiling on. Flushed into that registry when the interpreter
@@ -271,7 +255,6 @@ impl Interp {
             ids: parsed.ids,
             steps: 0,
             steps_reported: 0,
-            ic_hits_pending: 0,
             depth: 0,
             eval_depth: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -279,7 +262,6 @@ impl Interp {
             pending_new_loc: None,
             pending_label: None,
             budget_tripped: false,
-            vm_cache: HashMap::new(),
             profiler,
         };
         builtins::install(&mut interp);
@@ -323,18 +305,14 @@ impl Interp {
         self.budget_tripped = false;
     }
 
-    /// Folds the batched hot-path tallies (steps, IC hits) into their
-    /// observability counters. Called on flush/drop and before any
-    /// re-basing of `self.steps`; hot paths only bump plain integers.
+    /// Folds the batched step tally into its observability counter.
+    /// Called on flush/drop and before any re-basing of `self.steps`; the
+    /// hot path only bumps a plain integer.
     fn flush_batched_counters(&mut self) {
         let d = self.steps - self.steps_reported;
         if d > 0 {
             self.obs.steps.add(d);
             self.steps_reported = self.steps;
-        }
-        if self.ic_hits_pending > 0 {
-            self.obs.ic_hits.add(self.ic_hits_pending);
-            self.ic_hits_pending = 0;
         }
     }
 
@@ -376,7 +354,7 @@ impl Interp {
 
     /// Pushes a profiled call frame for `def` (no-op without a profiler).
     #[cold]
-    fn profile_enter(&mut self, def: &Rc<Function>) {
+    fn profile_enter(&mut self, def: &Arc<Function>) {
         let now = self.steps;
         if let Some(mut p) = self.profiler.take() {
             p.enter(def.id, now, || {
@@ -880,20 +858,6 @@ impl Interp {
             self.bind_pattern(rest, Value::Obj(arr), &scope, true)?;
         }
 
-        // Hot path: run the body on the bytecode VM when it compiles.
-        // The compiled subset skips `hoist` — its effects (pre-declaring
-        // `var`/`let` names) are folded into the chunk's slot layout, and
-        // functions whose hoist would be observable (nested function or
-        // class declarations) bail out of compilation.
-        // `observe_props` needs the receiver shape at every static member
-        // read; the VM's inline-cache hit path skips `get_property`
-        // entirely, so observing runs stay on the tree-walker.
-        if self.opts.use_vm && !self.opts.observe_props {
-            if let Some(code) = self.vm_code(&def) {
-                return self.run_vm(&code, &scope);
-            }
-        }
-
         match &def.body {
             aji_ast::ast::FuncBody::Block(stmts) => {
                 self.hoist(stmts, &scope)?;
@@ -912,15 +876,14 @@ impl Interp {
 
     /// Creates a closure value for a function definition evaluated in
     /// `scope`.
-    pub(crate) fn make_closure(&mut self, def: &Function, scope: &ScopeRef) -> Value {
+    pub(crate) fn make_closure(&mut self, def: &Arc<Function>, scope: &ScopeRef) -> Value {
         let shared = match self.registry.get(def.id) {
             Some(rc) => rc,
             None => {
                 // Function from dynamically generated code.
-                let rc = Rc::new(def.clone());
                 self.registry
-                    .add_dynamic(rc.clone(), self.static_loc(def.span));
-                rc
+                    .add_dynamic(def.clone(), self.static_loc(def.span));
+                def.clone()
             }
         };
         let born_at = self.static_loc(def.span);

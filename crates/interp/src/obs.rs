@@ -28,21 +28,13 @@ pub struct InterpObs {
     pub builtin_dispatches: Counter,
     /// Budget exhaustions (step, stack or loop budget hit).
     pub budget_exhaustions: Counter,
-    /// Bytecode inline-cache hits (property get/set/member-call sites).
-    pub ic_hits: Counter,
-    /// Bytecode inline-cache misses (generic path taken, cache patched).
-    pub ic_misses: Counter,
-    /// Function bodies compiled to bytecode (once per definition).
-    pub vm_compiles: Counter,
-    /// Function bodies rejected by the bytecode compiler (tree-walked).
-    pub vm_bails: Counter,
     /// The registry active at construction, kept so deferred flushes
     /// (profiler drop, gauges) land in the right place even after the
     /// scope that installed it pops.
     pub registry: Option<Arc<Registry>>,
     /// The registry's flight recorder, when one is installed — the sink
-    /// for budget-trip, VM compile/bail and IC-miss trace events, each
-    /// stamped with the interpreter's step index.
+    /// for budget-trip trace events, each stamped with the interpreter's
+    /// step index.
     pub recorder: Option<Arc<TraceRecorder>>,
 }
 
@@ -59,10 +51,6 @@ impl InterpObs {
             proxy_ops: counter("interp.proxy_ops"),
             builtin_dispatches: counter("interp.builtin_dispatches"),
             budget_exhaustions: counter("interp.budget_exhaustions"),
-            ic_hits: counter("interp.ic_hits"),
-            ic_misses: counter("interp.ic_misses"),
-            vm_compiles: counter("interp.vm_compiles"),
-            vm_bails: counter("interp.vm_bails"),
             registry,
             recorder,
         }

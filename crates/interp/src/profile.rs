@@ -2,9 +2,8 @@
 //!
 //! When the active observability registry carries a flight recorder whose
 //! [`TraceConfig::profile`](aji_obs::TraceConfig) flag is set, the
-//! interpreter owns one of these and charges every evaluation step, IC
-//! hit/miss and compiler bail to the function currently on top of the
-//! profiled call stack. Attribution is by **step count**, not wall clock,
+//! interpreter owns one of these and charges every evaluation step and
+//! call to the function currently on top of the profiled call stack. Attribution is by **step count**, not wall clock,
 //! so the resulting table is exact, deterministic, and honest on a
 //! 1-core container — two functions cannot "overlap" in steps.
 //!
@@ -16,9 +15,8 @@
 //! orders of magnitude rarer.
 //!
 //! On interpreter drop the profile flushes as plain counters
-//! (`profile.fn.<metric>.<function-key>` and
-//! `interp.ic_miss_site.<site-key>`) into the registry the interpreter
-//! bound at construction. Counters merge by summation under
+//! (`profile.fn.<metric>.<function-key>`) into the registry the
+//! interpreter bound at construction. Counters merge by summation under
 //! [`Registry::absorb`](aji_obs::Registry::absorb), so per-worker profiles
 //! fold into corpus totals that are invariant to thread count.
 
@@ -35,9 +33,6 @@ struct FnStat {
     key: String,
     steps: u64,
     calls: u64,
-    ic_hits: u64,
-    ic_misses: u64,
-    bails: u64,
 }
 
 impl FnStat {
@@ -46,9 +41,6 @@ impl FnStat {
             key,
             steps: 0,
             calls: 0,
-            ic_hits: 0,
-            ic_misses: 0,
-            bails: 0,
         }
     }
 }
@@ -65,10 +57,6 @@ pub(crate) struct Profiler {
     /// Interpreter step count at the last frame transition; the delta
     /// since is owed to the current frame.
     last_mark: u64,
-    /// Per-site IC miss counts, keyed `function-key:prop#ic`.
-    ic_sites: HashMap<String, u64>,
-    /// Deepest VM value stack observed across all `run_vm` activations.
-    peak_vm_stack: u64,
 }
 
 impl Profiler {
@@ -79,8 +67,6 @@ impl Profiler {
             stack: Vec::new(),
             cur: 0,
             last_mark: 0,
-            ic_sites: HashMap::new(),
-            peak_vm_stack: 0,
         }
     }
 
@@ -127,55 +113,17 @@ impl Profiler {
         self.cur = self.stack.pop().unwrap_or(0);
     }
 
-    /// Charges an inline-cache hit to the current frame.
-    #[inline]
-    pub(crate) fn ic_hit(&mut self) {
-        self.stats[self.cur].ic_hits += 1;
-    }
-
-    /// Charges an inline-cache miss to the current frame and to the
-    /// per-site table under `function-key:prop#ic`.
-    pub(crate) fn ic_miss(&mut self, prop: &str, ic: u16) {
-        self.stats[self.cur].ic_misses += 1;
-        let site = format!("{}:{prop}#{ic}", self.stats[self.cur].key);
-        *self.ic_sites.entry(site).or_insert(0) += 1;
-    }
-
-    /// Records a bytecode-compiler bail for a definition.
-    pub(crate) fn bail(&mut self, id: NodeId, make_key: impl FnOnce() -> String) {
-        let idx = self.frame(id, make_key);
-        self.stats[idx].bails += 1;
-    }
-
-    /// Folds a VM activation's peak value-stack depth into the profile.
-    pub(crate) fn track_vm_stack(&mut self, depth: u64) {
-        self.peak_vm_stack = self.peak_vm_stack.max(depth);
-    }
-
     /// Flushes the profile into `reg` as summation-mergeable counters
-    /// (only non-zero metrics, keeping reports lean) plus the peak VM
-    /// stack gauge. `now` settles the steps still owed to the current
-    /// frame.
+    /// (only non-zero metrics, keeping reports lean). `now` settles the
+    /// steps still owed to the current frame.
     pub(crate) fn flush(&mut self, now: u64, reg: &Registry) {
         self.sync(now);
         for st in &self.stats {
-            for (metric, value) in [
-                ("steps", st.steps),
-                ("calls", st.calls),
-                ("ic_hits", st.ic_hits),
-                ("ic_misses", st.ic_misses),
-                ("bails", st.bails),
-            ] {
+            for (metric, value) in [("steps", st.steps), ("calls", st.calls)] {
                 if value > 0 {
                     reg.counter_add(&format!("profile.fn.{metric}.{}", st.key), value);
                 }
             }
-        }
-        for (site, n) in &self.ic_sites {
-            reg.counter_add(&format!("interp.ic_miss_site.{site}"), *n);
-        }
-        if self.peak_vm_stack > 0 {
-            reg.gauge_max("interp.peak_vm_stack", self.peak_vm_stack);
         }
     }
 }
@@ -190,15 +138,13 @@ mod tests {
         let mut p = Profiler::new();
         // 1 toplevel step, then f runs from step 1 to step 3.
         p.enter(NodeId(7), 1, || "f@a.js:1".into());
-        p.ic_hit();
-        p.ic_miss("x", 0);
         p.exit(3);
         // 1 more toplevel step, then a zero-step re-entry of f.
         p.enter(NodeId(7), 4, || panic!("key already made"));
         p.exit(4);
-        p.bail(NodeId(9), || "g@a.js:5".into());
-        p.track_vm_stack(12);
-        p.track_vm_stack(4);
+        // g is entered and left without a step: calls flush, steps do not.
+        p.enter(NodeId(9), 4, || "g@a.js:5".into());
+        p.exit(4);
 
         let reg = Arc::new(Registry::new());
         p.flush(4, &reg);
@@ -206,12 +152,8 @@ mod tests {
         assert_eq!(rep.counter("profile.fn.steps.<toplevel>"), Some(2));
         assert_eq!(rep.counter("profile.fn.steps.f@a.js:1"), Some(2));
         assert_eq!(rep.counter("profile.fn.calls.f@a.js:1"), Some(2));
-        assert_eq!(rep.counter("profile.fn.ic_hits.f@a.js:1"), Some(1));
-        assert_eq!(rep.counter("profile.fn.ic_misses.f@a.js:1"), Some(1));
-        assert_eq!(rep.counter("profile.fn.bails.g@a.js:5"), Some(1));
-        assert_eq!(rep.counter("interp.ic_miss_site.f@a.js:1:x#0"), Some(1));
-        assert_eq!(rep.gauge("interp.peak_vm_stack"), Some(12));
+        assert_eq!(rep.counter("profile.fn.calls.g@a.js:5"), Some(1));
         // Zero metrics are not flushed.
-        assert_eq!(rep.counter("profile.fn.ic_misses.g@a.js:5"), None);
+        assert_eq!(rep.counter("profile.fn.steps.g@a.js:5"), None);
     }
 }

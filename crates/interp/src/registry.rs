@@ -1,18 +1,19 @@
-//! Function-definition registry: shares one `Rc<Function>` per syntactic
+//! Function-definition registry: shares one `Arc<Function>` per syntactic
 //! function definition so closures are cheap to create and definitions are
-//! addressable by `NodeId`.
+//! addressable by `NodeId`. The pointers are the parse's own: registering a
+//! module copies no function body.
 
 use aji_ast::ast::{Function, Module};
 use aji_ast::visit::{self, Visit};
 use aji_ast::{Loc, NodeId, SourceMap};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Registry of all function definitions in a project (plus any functions
 /// appearing in `eval`'d code, which are registered on the fly).
 #[derive(Debug, Default)]
 pub struct FuncRegistry {
-    map: HashMap<NodeId, Rc<Function>>,
+    map: HashMap<NodeId, Arc<Function>>,
     locs: HashMap<NodeId, Loc>,
 }
 
@@ -30,11 +31,8 @@ impl FuncRegistry {
             sm: &'a SourceMap,
         }
         impl Visit for Collector<'_> {
-            fn visit_function(&mut self, f: &Function) {
-                self.reg
-                    .map
-                    .entry(f.id)
-                    .or_insert_with(|| Rc::new(f.clone()));
+            fn visit_function(&mut self, f: &Arc<Function>) {
+                self.reg.map.entry(f.id).or_insert_with(|| f.clone());
                 self.reg.locs.insert(f.id, self.sm.loc(f.span));
                 visit::walk_function(self, f);
             }
@@ -51,11 +49,8 @@ impl FuncRegistry {
             reg: &'a mut FuncRegistry,
         }
         impl Visit for Collector<'_> {
-            fn visit_function(&mut self, f: &Function) {
-                self.reg
-                    .map
-                    .entry(f.id)
-                    .or_insert_with(|| Rc::new(f.clone()));
+            fn visit_function(&mut self, f: &Arc<Function>) {
+                self.reg.map.entry(f.id).or_insert_with(|| f.clone());
                 visit::walk_function(self, f);
             }
         }
@@ -65,7 +60,7 @@ impl FuncRegistry {
 
     /// Registers a function discovered at runtime (e.g. inside `eval`'d
     /// code). `loc` is `None` for dynamically generated code.
-    pub fn add_dynamic(&mut self, f: Rc<Function>, loc: Option<Loc>) {
+    pub fn add_dynamic(&mut self, f: Arc<Function>, loc: Option<Loc>) {
         if let Some(l) = loc {
             self.locs.insert(f.id, l);
         }
@@ -73,7 +68,7 @@ impl FuncRegistry {
     }
 
     /// Looks up the shared definition for a node id.
-    pub fn get(&self, id: NodeId) -> Option<Rc<Function>> {
+    pub fn get(&self, id: NodeId) -> Option<Arc<Function>> {
         self.map.get(&id).cloned()
     }
 
@@ -116,6 +111,34 @@ mod tests {
         for id in reg.ids().collect::<Vec<_>>() {
             assert!(reg.loc(id).is_some());
             assert!(reg.get(id).is_some());
+        }
+    }
+
+    #[test]
+    fn holds_the_parses_own_function_pointers() {
+        let src = "function a() { return function b() { return () => 1; }; }\n\
+                   var o = { m() {} };\nclass C { constructor() {} k() {} }";
+        let mut sm = SourceMap::new();
+        let file = sm.add_file("t.js", src);
+        let mut ids = NodeIdGen::new();
+        let m = aji_parser::parse_module(src, file, &mut ids).unwrap();
+        let mut reg = FuncRegistry::new();
+        reg.add_module(&m, &sm);
+
+        struct All(Vec<Arc<Function>>);
+        impl Visit for All {
+            fn visit_function(&mut self, f: &Arc<Function>) {
+                self.0.push(f.clone());
+                visit::walk_function(self, f);
+            }
+        }
+        let mut all = All(Vec::new());
+        all.visit_module(&m);
+        assert_eq!(all.0.len(), 6);
+        assert_eq!(reg.len(), all.0.len());
+        for f in &all.0 {
+            let held = reg.get(f.id).expect("registered");
+            assert!(Arc::ptr_eq(&held, f), "registry copied {:?}", f.name);
         }
     }
 }

@@ -56,8 +56,8 @@
 //! # The flight recorder
 //!
 //! Beyond aggregates, a registry can carry a [`TraceRecorder`] — a
-//! fixed-capacity ring of structured [`TraceEvent`]s (span begin/end, VM
-//! compile/bail, IC miss, budget trip, oracle finding, hint application),
+//! fixed-capacity ring of structured [`TraceEvent`]s (span begin/end,
+//! budget trip, oracle finding, hint application),
 //! each stamped with a wall-clock offset *and* the interpreter step index.
 //! In [`TraceConfig::deterministic`] mode the wall clock is zeroed, making
 //! event streams byte-identical across thread counts and reruns; see the

@@ -635,7 +635,7 @@ mod tests {
     #[test]
     fn new_like_inherits_recorder_config_with_fresh_ring() {
         let parent = Registry::with_recorder(TraceConfig::deterministic());
-        parent.recorder().unwrap().record(TraceKind::IcMiss, "x", "");
+        parent.recorder().unwrap().record(TraceKind::BudgetTrip, "x", "");
         let child = Registry::new_like(&parent);
         let rec = child.recorder().expect("child inherits recorder");
         assert!(rec.config().deterministic);

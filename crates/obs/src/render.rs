@@ -1,6 +1,6 @@
 //! Text rendering of an [`ObsReport`]: an indented span tree with
-//! per-phase percentages, the top-N counters, hot-function and IC-miss
-//! tables, gauges, and histogram summaries.
+//! per-phase percentages, the top-N counters, the hot-function table,
+//! gauges, and histogram summaries.
 
 use crate::report::{ObsReport, SpanRecord};
 use std::collections::BTreeMap;
@@ -11,7 +11,7 @@ use std::fmt::Write;
 pub struct RenderOptions {
     /// How many counters to print (largest first).
     pub top_counters: usize,
-    /// How many rows of the hot-function and IC-miss-site tables to print.
+    /// How many rows of the hot-function table to print.
     pub top_functions: usize,
 }
 
@@ -26,21 +26,15 @@ impl Default for RenderOptions {
 
 /// Per-function metrics flushed by the interpreter's profiler, keyed by
 /// `profile.fn.<metric>.<function-key>` counters.
-const FN_METRICS: [&str; 5] = ["steps", "calls", "ic_hits", "ic_misses", "bails"];
+const FN_METRICS: [&str; 2] = ["steps", "calls"];
 
 /// Counter-name prefix of the step-attributed hot-function profile.
 const FN_PREFIX: &str = "profile.fn.";
-/// Counter-name prefix of per-site IC-miss attribution.
-const IC_SITE_PREFIX: &str = "interp.ic_miss_site.";
-
-fn is_table_counter(name: &str) -> bool {
-    name.starts_with(FN_PREFIX) || name.starts_with(IC_SITE_PREFIX)
-}
 
 /// Groups `profile.fn.<metric>.<key>` counters into per-function rows of
-/// `[steps, calls, ic_hits, ic_misses, bails]`.
-fn hot_functions(report: &ObsReport) -> Vec<(String, [u64; 5])> {
-    let mut rows: BTreeMap<String, [u64; 5]> = BTreeMap::new();
+/// `[steps, calls]`.
+fn hot_functions(report: &ObsReport) -> Vec<(String, [u64; 2])> {
+    let mut rows: BTreeMap<String, [u64; 2]> = BTreeMap::new();
     for c in &report.counters {
         let Some(rest) = c.name.strip_prefix(FN_PREFIX) else {
             continue;
@@ -86,29 +80,26 @@ pub fn render_text(report: &ObsReport, opts: &RenderOptions) -> String {
             .max(8);
         let _ = writeln!(
             out,
-            "  {:<width$}  {:>14} {:>10} {:>12} {:>10} {:>6}",
-            "function", "steps", "calls", "ic_hits", "ic_miss", "bails"
+            "  {:<width$}  {:>14} {:>10}",
+            "function", "steps", "calls"
         );
         for (key, m) in hot.iter().take(opts.top_functions) {
             let _ = writeln!(
                 out,
-                "  {:<width$}  {:>14} {:>10} {:>12} {:>10} {:>6}",
+                "  {:<width$}  {:>14} {:>10}",
                 key,
                 group_digits(m[0]),
                 group_digits(m[1]),
-                group_digits(m[2]),
-                group_digits(m[3]),
-                group_digits(m[4]),
             );
         }
     }
 
-    // Generic counters, excluding the per-function / per-site families
-    // rendered as tables above and below.
+    // Generic counters, excluding the per-function family rendered as a
+    // table above.
     let generic: Vec<_> = report
         .counters
         .iter()
-        .filter(|c| !is_table_counter(&c.name))
+        .filter(|c| !c.name.starts_with(FN_PREFIX))
         .collect();
     out.push_str(&format!(
         "\ntop counters ({} of {}):\n",
@@ -128,19 +119,6 @@ pub fn render_text(report: &ObsReport, opts: &RenderOptions) -> String {
             .unwrap_or(0);
         for c in counters.iter().take(opts.top_counters) {
             let _ = writeln!(out, "  {:<width$}  {:>12}", c.name, group_digits(c.value));
-        }
-    }
-
-    let mut sites: Vec<_> = report
-        .counters
-        .iter()
-        .filter_map(|c| c.name.strip_prefix(IC_SITE_PREFIX).map(|s| (s, c.value)))
-        .collect();
-    if !sites.is_empty() {
-        sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        out.push_str("\nic-miss sites:\n");
-        for (site, n) in sites.iter().take(opts.top_functions) {
-            let _ = writeln!(out, "  {:<40}  {:>8}", site, group_digits(*n));
         }
     }
 
@@ -317,15 +295,12 @@ mod tests {
                 mk("profile.fn.steps.hot@index.js:3", 900),
                 mk("profile.fn.steps.cold@index.js:9", 10),
                 mk("profile.fn.calls.hot@index.js:3", 25),
-                mk("profile.fn.ic_misses.hot@index.js:3", 3),
-                mk("interp.ic_miss_site.hot@index.js:3:x#0", 3),
                 mk("interp.steps", 910),
             ],
             ..ObsReport::default()
         };
         let text = render_text(&report, &RenderOptions::default());
         assert!(text.contains("hot functions"));
-        assert!(text.contains("ic-miss sites"));
         // The table families are excluded from the generic counter list.
         assert!(text.contains("top counters (1 of 1)"), "{text}");
         // Hottest function first.

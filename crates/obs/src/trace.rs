@@ -43,12 +43,6 @@ pub enum TraceKind {
     SpanBegin,
     /// A timed span closed.
     SpanEnd,
-    /// The bytecode compiler produced a chunk for a function.
-    VmCompile,
-    /// The bytecode compiler bailed on a function (`detail` is the reason).
-    VmBail,
-    /// An inline cache missed (`name` is the site key `func:prop#ic`).
-    IcMiss,
     /// An interpretation budget tripped (`name` is the budget kind).
     BudgetTrip,
     /// The soundness oracle classified a missed edge (`name` is the cause).
@@ -65,9 +59,6 @@ impl TraceKind {
         match self {
             TraceKind::SpanBegin => "span_begin",
             TraceKind::SpanEnd => "span_end",
-            TraceKind::VmCompile => "vm_compile",
-            TraceKind::VmBail => "vm_bail",
-            TraceKind::IcMiss => "ic_miss",
             TraceKind::BudgetTrip => "budget_trip",
             TraceKind::OracleFinding => "oracle_finding",
             TraceKind::HintApply => "hint_apply",
@@ -80,9 +71,6 @@ impl TraceKind {
         Some(match key {
             "span_begin" => TraceKind::SpanBegin,
             "span_end" => TraceKind::SpanEnd,
-            "vm_compile" => TraceKind::VmCompile,
-            "vm_bail" => TraceKind::VmBail,
-            "ic_miss" => TraceKind::IcMiss,
             "budget_trip" => TraceKind::BudgetTrip,
             "oracle_finding" => TraceKind::OracleFinding,
             "hint_apply" => TraceKind::HintApply,
@@ -96,9 +84,6 @@ impl TraceKind {
         &[
             TraceKind::SpanBegin,
             TraceKind::SpanEnd,
-            TraceKind::VmCompile,
-            TraceKind::VmBail,
-            TraceKind::IcMiss,
             TraceKind::BudgetTrip,
             TraceKind::OracleFinding,
             TraceKind::HintApply,
@@ -117,9 +102,9 @@ pub struct TraceEvent {
     pub wall_ns: u64,
     /// What happened.
     pub kind: TraceKind,
-    /// Primary subject (span name, IC site key, budget kind, …).
+    /// Primary subject (span name, budget kind, missed edge, hint rule, …).
     pub name: String,
-    /// Free-form secondary detail (bail reason, hint property, …).
+    /// Free-form secondary detail (root cause, hint property, …).
     pub detail: String,
 }
 
@@ -132,7 +117,7 @@ pub struct TraceConfig {
     /// reruns and thread counts.
     pub deterministic: bool,
     /// Enable the interpreter's step-attributed hot-function profiler
-    /// (per-function `profile.fn.*` counters and IC-miss site counters).
+    /// (per-function `profile.fn.*` counters).
     pub profile: bool,
 }
 
@@ -417,7 +402,7 @@ mod tests {
         TraceEvent {
             step,
             wall_ns: 0,
-            kind: TraceKind::IcMiss,
+            kind: TraceKind::HintApply,
             name: name.into(),
             detail: String::new(),
         }
@@ -431,7 +416,7 @@ mod tests {
             profile: false,
         });
         for i in 0..5 {
-            rec.record_at(i, TraceKind::IcMiss, &format!("e{i}"), "");
+            rec.record_at(i, TraceKind::HintApply, &format!("e{i}"), "");
         }
         let rep = rec.report();
         assert_eq!(rep.dropped, 2);
@@ -488,9 +473,9 @@ mod tests {
                 TraceEvent {
                     step: 12,
                     wall_ns: 345,
-                    kind: TraceKind::VmBail,
-                    name: "hot@index.js:3".into(),
-                    detail: "with-statement".into(),
+                    kind: TraceKind::HintApply,
+                    name: "DPW".into(),
+                    detail: "handler".into(),
                 },
                 ev(99, "k"),
             ],
@@ -522,9 +507,9 @@ mod tests {
                 TraceEvent {
                     step: 2,
                     wall_ns: 0,
-                    kind: TraceKind::IcMiss,
-                    name: "f:x#0".into(),
-                    detail: "cold".into(),
+                    kind: TraceKind::BudgetTrip,
+                    name: "steps".into(),
+                    detail: String::new(),
                 },
                 TraceEvent {
                     step: 3,

@@ -45,7 +45,7 @@ fn ring_keeps_newest_and_counts_drops() {
                 profile: false,
             });
             for i in 0..n {
-                rec.record_at(i as u64, TraceKind::IcMiss, &format!("e{i}"), "");
+                rec.record_at(i as u64, TraceKind::HintApply, &format!("e{i}"), "");
             }
             let rep = rec.report();
             let kept = n.min(capacity);

@@ -41,6 +41,7 @@ use aji_parser::ParsedProject;
 use aji_pta::CallGraph;
 use aji_support::Json;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Why the extended analysis missed a dynamically observed call edge.
 ///
@@ -211,7 +212,7 @@ struct IndexBuilder<'a> {
 }
 
 impl Visit for IndexBuilder<'_> {
-    fn visit_function(&mut self, f: &Function) {
+    fn visit_function(&mut self, f: &Arc<Function>) {
         let mut names = BTreeSet::new();
         for p in &f.params {
             pattern_names(&p.pat, &mut names);

@@ -12,6 +12,7 @@ use crate::lexer::lex;
 use crate::token::{Kw, Tok, Token, P};
 use aji_ast::ast::*;
 use aji_ast::{FileId, NodeIdGen, Span};
+use std::sync::Arc;
 
 /// Parses one file into a [`Module`].
 ///
@@ -35,6 +36,7 @@ pub fn parse_module(
         ids,
         no_in: false,
         depth: 0,
+        links: 0,
     };
     let lo = 0u32;
     let mut body = Vec::new();
@@ -69,6 +71,7 @@ pub fn parse_expr(
         ids,
         no_in: false,
         depth: 0,
+        links: 0,
     };
     let e = p.expr()?;
     if !p.at_eof() {
@@ -87,11 +90,29 @@ struct Parser<'a> {
     no_in: bool,
     /// Current recursion depth, bounded by [`MAX_DEPTH`].
     depth: u32,
+    /// Chain links held by the chains being built on the current path,
+    /// bounded by [`MAX_CHAIN_LINKS`].
+    links: u32,
 }
 
 /// Maximum nesting depth of statements/expressions before the parser bails
 /// out with an error instead of overflowing the stack.
 const MAX_DEPTH: u32 = 100;
+
+/// Maximum number of left-associative chain links — binary and logical
+/// operators, member accesses, calls — open on one path of the tree.
+///
+/// The parser builds such chains in loops, so [`MAX_DEPTH`] never sees
+/// them, yet each link is one more level of AST that every later walker
+/// (interpreter, scope resolution, constraint generation, printer)
+/// recurses through. Without this budget a 10 KB `1+1+…+1` file
+/// overflows a 2 MiB thread. Together with [`MAX_DEPTH`] it bounds the
+/// depth of any tree the parser returns. The deepest chain in the corpus
+/// has 10 links; a chain at the budget still runs through the whole
+/// pipeline on a 2 MiB thread in an unoptimized build, whose frames are
+/// several times larger. Links are counted while their chain is open, so
+/// an argument list inside a chain starts from the links already held.
+const MAX_CHAIN_LINKS: u32 = 200;
 
 impl<'a> Parser<'a> {
     // ----- token helpers -----
@@ -125,12 +146,34 @@ impl<'a> Parser<'a> {
         matches!(self.cur(), Tok::Ident(s) if s == name)
     }
 
+    /// Consumes the current token and returns it. The token's kind is
+    /// moved out, not cloned: the parser never looks back at a consumed
+    /// token except for its `hi` offset ([`Parser::prev_hi`]). The final
+    /// `Eof` is never advanced past, so it is cloned instead and stays in
+    /// place for every later look.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.idx].clone();
-        if self.idx + 1 < self.tokens.len() {
-            self.idx += 1;
+        if self.idx + 1 == self.tokens.len() {
+            return self.tokens[self.idx].clone();
         }
-        t
+        let t = &mut self.tokens[self.idx];
+        let kind = std::mem::replace(&mut t.kind, Tok::Eof);
+        let bumped = Token { kind, ..*t };
+        self.idx += 1;
+        bumped
+    }
+
+    /// Consumes the current token, which must carry a string (identifier,
+    /// string literal or template chunk), and returns that string.
+    fn bump_str(&mut self) -> String {
+        match self.bump().kind {
+            Tok::Ident(s)
+            | Tok::Str(s)
+            | Tok::TemplateNoSub(s)
+            | Tok::TemplateHead(s)
+            | Tok::TemplateMiddle(s)
+            | Tok::TemplateTail(s) => s,
+            other => unreachable!("bump_str on {other}"),
+        }
     }
 
     fn eat(&mut self, p: P) -> bool {
@@ -181,6 +224,25 @@ impl<'a> Parser<'a> {
         self.depth -= 1;
     }
 
+    /// Charges one more link of the chain being built against
+    /// [`MAX_CHAIN_LINKS`]. The caller returns the links it charged with
+    /// [`Parser::release_links`] once its chain is complete; on an error
+    /// the whole parse is abandoned, so nothing needs returning.
+    fn charge_link(&mut self) -> Result<(), ParseError> {
+        self.links += 1;
+        if self.links > MAX_CHAIN_LINKS {
+            return Err(ParseError::new(
+                "operator, member or call chain too long",
+                self.tokens[self.idx].lo,
+            ));
+        }
+        Ok(())
+    }
+
+    fn release_links(&mut self, n: u32) {
+        self.links -= n;
+    }
+
     fn lo(&self) -> u32 {
         self.tokens[self.idx].lo
     }
@@ -202,11 +264,8 @@ impl<'a> Parser<'a> {
     }
 
     fn ident_name(&mut self) -> Result<String, ParseError> {
-        match self.cur().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match *self.cur() {
+            Tok::Ident(_) => Ok(self.bump_str()),
             // Keywords usable as plain identifiers in limited positions
             // (e.g. variable named `let` is rejected, but allow a few that
             // commonly appear as ES5 identifiers).
@@ -216,11 +275,8 @@ impl<'a> Parser<'a> {
 
     /// Accepts identifiers *and* keywords as property names after `.`.
     fn prop_ident(&mut self) -> Result<String, ParseError> {
-        match self.cur().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match *self.cur() {
+            Tok::Ident(_) => Ok(self.bump_str()),
             Tok::Kw(k) => {
                 self.bump();
                 Ok(k.as_str().to_string())
@@ -251,7 +307,7 @@ impl<'a> Parser<'a> {
 
     fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let lo = self.lo();
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::P(P::LBrace) => {
                 self.bump();
                 let mut body = Vec::new();
@@ -272,7 +328,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Kw(Kw::Function) => {
                 let f = self.function(true, false)?;
-                Ok(self.mk_stmt(lo, StmtKind::FuncDecl(Box::new(f))))
+                Ok(self.mk_stmt(lo, StmtKind::FuncDecl(Arc::new(f))))
             }
             Tok::Ident(ref s)
                 if s == "async"
@@ -282,7 +338,7 @@ impl<'a> Parser<'a> {
                 self.bump(); // async
                 let mut f = self.function(true, false)?;
                 f.is_async = true;
-                Ok(self.mk_stmt(lo, StmtKind::FuncDecl(Box::new(f))))
+                Ok(self.mk_stmt(lo, StmtKind::FuncDecl(Arc::new(f))))
             }
             Tok::Kw(Kw::Class) => {
                 let c = self.class()?;
@@ -448,9 +504,8 @@ impl<'a> Parser<'a> {
                 Ok(self.mk_stmt(lo, StmtKind::Debugger))
             }
             // Labeled statement: `ident :`.
-            Tok::Ident(ref name) if matches!(self.peek_kind(1), Tok::P(P::Colon)) => {
-                let label = name.clone();
-                self.bump();
+            Tok::Ident(_) if matches!(self.peek_kind(1), Tok::P(P::Colon)) => {
+                let label = self.bump_str();
                 self.bump();
                 let body = Box::new(self.stmt()?);
                 Ok(self.mk_stmt(lo, StmtKind::Labeled { label, body }))
@@ -467,9 +522,8 @@ impl<'a> Parser<'a> {
         if self.cur_token().newline_before {
             return None;
         }
-        if let Tok::Ident(s) = self.cur().clone() {
-            self.bump();
-            Some(s)
+        if let Tok::Ident(_) = self.cur() {
+            Some(self.bump_str())
         } else {
             None
         }
@@ -656,12 +710,16 @@ impl<'a> Parser<'a> {
     // ----- patterns -----
 
     fn pattern(&mut self) -> Result<Pattern, ParseError> {
+        let g = self.enter()?;
+        let r = self.pattern_inner();
+        self.leave(g);
+        r
+    }
+
+    fn pattern_inner(&mut self) -> Result<Pattern, ParseError> {
         let lo = self.lo();
-        let kind = match self.cur().clone() {
-            Tok::Ident(name) => {
-                self.bump();
-                PatternKind::Ident(name)
-            }
+        let kind = match *self.cur() {
+            Tok::Ident(_) => PatternKind::Ident(self.bump_str()),
             Tok::P(P::LBracket) => {
                 self.bump();
                 let mut elems = Vec::new();
@@ -768,9 +826,8 @@ impl<'a> Parser<'a> {
             return Err(self.unexpected("`function`"));
         }
         let is_generator = self.eat(P::Star);
-        let name = if let Tok::Ident(s) = self.cur().clone() {
-            self.bump();
-            Some(s)
+        let name = if let Tok::Ident(_) = self.cur() {
+            Some(self.bump_str())
         } else {
             if require_name {
                 return Err(self.unexpected("function name"));
@@ -831,9 +888,8 @@ impl<'a> Parser<'a> {
         if !self.eat_kw(Kw::Class) {
             return Err(self.unexpected("`class`"));
         }
-        let name = if let Tok::Ident(s) = self.cur().clone() {
-            self.bump();
-            Some(s)
+        let name = if let Tok::Ident(_) = self.cur() {
+            Some(self.bump_str())
         } else {
             None
         };
@@ -905,7 +961,7 @@ impl<'a> Parser<'a> {
             let flo = self.lo();
             let (params, rest) = self.param_list()?;
             let body = self.func_block_body()?;
-            let func = Box::new(Function {
+            let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
                 name: key.static_name(),
@@ -950,19 +1006,13 @@ impl<'a> Parser<'a> {
     }
 
     fn prop_name(&mut self) -> Result<PropName, ParseError> {
-        match self.cur().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(PropName::Ident(s))
-            }
+        match *self.cur() {
+            Tok::Ident(_) => Ok(PropName::Ident(self.bump_str())),
             Tok::Kw(k) => {
                 self.bump();
                 Ok(PropName::Ident(k.as_str().to_string()))
             }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(PropName::Str(s))
-            }
+            Tok::Str(_) => Ok(PropName::Str(self.bump_str())),
             Tok::Num(n) => {
                 self.bump();
                 Ok(PropName::Num(n))
@@ -1254,7 +1304,7 @@ impl<'a> Parser<'a> {
             is_async,
             is_generator: false,
         };
-        Ok(Some(self.mk_expr(lo, ExprKind::Arrow(Box::new(f)))))
+        Ok(Some(self.mk_expr(lo, ExprKind::Arrow(Arc::new(f)))))
     }
 
     fn cond_expr(&mut self) -> Result<Expr, ParseError> {
@@ -1280,6 +1330,7 @@ impl<'a> Parser<'a> {
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let lo = self.lo();
         let mut left = self.unary_expr()?;
+        let mut links = 0;
         loop {
             let (prec, right_assoc, op) = match self.cur() {
                 Tok::P(P::QuestionQuestion) => (1, false, BinOrLogical::Logical(LogicalOp::Nullish)),
@@ -1312,6 +1363,8 @@ impl<'a> Parser<'a> {
             if prec < min_prec {
                 break;
             }
+            self.charge_link()?;
+            links += 1;
             self.bump();
             let next_min = if right_assoc { prec } else { prec + 1 };
             let right = self.binary_expr(next_min)?;
@@ -1331,6 +1384,7 @@ impl<'a> Parser<'a> {
                 },
             );
         }
+        self.release_links(links);
         Ok(left)
     }
 
@@ -1431,7 +1485,17 @@ impl<'a> Parser<'a> {
             self.primary()?
         };
         // Member / call chain.
+        let mut links = 0;
         loop {
+            if matches!(
+                self.cur(),
+                Tok::P(P::Dot | P::QuestionDot | P::LBracket | P::LParen)
+                    | Tok::TemplateNoSub(_)
+                    | Tok::TemplateHead(_)
+            ) {
+                self.charge_link()?;
+                links += 1;
+            }
             if self.at(P::Dot) {
                 self.bump();
                 let name = self.prop_ident()?;
@@ -1523,6 +1587,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        self.release_links(links);
         Ok(e)
     }
 
@@ -1535,13 +1600,21 @@ impl<'a> Parser<'a> {
             let _ = self.prop_ident()?;
             return Ok(self.mk_expr(lo, ExprKind::Ident("undefined".into())));
         }
-        // Callee: a member expression without call arguments.
+        // Callee: a member expression without call arguments. A nested
+        // `new` is one more link of the chain.
+        let mut links = 0;
         let mut callee = if self.at_kw(Kw::New) {
+            self.charge_link()?;
+            links += 1;
             self.parse_new()?
         } else {
             self.primary()?
         };
         loop {
+            if self.at(P::Dot) || self.at(P::LBracket) {
+                self.charge_link()?;
+                links += 1;
+            }
             if self.at(P::Dot) {
                 self.bump();
                 let name = self.prop_ident()?;
@@ -1574,6 +1647,7 @@ impl<'a> Parser<'a> {
         } else {
             Vec::new()
         };
+        self.release_links(links);
         Ok(self.mk_expr(
             lo,
             ExprKind::New {
@@ -1603,31 +1677,26 @@ impl<'a> Parser<'a> {
 
     fn template_expr(&mut self) -> Result<Expr, ParseError> {
         let lo = self.lo();
-        match self.cur().clone() {
-            Tok::TemplateNoSub(s) => {
-                self.bump();
+        match *self.cur() {
+            Tok::TemplateNoSub(_) => {
+                let quasis = vec![self.bump_str()];
                 Ok(self.mk_expr(
                     lo,
                     ExprKind::Template {
-                        quasis: vec![s],
+                        quasis,
                         exprs: vec![],
                     },
                 ))
             }
-            Tok::TemplateHead(s) => {
-                self.bump();
-                let mut quasis = vec![s];
+            Tok::TemplateHead(_) => {
+                let mut quasis = vec![self.bump_str()];
                 let mut exprs = Vec::new();
                 loop {
                     exprs.push(self.expr()?);
-                    match self.cur().clone() {
-                        Tok::TemplateMiddle(s) => {
-                            self.bump();
-                            quasis.push(s);
-                        }
-                        Tok::TemplateTail(s) => {
-                            self.bump();
-                            quasis.push(s);
+                    match *self.cur() {
+                        Tok::TemplateMiddle(_) => quasis.push(self.bump_str()),
+                        Tok::TemplateTail(_) => {
+                            quasis.push(self.bump_str());
                             break;
                         }
                         _ => return Err(self.unexpected("template continuation")),
@@ -1641,18 +1710,20 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         let lo = self.lo();
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::Num(n) => {
                 self.bump();
                 Ok(self.mk_expr(lo, ExprKind::Num(n)))
             }
-            Tok::Str(s) => {
-                self.bump();
+            Tok::Str(_) => {
+                let s = self.bump_str();
                 Ok(self.mk_expr(lo, ExprKind::Str(s)))
             }
             Tok::TemplateNoSub(_) | Tok::TemplateHead(_) => self.template_expr(),
-            Tok::Regex { pattern, flags } => {
-                self.bump();
+            Tok::Regex { .. } => {
+                let Tok::Regex { pattern, flags } = self.bump().kind else {
+                    unreachable!("matched a regex token")
+                };
                 Ok(self.mk_expr(lo, ExprKind::Regex { pattern, flags }))
             }
             Tok::Kw(Kw::True) => {
@@ -1679,7 +1750,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Kw(Kw::Function) => {
                 let f = self.function(false, false)?;
-                Ok(self.mk_expr(lo, ExprKind::Function(Box::new(f))))
+                Ok(self.mk_expr(lo, ExprKind::Function(Arc::new(f))))
             }
             Tok::Ident(ref s)
                 if s == "async"
@@ -1689,14 +1760,14 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let mut f = self.function(false, false)?;
                 f.is_async = true;
-                Ok(self.mk_expr(lo, ExprKind::Function(Box::new(f))))
+                Ok(self.mk_expr(lo, ExprKind::Function(Arc::new(f))))
             }
             Tok::Kw(Kw::Class) => {
                 let c = self.class()?;
                 Ok(self.mk_expr(lo, ExprKind::Class(Box::new(c))))
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.bump_str();
                 Ok(self.mk_expr(lo, ExprKind::Ident(name)))
             }
             Tok::P(P::LParen) => {
@@ -1770,7 +1841,7 @@ impl<'a> Parser<'a> {
             let flo = self.lo();
             let (params, rest) = self.param_list()?;
             let body = self.func_block_body()?;
-            let func = Box::new(Function {
+            let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
                 name: key.static_name(),
@@ -1803,7 +1874,7 @@ impl<'a> Parser<'a> {
             let flo = self.lo();
             let (params, rest) = self.param_list()?;
             let body = self.func_block_body()?;
-            let func = Box::new(Function {
+            let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
                 name: key.static_name(),

@@ -635,3 +635,57 @@ fn pathological_nesting_is_an_error_not_a_crash() {
     let e = parse_err(&src);
     assert!(e.message().contains("nesting too deep"));
 }
+
+/// `head` followed by `n` copies of `link`, as one expression statement.
+fn chain(head: &str, link: &str, n: usize) -> String {
+    let mut src = String::from(head);
+    for _ in 0..n {
+        src.push_str(link);
+    }
+    src.push_str(";\n");
+    src
+}
+
+fn assert_chain_too_long(src: &str) {
+    let e = parse_err(src);
+    assert!(e.message().contains("chain too long"), "{e}");
+}
+
+#[test]
+fn long_left_associative_chains_are_an_error_not_a_crash() {
+    // Each of these builds a left spine the parser's recursion guard never
+    // sees; the chain budget must stop them.
+    for (head, link) in [
+        ("1", "+1"),
+        ("a", "||a"),
+        ("a", " instanceof a"),
+        ("o", ".a"),
+        ("o", "[0]"),
+        ("f", "()"),
+        ("o", "?.a"),
+        ("f", "``"),
+    ] {
+        assert_chain_too_long(&chain(head, link, 50_000));
+    }
+    assert_chain_too_long(&format!("{}X;", "new ".repeat(50_000)));
+}
+
+#[test]
+fn chains_within_the_budget_parse() {
+    // At the budget, well past the deepest chain in the corpus (10 links).
+    parse(&chain("1", "+1", 200));
+    parse(&chain("o", ".a", 200));
+    assert_chain_too_long(&chain("1", "+1", 201));
+    // A chain nested in an argument list starts from the links its
+    // enclosing chain holds, and returns them when it closes.
+    parse(&chain("f", "(g.a.b.c)", 196));
+    assert_chain_too_long(&chain("f", "(g.a.b.c)", 198));
+    // Consecutive statements each get the whole budget.
+    parse(&(chain("1", "+1", 200) + &chain("o", ".a", 200)));
+}
+
+#[test]
+fn deep_destructuring_patterns_are_an_error_not_a_crash() {
+    let src = format!("var {}x{} = 1;", "[".repeat(5000), "]".repeat(5000));
+    assert!(parse_err(&src).message().contains("nesting too deep"));
+}

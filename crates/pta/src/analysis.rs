@@ -15,7 +15,7 @@ use crate::scopes;
 use crate::solver::{CellId, CellKind, Constraint, FuncIdx, Solver, SolverStats, Token, TokenData};
 use aji_approx::Hints;
 use aji_ast::{Loc, Project};
-use std::collections::HashMap;
+use aji_support::FxHashMap;
 use std::time::Instant;
 
 /// Which hint rules the analysis applies. The baseline disables all of
@@ -211,10 +211,10 @@ pub fn analyze_parsed(
 pub struct ConstraintGraph<'p> {
     project: &'p Project,
     solver: Solver,
-    dyn_reads: HashMap<Loc, (CellId, CellId)>,
-    dyn_writes: HashMap<Loc, (CellId, CellId)>,
-    funcs_by_loc: HashMap<Loc, FuncIdx>,
-    objs_by_loc: HashMap<Loc, Token>,
+    dyn_reads: FxHashMap<Loc, (CellId, CellId)>,
+    dyn_writes: FxHashMap<Loc, (CellId, CellId)>,
+    funcs_by_loc: FxHashMap<Loc, FuncIdx>,
+    objs_by_loc: FxHashMap<Loc, Token>,
     /// The hint rules applied so far.
     applied: AnalysisOptions,
     hints_applied: usize,

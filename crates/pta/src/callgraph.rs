@@ -2,7 +2,8 @@
 
 use crate::solver::{Encl, Solver};
 use aji_ast::{FileId, Loc, Project};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use aji_support::FxHashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The computed call graph, in terms of source locations (comparable with
 /// the dynamic call graphs produced by the interpreter).
@@ -64,8 +65,8 @@ pub fn extract(solver: &Solver, project: &Project) -> CallGraph {
     }
 
     // Reachability: roots are the main package's module top-levels.
-    let mut reachable: HashSet<Encl> = HashSet::new();
-    let mut reachable_files: HashSet<FileId> = HashSet::new();
+    let mut reachable: FxHashSet<Encl> = FxHashSet::default();
+    let mut reachable_files: FxHashSet<FileId> = FxHashSet::default();
     for (i, file) in project.files.iter().enumerate() {
         if Project::is_main_package_path(&file.path) {
             reachable.insert(Encl::Module(FileId(i as u32)));

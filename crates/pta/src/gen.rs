@@ -14,7 +14,7 @@ use crate::solver::{
 };
 use aji_ast::ast::*;
 use aji_ast::{FileId, Loc, SourceMap};
-use std::collections::HashMap;
+use aji_support::FxHashMap;
 
 /// Global names seeded with builtin tokens.
 const BUILTIN_GLOBALS: &[&str] = &[
@@ -61,14 +61,14 @@ pub struct GenOutput {
     /// Dynamic property read sites: operation location → (base cell,
     /// result cell). The result cell is the \[DPR\] injection point; the
     /// base cell serves the §6 proxy-read extension.
-    pub dyn_reads: HashMap<Loc, (CellId, CellId)>,
+    pub dyn_reads: FxHashMap<Loc, (CellId, CellId)>,
     /// Dynamic property write sites: operation location → (base cell,
     /// value cell) — the raw material of the §4 non-relational ablation.
-    pub dyn_writes: HashMap<Loc, (CellId, CellId)>,
+    pub dyn_writes: FxHashMap<Loc, (CellId, CellId)>,
     /// Function definitions by location (the \[DPW\]/\[DPR\] token lookup).
-    pub funcs_by_loc: HashMap<Loc, FuncIdx>,
+    pub funcs_by_loc: FxHashMap<Loc, FuncIdx>,
     /// Object allocation sites by location.
-    pub objs_by_loc: HashMap<Loc, Token>,
+    pub objs_by_loc: FxHashMap<Loc, Token>,
 }
 
 /// Generates constraints for a parsed project.
@@ -85,11 +85,11 @@ pub fn generate(
         file: FileId(0),
         encl: Encl::Module(FileId(0)),
         this_cell: CellId(0),
-        dyn_reads: HashMap::new(),
-        dyn_writes: HashMap::new(),
-        funcs_by_loc: HashMap::new(),
-        objs_by_loc: HashMap::new(),
-        magic_vars: HashMap::new(),
+        dyn_reads: FxHashMap::default(),
+        dyn_writes: FxHashMap::default(),
+        funcs_by_loc: FxHashMap::default(),
+        objs_by_loc: FxHashMap::default(),
+        magic_vars: FxHashMap::default(),
     };
 
     // Locate per-module magic vars and seed globals.
@@ -162,11 +162,11 @@ struct Gen<'a> {
     file: FileId,
     encl: Encl,
     this_cell: CellId,
-    dyn_reads: HashMap<Loc, (CellId, CellId)>,
-    dyn_writes: HashMap<Loc, (CellId, CellId)>,
-    funcs_by_loc: HashMap<Loc, FuncIdx>,
-    objs_by_loc: HashMap<Loc, Token>,
-    magic_vars: HashMap<(FileId, String), crate::scopes::VarId>,
+    dyn_reads: FxHashMap<Loc, (CellId, CellId)>,
+    dyn_writes: FxHashMap<Loc, (CellId, CellId)>,
+    funcs_by_loc: FxHashMap<Loc, FuncIdx>,
+    objs_by_loc: FxHashMap<Loc, Token>,
+    magic_vars: FxHashMap<(FileId, String), crate::scopes::VarId>,
 }
 
 impl<'a> Gen<'a> {

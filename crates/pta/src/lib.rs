@@ -53,3 +53,14 @@ pub use analysis::{
 };
 pub use callgraph::CallGraph;
 pub use metrics::{Accuracy, CgMetrics};
+
+/// The slot for id `i` of a dense id-indexed table, growing the table to
+/// cover it. Node and variable ids are allocated densely from zero, so
+/// these tables replace hash maps keyed by them.
+pub(crate) fn dense_slot<T>(table: &mut Vec<Option<T>>, i: u32) -> &mut Option<T> {
+    let i = i as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, || None);
+    }
+    &mut table[i]
+}

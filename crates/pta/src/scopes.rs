@@ -7,7 +7,8 @@
 
 use aji_ast::ast::*;
 use aji_ast::{FileId, NodeId};
-use std::collections::HashMap;
+use aji_support::FxHashMap;
+use std::sync::Arc;
 
 /// Identifier of a resolved variable binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,23 +28,27 @@ pub enum VarInfo {
 /// Output of scope resolution for a whole project.
 #[derive(Debug, Default)]
 pub struct Resolution {
-    /// Reference/declaration node → variable.
-    pub refs: HashMap<NodeId, VarId>,
+    /// Reference/declaration node → variable, indexed by node id.
+    refs: Vec<Option<VarId>>,
     /// Variable metadata, indexed by `VarId`.
     pub vars: Vec<VarInfo>,
     /// Function/class declaration node → the variable its name binds.
-    decls: HashMap<NodeId, VarId>,
+    decls: FxHashMap<NodeId, VarId>,
     /// Named function expression node → its self-reference binding.
-    selfs: HashMap<NodeId, VarId>,
+    selfs: FxHashMap<NodeId, VarId>,
     /// Function node → its `arguments` binding.
-    args: HashMap<NodeId, VarId>,
-    globals: HashMap<String, VarId>,
+    args: FxHashMap<NodeId, VarId>,
+    globals: FxHashMap<String, VarId>,
 }
 
 impl Resolution {
     /// The variable a node refers to, if resolved.
     pub fn var_of(&self, node: NodeId) -> Option<VarId> {
-        self.refs.get(&node).copied()
+        self.refs.get(node.0 as usize).copied().flatten()
+    }
+
+    fn set_ref(&mut self, node: NodeId, v: VarId) {
+        *crate::dense_slot(&mut self.refs, node.0) = Some(v);
     }
 
     /// The global variable cell for a name (created on demand by the
@@ -119,12 +124,12 @@ pub fn resolve(modules: &[std::rc::Rc<Module>]) -> Resolution {
 
 struct Resolver<'a> {
     res: &'a mut Resolution,
-    scopes: Vec<HashMap<String, VarId>>,
+    scopes: Vec<FxHashMap<String, VarId>>,
 }
 
 impl<'a> Resolver<'a> {
     fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FxHashMap::default());
     }
 
     fn pop_scope(&mut self) {
@@ -195,7 +200,7 @@ impl<'a> Resolver<'a> {
         match &p.kind {
             PatternKind::Ident(n) => {
                 let v = self.declare(n);
-                self.res.refs.insert(p.id, v);
+                self.res.set_ref(p.id, v);
             }
             PatternKind::Array { elems, rest } => {
                 for e in elems.iter().flatten() {
@@ -229,7 +234,7 @@ impl<'a> Resolver<'a> {
         match &p.kind {
             PatternKind::Ident(n) => {
                 let v = self.lookup(n);
-                self.res.refs.insert(p.id, v);
+                self.res.set_ref(p.id, v);
             }
             PatternKind::Array { elems, rest } => {
                 for e in elems.iter().flatten() {
@@ -470,7 +475,7 @@ impl<'a> Resolver<'a> {
                     return;
                 }
                 let v = self.lookup(name);
-                self.res.refs.insert(e.id, v);
+                self.res.set_ref(e.id, v);
             }
             ExprKind::Function(f) | ExprKind::Arrow(f) => self.function(f),
             ExprKind::Class(c) => self.class(c),
@@ -478,7 +483,7 @@ impl<'a> Resolver<'a> {
                 match target {
                     AssignTarget::Ident { id, name, .. } => {
                         let v = self.lookup(name);
-                        self.res.refs.insert(*id, v);
+                        self.res.set_ref(*id, v);
                     }
                     AssignTarget::Member(m) => self.expr(m),
                     AssignTarget::Pattern(p) => self.resolve_pattern_refs(p),
@@ -512,7 +517,7 @@ impl<'a> Resolver<'a> {
                     fn visit_expr(&mut self, e: &Expr) {
                         self.0.expr(e);
                     }
-                    fn visit_function(&mut self, f: &Function) {
+                    fn visit_function(&mut self, f: &Arc<Function>) {
                         self.0.function(f);
                     }
                     fn visit_class(&mut self, c: &Class) {

@@ -2,9 +2,11 @@
 //! on-the-fly call resolution (Figure 3 of the paper, plus pragmatic
 //! models of the core standard library in the style of Jelly).
 
+use crate::dense_slot;
 use crate::scopes::VarId;
 use aji_ast::{FileId, Loc, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use aji_support::{FxHashMap, FxHashSet};
+use std::collections::VecDeque;
 
 /// Interned string (property names, builtin paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,7 +15,7 @@ pub struct Sym(pub u32);
 /// Simple string interner.
 #[derive(Debug, Default)]
 pub struct Interner {
-    map: HashMap<String, Sym>,
+    map: FxHashMap<String, Sym>,
     names: Vec<String>,
 }
 
@@ -204,7 +206,7 @@ pub struct CallSite {
 
 #[derive(Debug, Default)]
 struct Cell {
-    tokens: HashSet<Token>,
+    tokens: FxHashSet<Token>,
     succs: Vec<CellId>,
     cons: Vec<Constraint>,
 }
@@ -236,25 +238,29 @@ pub struct Solver {
     pub paths: Vec<String>,
 
     cells: Vec<Cell>,
-    cell_ids: HashMap<CellKind, CellId>,
-    token_ids: HashMap<TokenData, Token>,
+    /// Cells of the sparse kinds; `Expr` and `Var` cells live in the
+    /// dense tables below, indexed by node and variable id.
+    cell_ids: FxHashMap<CellKind, CellId>,
+    expr_cells: Vec<Option<CellId>>,
+    var_cells: Vec<Option<CellId>>,
+    token_ids: FxHashMap<TokenData, Token>,
     tmp_counter: u32,
     worklist: VecDeque<(CellId, Token)>,
 
     /// Prototype graph: token → its prototypes.
-    protos: HashMap<Token, Vec<Token>>,
-    inv_protos: HashMap<Token, Vec<Token>>,
-    loads_by_token: HashMap<Token, Vec<(Sym, CellId)>>,
+    protos: FxHashMap<Token, Vec<Token>>,
+    inv_protos: FxHashMap<Token, Vec<Token>>,
+    loads_by_token: FxHashMap<Token, Vec<(Sym, CellId)>>,
 
     /// Discovered call edges: (site, callee function).
-    pub call_edges: HashSet<(u32, FuncIdx)>,
+    pub call_edges: FxHashSet<(u32, FuncIdx)>,
     /// Discovered module-load edges: (site, loaded file).
-    pub module_edges: HashSet<(u32, FileId)>,
+    pub module_edges: FxHashSet<(u32, FileId)>,
     /// Module hints: `require` site loc → file paths (extended mode).
-    module_hints: HashMap<Loc, Vec<String>>,
+    module_hints: FxHashMap<Loc, Vec<String>>,
     /// Sites the `require` builtin has fired at, by location: a module
     /// hint added after the fact is wired into these directly.
-    required_at: HashMap<Loc, Vec<u32>>,
+    required_at: FxHashMap<Loc, Vec<u32>>,
 
     /// The interned element property for arrays.
     pub elems_sym: Sym,
@@ -278,17 +284,19 @@ impl Solver {
             token_data: Vec::new(),
             paths,
             cells: Vec::new(),
-            cell_ids: HashMap::new(),
-            token_ids: HashMap::new(),
+            cell_ids: FxHashMap::default(),
+            expr_cells: Vec::new(),
+            var_cells: Vec::new(),
+            token_ids: FxHashMap::default(),
             tmp_counter: 0,
             worklist: VecDeque::new(),
-            protos: HashMap::new(),
-            inv_protos: HashMap::new(),
-            loads_by_token: HashMap::new(),
-            call_edges: HashSet::new(),
-            module_edges: HashSet::new(),
-            module_hints: HashMap::new(),
-            required_at: HashMap::new(),
+            protos: FxHashMap::default(),
+            inv_protos: FxHashMap::default(),
+            loads_by_token: FxHashMap::default(),
+            call_edges: FxHashSet::default(),
+            module_edges: FxHashSet::default(),
+            module_hints: FxHashMap::default(),
+            required_at: FxHashMap::default(),
             elems_sym,
             prototype_sym,
             stats: SolverStats::default(),
@@ -297,13 +305,16 @@ impl Solver {
 
     /// Returns (or creates) the cell for a kind.
     pub fn cell(&mut self, kind: CellKind) -> CellId {
-        if let Some(&id) = self.cell_ids.get(&kind) {
-            return id;
+        let fresh = CellId(self.cells.len() as u32);
+        let id = match kind {
+            CellKind::Expr(n) => *dense_slot(&mut self.expr_cells, n.0).get_or_insert(fresh),
+            CellKind::Var(v) => *dense_slot(&mut self.var_cells, v.0).get_or_insert(fresh),
+            _ => *self.cell_ids.entry(kind).or_insert(fresh),
+        };
+        if id == fresh {
+            self.cells.push(Cell::default());
+            self.stats.cells += 1;
         }
-        let id = CellId(self.cells.len() as u32);
-        self.cells.push(Cell::default());
-        self.cell_ids.insert(kind, id);
-        self.stats.cells += 1;
         id
     }
 
@@ -381,7 +392,11 @@ impl Solver {
 
     /// Looks up a cell without creating it.
     pub fn cell_if_exists(&self, kind: CellKind) -> Option<CellId> {
-        self.cell_ids.get(&kind).copied()
+        match kind {
+            CellKind::Expr(n) => self.expr_cells.get(n.0 as usize).copied().flatten(),
+            CellKind::Var(v) => self.var_cells.get(v.0 as usize).copied().flatten(),
+            _ => self.cell_ids.get(&kind).copied(),
+        }
     }
 
     /// Adds a module hint: the `require` call at `site` also loads the
@@ -546,7 +561,7 @@ impl Solver {
     /// The token and its transitive prototypes (cycle-safe).
     fn proto_chain(&self, t: Token) -> Vec<Token> {
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![t];
         while let Some(x) = stack.pop() {
             if !seen.insert(x) {
@@ -575,7 +590,7 @@ impl Solver {
 
         // Tokens whose chains pass through `child`.
         let mut affected = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![child];
         while let Some(x) = stack.pop() {
             if !seen.insert(x) {

@@ -3,8 +3,9 @@
 //! reachability, regardless of the order in which tokens, edges and
 //! constraints arrive.
 
-use aji_ast::{FileId, Loc};
-use aji_pta::solver::{CellId, Constraint, Solver, Token, TokenData};
+use aji_ast::{FileId, Loc, NodeId};
+use aji_pta::scopes::VarId;
+use aji_pta::solver::{CellId, CellKind, Constraint, FuncIdx, Solver, Token, TokenData};
 use aji_support::check::{property, TestCase};
 use aji_support::{prop_assert, prop_assert_eq};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -184,6 +185,54 @@ fn proto_chain_load_sees_ancestors() {
             s.solve();
             let got = token_lines(&s, out);
             prop_assert!(got.contains(&line), "got {:?} (depth {})", got, depth);
+            Ok(())
+        });
+}
+
+/// `Expr` and `Var` cells live in dense id-indexed tables, the other kinds
+/// in a hash map. Whatever the id sequence — repeats, gaps, ids far past
+/// the current table length — `cell` and `cell_if_exists` must behave
+/// exactly like one hashed `CellKind → CellId` map.
+#[test]
+fn dense_cell_tables_match_a_hashed_reference() {
+    property("dense_cell_tables_match_a_hashed_reference")
+        .cases(300)
+        .run(|tc| {
+            let mut s = Solver::new(vec!["index.js".into()]);
+            let mut reference: HashMap<CellKind, CellId> = HashMap::new();
+            let ops = tc.vec_of(1..60, |t| {
+                // Mostly small ids (dense reuse), sometimes a jump far past
+                // anything allocated so far.
+                let id = if t.ratio(1, 5) {
+                    t.int_in(1_000u32..200_000)
+                } else {
+                    t.int_in(0u32..40)
+                };
+                let kind = match t.int_in(0u8..3) {
+                    0 => CellKind::Expr(NodeId(id)),
+                    1 => CellKind::Var(VarId(id)),
+                    _ => CellKind::Param(FuncIdx(id), 0),
+                };
+                (kind, t.bool())
+            });
+            for (kind, create) in ops {
+                if create {
+                    let next = CellId(reference.len() as u32);
+                    let want = *reference.entry(kind).or_insert(next);
+                    prop_assert_eq!(s.cell(kind), want);
+                }
+                prop_assert_eq!(s.cell_if_exists(kind), reference.get(&kind).copied());
+            }
+            prop_assert_eq!(s.stats.cells, reference.len());
+            // Neighbours of every created id that were never created stay absent.
+            for kind in reference.keys() {
+                let next = match *kind {
+                    CellKind::Expr(n) => CellKind::Expr(NodeId(n.0 + 1)),
+                    CellKind::Var(v) => CellKind::Var(VarId(v.0 + 1)),
+                    other => other,
+                };
+                prop_assert_eq!(s.cell_if_exists(next), reference.get(&next).copied());
+            }
             Ok(())
         });
 }

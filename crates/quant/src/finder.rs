@@ -454,7 +454,7 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(shape_fingerprint(&a), shape_fingerprint(&b));
-        assert_ne!(shape_fingerprint(&a), shape_fingerprint(&a[..1].to_vec()));
+        assert_ne!(shape_fingerprint(&a), shape_fingerprint(&a[..1]));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Seeded content hashing for cache keys (replaces `fnv`/`xxhash`).
+//! Seeded content hashing for cache keys (replaces `fnv`/`xxhash`), and a
+//! fast in-memory hasher for hash tables (replaces `rustc-hash`).
 //!
 //! The daemon's `HintStore` (crate `aji-serve`) keys every cache layer by
 //! a digest of source text, so the properties that matter here are the
@@ -35,6 +36,25 @@
 //!
 //! // Different seeds give unrelated key spaces.
 //! assert_ne!(fnv64(0, b"var x = 1;"), fnv64(7, b"var x = 1;"));
+//! ```
+//!
+//! # Table hashing
+//!
+//! [`FxHasher`] is a different tool: a word-at-a-time multiplicative
+//! hasher (the Firefox/`rustc` "Fx" scheme) for `HashMap`/`HashSet`
+//! keys that are small integers or short strings, where `std`'s SipHash
+//! spends most of a lookup hashing. It is deterministic — no per-process
+//! random state — but makes no cross-version stability promise, so it
+//! must never key a persisted digest. Tables using it iterate in an
+//! order that differs from SipHash's; code whose *output* could follow
+//! iteration order must sort or use a `BTreeMap` instead.
+//!
+//! ```
+//! use aji_support::hash::FxHashMap;
+//!
+//! let mut m: FxHashMap<u32, &str> = FxHashMap::default();
+//! m.insert(7, "seven");
+//! assert_eq!(m.get(&7), Some(&"seven"));
 //! ```
 
 /// The FNV-1a 64-bit offset basis.
@@ -135,6 +155,84 @@ pub fn from_hex(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
+/// The multiplier of [`FxHasher`]: an odd constant with well-spread
+/// bits (`2^64 / φ`, rounded to odd), so multiplying by it is a bijection
+/// on `u64` that pushes low-bit differences into the high bits.
+const FX_K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Fast, deterministic, non-cryptographic hasher for in-memory tables.
+///
+/// Each word written is folded in as `state = (state.rotl(5) ^ word) * K`.
+/// Use it through [`FxBuildHasher`] or the [`FxHashMap`]/[`FxHashSet`]
+/// aliases. Not collision-resistant: keys must not be attacker-chosen.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    state: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FX_K);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// [`std::hash::BuildHasher`] for [`FxHasher`]; stateless, so every
+/// table built with it hashes a key the same way.
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
+/// A `HashSet` hashed with [`FxHasher`].
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,5 +290,57 @@ mod tests {
         }
         assert_eq!(from_hex("xyz"), None);
         assert_eq!(from_hex("0"), None);
+    }
+
+    fn fx_hash<T: std::hash::Hash>(v: &T) -> u64 {
+        use std::hash::BuildHasher;
+        FxBuildHasher::default().hash_one(v)
+    }
+
+    #[test]
+    fn fx_is_deterministic_across_instances() {
+        for key in [0u32, 1, 42, u32::MAX] {
+            assert_eq!(fx_hash(&key), fx_hash(&key));
+        }
+        assert_eq!(fx_hash(&"module:events"), fx_hash(&"module:events"));
+        assert_eq!(fx_hash(&(3u32, 9u16)), fx_hash(&(3u32, 9u16)));
+        assert_ne!(fx_hash(&"ab"), fx_hash(&"ba"));
+    }
+
+    #[test]
+    fn fx_spreads_sequential_keys_across_buckets() {
+        // Sequential ids — the common key shape in the analysis tables —
+        // land in distinct buckets of a power-of-two table, judged both
+        // by the low bits (bucket index) and the top 7 bits (the control
+        // byte a SwissTable probes with) spreading over most values.
+        const BITS: u32 = 10;
+        let mut low = std::collections::HashSet::new();
+        let mut top = std::collections::HashSet::new();
+        for k in 0u32..(1 << BITS) {
+            let h = fx_hash(&k);
+            low.insert(h & ((1 << BITS) - 1));
+            top.insert(h >> 57);
+        }
+        assert_eq!(low.len(), 1 << BITS);
+        assert!(top.len() > 100, "top bits cover only {} of 128", top.len());
+    }
+
+    #[test]
+    fn fx_maps_round_trip() {
+        let mut m: FxHashMap<String, u32> = FxHashMap::default();
+        let mut s: FxHashSet<(u32, u32)> = FxHashSet::default();
+        for i in 0..1000u32 {
+            m.insert(format!("k{i}"), i);
+            s.insert((i, i.wrapping_mul(7)));
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(s.len(), 1000);
+        for i in 0..1000u32 {
+            assert_eq!(m.get(&format!("k{i}")), Some(&i));
+            assert!(s.contains(&(i, i.wrapping_mul(7))));
+        }
+        assert_eq!(m.remove("k5"), Some(5));
+        assert!(!m.contains_key("k5"));
+        assert!(!s.contains(&(1, 1)));
     }
 }

@@ -18,7 +18,8 @@
 //!   `crossbeam`);
 //! - [`hash`] — a seeded FNV-1a 64-bit content hasher with a splitmix64
 //!   finalizer, for stable cross-process cache keys (replaces
-//!   `fnv`/`xxhash`);
+//!   `fnv`/`xxhash`), and the multiplicative [`hash::FxHasher`] for fast
+//!   deterministic in-memory tables (replaces `rustc-hash`);
 //! - [`wire`] — line-delimited JSON framing over byte streams and Unix
 //!   sockets, the `aji serve` daemon's RPC transport (replaces
 //!   `serde_json` + a socket framing crate).
@@ -51,6 +52,6 @@ pub mod rng;
 pub mod wire;
 
 pub use check::{Failure, TestCase};
-pub use hash::Fnv64;
+pub use hash::{Fnv64, FxHashMap, FxHashSet};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::Rng;

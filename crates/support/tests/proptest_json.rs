@@ -1,7 +1,7 @@
 //! Property tests proving the JSON serializer/parser pair is inverse on
 //! the edge cases analysis reports actually hit: astral-plane characters
 //! (surrogate pairs in `\u` escapes), control characters, negative zero,
-//! and exponent-form numbers. VM benchmark reports ride on this round
+//! and exponent-form numbers. Benchmark reports ride on this round
 //! trip, so "provably inverse" is the bar, not "works on happy paths".
 
 use aji_support::check::{property, TestCase};

@@ -35,14 +35,6 @@ cmp target/oracle-t1.json target/oracle-t4.json
 ./target/release/aji-oracle --seed 1 --cases 50 --json --threads 1 > target/oracle-rerun.json
 cmp target/oracle-t1.json target/oracle-rerun.json
 
-echo "==> cargo test -q --offline --test bytecode_differential (VM vs tree-walker)"
-cargo test -q --offline --test bytecode_differential
-
-echo "==> vm-throughput metrics determinism (two runs, byte-identical)"
-./target/release/vm-throughput --metrics-json > target/vm-metrics-1.json
-./target/release/vm-throughput --metrics-json > target/vm-metrics-2.json
-cmp target/vm-metrics-1.json target/vm-metrics-2.json
-
 echo "==> flight-recorder trace determinism (two deterministic runs, byte-identical)"
 ./target/release/aji-report --project webframe-app --dynamic --deterministic \
     --chrome-trace target/trace-1.json > /dev/null
@@ -52,17 +44,6 @@ cmp target/trace-1.json target/trace-2.json
 
 echo "==> cargo test -q --offline --test trace_determinism (threads 1 vs 4 + recorder-off invariance)"
 cargo test -q --offline --test trace_determinism
-
-echo "==> aji-report --diff perf gate (fresh metrics vs committed BENCH_pr7_bytecode.json)"
-./target/release/aji-report --diff BENCH_pr7_bytecode.json target/vm-metrics-1.json
-
-echo "==> aji-report --diff detects an injected counter regression (must exit non-zero)"
-sed 's/"ic_hits":17496948/"ic_hits":17496947/' target/vm-metrics-1.json > target/vm-metrics-tampered.json
-cmp -s target/vm-metrics-1.json target/vm-metrics-tampered.json && {
-    echo "error: tamper sed did not change ic_hits"; exit 1; }
-if ./target/release/aji-report --diff BENCH_pr7_bytecode.json target/vm-metrics-tampered.json; then
-    echo "error: --diff passed a tampered counter"; exit 1
-fi
 
 echo "==> aji-serve daemon smoke (warm = cold byte-identical, invalidate, clean shutdown)"
 SOCK=target/aji-serve-smoke.sock
@@ -110,5 +91,13 @@ cmp target/quant-t1.json target/quant-rerun.json
 
 echo "==> aji-report --diff quant gate (fresh quant report vs committed BENCH_pr10_quant.json)"
 ./target/release/aji-report --diff BENCH_pr10_quant.json target/quant-t1.json
+
+echo "==> aji-report --diff detects an injected counter regression (must exit non-zero)"
+sed 's/"dynamic_edges":659,/"dynamic_edges":658,/' target/quant-t1.json > target/quant-tampered.json
+cmp -s target/quant-t1.json target/quant-tampered.json && {
+    echo "error: tamper sed did not change dynamic_edges"; exit 1; }
+if ./target/release/aji-report --diff BENCH_pr10_quant.json target/quant-tampered.json; then
+    echo "error: --diff passed a tampered counter"; exit 1
+fi
 
 echo "ok: workspace builds, tests, lints and docs clean with no network access"

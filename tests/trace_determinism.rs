@@ -20,8 +20,8 @@ use aji_obs::{ObsReport, TraceConfig};
 use std::sync::Arc;
 
 /// A fixed slice of the pattern corpus, varied enough to exercise the
-/// interpreter (dynamic runs), the VM (compiles, IC misses), the approx
-/// pass (hints) and the analyses.
+/// interpreter (dynamic runs and budget trips), the approx pass (hints)
+/// and the analyses.
 fn corpus_slice() -> Vec<aji_ast::Project> {
     aji_corpus::pattern_projects().into_iter().take(8).collect()
 }
@@ -109,8 +109,7 @@ fn recorder_off_runs_are_unaffected() {
 
     // The recorded run's plain counters must agree exactly with the
     // unrecorded run's on every shared name: tracing is observation, not
-    // perturbation. (The recorded run adds profile.* and ic-miss-site
-    // counters on top.)
+    // perturbation. (The recorded run adds profile.* counters on top.)
     let on = run_recorded(2);
     for c in &off.counters {
         assert_eq!(
