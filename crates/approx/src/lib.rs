@@ -47,5 +47,4 @@ mod worklist;
 pub use hints::{Hints, WriteHint};
 pub use worklist::{
     approximate_interpret, approximate_interpret_parsed, ApproxOptions, ApproxResult, ApproxStats,
-    SeedMode,
 };

@@ -9,24 +9,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
-/// Which modules seed the worklist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedMode {
-    /// Every module of the main package (the paper's "each
-    /// application-code module").
-    #[default]
-    MainPackage,
-    /// Only the project's main module.
-    MainOnly,
-    /// Every module including dependencies.
-    AllModules,
-}
-
 /// Options for approximate interpretation.
 #[derive(Debug, Clone)]
 pub struct ApproxOptions {
-    /// Worklist seeding.
-    pub seeds: SeedMode,
     /// Interpreter budgets. `approx` is forced on.
     pub interp: InterpOptions,
 }
@@ -34,7 +19,6 @@ pub struct ApproxOptions {
 impl Default for ApproxOptions {
     fn default() -> Self {
         ApproxOptions {
-            seeds: SeedMode::default(),
             interp: InterpOptions::approx_defaults(),
         }
     }
@@ -46,11 +30,6 @@ impl ApproxOptions {
     /// persisted hint set is only ever reused under the exact options
     /// that computed it.
     pub fn fingerprint_into(&self, h: &mut aji_support::Fnv64) {
-        h.write_u64(match self.seeds {
-            SeedMode::MainPackage => 0,
-            SeedMode::MainOnly => 1,
-            SeedMode::AllModules => 2,
-        });
         self.interp.fingerprint_into(h);
     }
 }
@@ -258,30 +237,17 @@ pub fn approximate_interpret_parsed(
 
     let functions_total = count_parsed_functions(parsed);
 
-    // Seed the worklist with modules. The test driver is deliberately
-    // excluded: unlike the dynamic call graphs used as ground truth, the
-    // pre-analysis must not rely on existing test suites (§1 of the
-    // paper — it is fully automatic).
+    // Seed the worklist with every module of the main package (the
+    // paper's "each application-code module"), main module first. The
+    // test driver is deliberately excluded: unlike the dynamic call
+    // graphs used as ground truth, the pre-analysis must not rely on
+    // existing test suites (§1 of the paper — it is fully automatic).
     let driver = project.test_driver.clone().unwrap_or_default();
     let mut worklist: VecDeque<Item> = VecDeque::new();
-    match opts.seeds {
-        SeedMode::MainOnly => worklist.push_back(Item::Module(project.main.clone())),
-        SeedMode::MainPackage => {
-            // Main module first, then the remaining main-package modules.
-            worklist.push_back(Item::Module(project.main.clone()));
-            for p in project.main_package_paths() {
-                if p != project.main && p != driver && p.ends_with(".js") {
-                    worklist.push_back(Item::Module(p.to_string()));
-                }
-            }
-        }
-        SeedMode::AllModules => {
-            worklist.push_back(Item::Module(project.main.clone()));
-            for f in &project.files {
-                if f.path != project.main && f.path != driver && f.path.ends_with(".js") {
-                    worklist.push_back(Item::Module(f.path.clone()));
-                }
-            }
+    worklist.push_back(Item::Module(project.main.clone()));
+    for p in project.main_package_paths() {
+        if p != project.main && p != driver && p.ends_with(".js") {
+            worklist.push_back(Item::Module(p.to_string()));
         }
     }
 

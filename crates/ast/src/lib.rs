@@ -11,7 +11,9 @@
 //!   hints and the static abstraction.
 //! * [`ast`] — the JavaScript AST with project-unique [`NodeId`]s.
 //! * [`Project`] — an in-memory Node.js-style project (virtual file tree
-//!   with `node_modules`, a main module and an optional test driver).
+//!   with `node_modules`, a main module and an optional test driver), and
+//!   [`resolve_module`], the one `require` resolution policy that the
+//!   interpreter and the points-to analysis share.
 //! * [`visit`] — read-only AST visitors.
 //! * [`mod@print`] — an AST-to-source printer used for testing and diagnostics.
 //!
@@ -35,7 +37,7 @@ mod source;
 pub mod visit;
 
 pub use ast::{Module, NodeId, NodeIdGen};
-pub use project::{Project, ProjectFile, VulnSpec};
+pub use project::{resolve_module, Project, ProjectFile, VulnSpec};
 pub use source::{FileId, Loc, SourceFile, SourceMap, Span};
 
 /// Converts a number to its JavaScript property-name string (`ToString`

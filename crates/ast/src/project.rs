@@ -260,6 +260,71 @@ impl Project {
     }
 }
 
+/// Resolves the `require` specifier `spec`, written in the file
+/// `paths[from]`, to the index of the project file it loads. This is the
+/// one module-resolution policy that the interpreter and the points-to
+/// analysis share, so both sides of a call-graph comparison agree on
+/// which file a `require` names:
+///
+/// - `./` and `../` specifiers are relative to the requiring file's
+///   directory, and a leading `/` names the project root;
+/// - each candidate is tried as written, then with `.js`, `/index.js`
+///   and `.json` appended;
+/// - any other specifier is a package name, looked up in `node_modules`
+///   from the requiring file's directory up to the root.
+///
+/// Core modules, files outside the project and an out-of-range `from`
+/// resolve to `None`.
+pub fn resolve_module(paths: &[String], from: usize, spec: &str) -> Option<usize> {
+    let find = |base: &str| {
+        ["", ".js", "/index.js", ".json"]
+            .iter()
+            .find_map(|suffix| paths.iter().position(|p| p.strip_prefix(base) == Some(*suffix)))
+    };
+    let mut dir = parent_dir(paths.get(from)?);
+    if let Some(rooted) = spec.strip_prefix('/') {
+        return find(&normalize(rooted));
+    }
+    if spec.starts_with("./") || spec.starts_with("../") {
+        return find(&normalize(&format!("{dir}/{spec}")));
+    }
+    loop {
+        let candidate = if dir.is_empty() {
+            format!("node_modules/{spec}")
+        } else {
+            format!("{dir}/node_modules/{spec}")
+        };
+        if let Some(i) = find(&candidate) {
+            return Some(i);
+        }
+        if dir.is_empty() {
+            return None;
+        }
+        dir = parent_dir(dir);
+    }
+}
+
+/// Directory part of a `/`-separated path (empty for top-level files).
+fn parent_dir(path: &str) -> &str {
+    path.rsplit_once('/').map_or("", |(dir, _)| dir)
+}
+
+/// Drops empty and `.` segments and lets `..` pop one (never above the
+/// root).
+fn normalize(path: &str) -> String {
+    let mut out: Vec<&str> = Vec::new();
+    for seg in path.split('/') {
+        match seg {
+            "" | "." => {}
+            ".." => {
+                out.pop();
+            }
+            s => out.push(s),
+        }
+    }
+    out.join("/")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +404,80 @@ mod tests {
         // Errors name the offending field.
         let err = Project::from_json(&Json::obj(vec![])).unwrap_err();
         assert!(err.contains("name"), "{err}");
+    }
+
+    fn paths(list: &[&str]) -> Vec<String> {
+        list.iter().map(|p| (*p).to_string()).collect()
+    }
+
+    #[test]
+    fn resolves_relative_package_and_missing_specifiers() {
+        let paths = paths(&["index.js", "lib/util.js", "node_modules/dep/index.js"]);
+        assert_eq!(resolve_module(&paths, 0, "./lib/util"), Some(1));
+        assert_eq!(resolve_module(&paths, 1, "../index.js"), Some(0));
+        assert_eq!(resolve_module(&paths, 0, "dep"), Some(2));
+        assert_eq!(resolve_module(&paths, 0, "missing"), None);
+        assert_eq!(resolve_module(&paths, 0, "./missing"), None);
+        // Core modules are not project files.
+        assert_eq!(resolve_module(&paths, 0, "fs"), None);
+    }
+
+    #[test]
+    fn normalizes_dot_segments() {
+        let paths = paths(&["a/b/c.js", "a/c.js", "x.js", "a/b/d.js"]);
+        assert_eq!(resolve_module(&paths, 0, "./d"), Some(3));
+        assert_eq!(resolve_module(&paths, 0, "././d.js"), Some(3));
+        assert_eq!(resolve_module(&paths, 0, "../c"), Some(1));
+        assert_eq!(resolve_module(&paths, 0, "./../b/./c"), Some(0));
+        // `..` never climbs above the project root.
+        assert_eq!(resolve_module(&paths, 1, "../../x.js"), Some(2));
+        assert_eq!(resolve_module(&paths, 2, "./x"), Some(2));
+    }
+
+    #[test]
+    fn suffixes_are_tried_in_node_order() {
+        // As written first, then `.js`, then `/index.js`, then `.json`.
+        let all = paths(&["main.js", "m.json", "m/index.js", "m.js", "m"]);
+        assert_eq!(resolve_module(&all, 0, "./m"), Some(4));
+        assert_eq!(resolve_module(&all[..4], 0, "./m"), Some(3));
+        assert_eq!(resolve_module(&all[..3], 0, "./m"), Some(2));
+        assert_eq!(resolve_module(&all[..2], 0, "./m"), Some(1));
+        assert_eq!(resolve_module(&all[..1], 0, "./m"), None);
+    }
+
+    #[test]
+    fn rooted_specifiers_name_the_project_root() {
+        let paths = paths(&["index.js", "a/b.js", "lib/x.js", "a/lib/x.js"]);
+        // From a subdirectory, `/lib/x` is the root's lib/x.js, not a/lib/x.js.
+        assert_eq!(resolve_module(&paths, 1, "/lib/x"), Some(2));
+        assert_eq!(resolve_module(&paths, 0, "/lib/x.js"), Some(2));
+        assert_eq!(resolve_module(&paths, 1, "/a/lib/x"), Some(3));
+        assert_eq!(resolve_module(&paths, 1, "/nope"), None);
+    }
+
+    #[test]
+    fn package_names_walk_up_through_node_modules() {
+        let paths = paths(&[
+            "index.js",
+            "node_modules/dep/index.js",
+            "node_modules/dep/lib/a.js",
+            "node_modules/dep/node_modules/inner/index.js",
+            "node_modules/inner/index.js",
+        ]);
+        // The nearest `node_modules` wins.
+        assert_eq!(resolve_module(&paths, 2, "inner"), Some(3));
+        assert_eq!(resolve_module(&paths, 0, "inner"), Some(4));
+        // A file inside a package finds a sibling package at the root.
+        assert_eq!(resolve_module(&paths, 3, "dep"), Some(1));
+        assert_eq!(resolve_module(&paths, 0, "dep/lib/a"), Some(2));
+    }
+
+    #[test]
+    fn out_of_range_from_is_none() {
+        let paths = paths(&["index.js"]);
+        assert_eq!(resolve_module(&paths, 1, "./index"), None);
+        assert_eq!(resolve_module(&paths, usize::MAX, "dep"), None);
+        assert_eq!(resolve_module(&[], 0, "/index"), None);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! BENCHMARKS.md for the full methodology.
 //!
 //! The experiment binaries live under `src/bin/` (one per table/figure of
-//! the paper — see DESIGN.md's experiment index); the Criterion-style
-//! benches under `benches/`.
+//! the paper — see DESIGN.md's experiment index). Performance is measured
+//! end to end by `perfbench` (see BENCHMARKS.md), not by micro-benchmarks.
 //!
 //! # Example
 //!

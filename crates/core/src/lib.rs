@@ -5,10 +5,13 @@
 //! This facade ties the substrates together the way the paper's
 //! experiments do:
 //!
-//! 1. **baseline** static analysis ([`aji_pta::analyze`] without hints);
-//! 2. **approximate interpretation** ([`aji_approx::approximate_interpret`])
-//!    producing hints;
-//! 3. **extended** static analysis (hints applied via \[DPR\]/\[DPW\]);
+//! 1. **approximate interpretation**
+//!    ([`aji_approx::approximate_interpret_parsed`]) producing hints; it
+//!    runs first, so its heap is gone before the solved graph exists;
+//! 2. one [`ConstraintGraph`] built from the parse, then the
+//!    **baseline** static analysis, its hint-free fixpoint;
+//! 3. the **extended** static analysis, which extends that fixpoint with
+//!    the hints (\[DPR\]/\[DPW\]) instead of solving from scratch;
 //! 4. optionally, a **dynamic call graph** from concretely executing the
 //!    project's test driver (the ground truth for recall/precision);
 //! 5. optionally, the **vulnerability reachability** study over the
@@ -57,16 +60,12 @@ pub use aji_pta::CallGraph;
 pub enum PipelineError {
     /// A project file failed to parse.
     Parse(aji_parser::ParseError),
-    /// The dynamic call-graph run failed in a way that prevents any
-    /// measurement (the driver itself could not start).
-    Dynamic(String),
 }
 
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Parse(e) => write!(f, "parse error: {e}"),
-            PipelineError::Dynamic(m) => write!(f, "dynamic analysis error: {m}"),
         }
     }
 }
@@ -466,15 +465,14 @@ fn run_pipeline(
     let mut dynamic_seconds = 0.0;
     let accuracy = if opts.dynamic_cg {
         let phase = aji_obs::span("dynamic-cg");
-        let acc = dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp).map(
-            |dyn_edges| AccuracyPair {
-                baseline: Accuracy::compare(&baseline_analysis.call_graph, &dyn_edges),
-                extended: Accuracy::compare(&extended_analysis.call_graph, &dyn_edges),
-                dynamic_edges: dyn_edges.len(),
-            },
-        );
+        let dyn_edges = dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp);
+        let acc = AccuracyPair {
+            baseline: Accuracy::compare(&baseline_analysis.call_graph, &dyn_edges),
+            extended: Accuracy::compare(&extended_analysis.call_graph, &dyn_edges),
+            dynamic_edges: dyn_edges.len(),
+        };
         dynamic_seconds = phase.finish().as_secs_f64();
-        acc
+        Some(acc)
     } else {
         None
     };
@@ -517,14 +515,13 @@ fn run_pipeline(
 
 /// Produces the dynamic call graph of a project by concretely executing
 /// its test driver (or, failing that, its main module). Returns `None`
-/// only when the interpreter cannot even be constructed (i.e. the project
-/// does not parse).
+/// only when the project does not parse.
 pub fn dynamic_call_graph(
     project: &Project,
     interp_opts: &InterpOptions,
 ) -> Option<BTreeSet<(Loc, Loc)>> {
     let parsed = aji_parser::parse_project(project).ok()?;
-    dynamic_call_graph_parsed(project, &parsed, interp_opts)
+    Some(dynamic_call_graph_parsed(project, &parsed, interp_opts))
 }
 
 /// [`dynamic_call_graph`] over an already-parsed project.
@@ -532,7 +529,7 @@ pub fn dynamic_call_graph_parsed(
     project: &Project,
     parsed: &ParsedProject,
     interp_opts: &InterpOptions,
-) -> Option<BTreeSet<(Loc, Loc)>> {
+) -> BTreeSet<(Loc, Loc)> {
     let recorder = Rc::new(RefCell::new(DynCallGraph::new()));
     let mut interp =
         Interp::with_parsed(project, parsed, interp_opts.clone(), Box::new(recorder.clone()));
@@ -549,7 +546,7 @@ pub fn dynamic_call_graph_parsed(
         .iter()
         .map(|e| (e.call_site, e.callee))
         .collect();
-    Some(edges)
+    edges
 }
 
 /// Computes §5's vulnerability reachability: how many annotated functions

@@ -489,7 +489,8 @@ impl Interp {
             let req = self.make_require(idx);
             s.declare("require", req);
             s.declare("__filename", Value::str(&self.paths[idx]));
-            s.declare("__dirname", Value::str(dirname(&self.paths[idx])));
+            let dir = self.paths[idx].rsplit_once('/').map_or("", |(dir, _)| dir);
+            s.declare("__dirname", Value::str(dir));
         }
         let result = self.exec_module_body(&module_rc, &scope);
         match result {
@@ -537,46 +538,6 @@ impl Interp {
         Value::Obj(f)
     }
 
-    /// Resolves a module specifier relative to the file at `from_idx`.
-    /// Returns a project file index.
-    pub(crate) fn resolve_module(&self, from_idx: usize, name: &str) -> Option<usize> {
-        let find = |p: &str| self.paths.iter().position(|q| q == p);
-        let with_suffixes = |base: &str| -> Option<usize> {
-            if let Some(i) = find(base) {
-                return Some(i);
-            }
-            if let Some(i) = find(&format!("{base}.js")) {
-                return Some(i);
-            }
-            if let Some(i) = find(&format!("{base}/index.js")) {
-                return Some(i);
-            }
-            find(&format!("{base}.json"))
-        };
-        if name.starts_with("./") || name.starts_with("../") || name.starts_with('/') {
-            let from_dir = dirname(&self.paths[from_idx]);
-            let joined = normalize_path(&join_path(&from_dir, name));
-            return with_suffixes(&joined);
-        }
-        // Package specifier: walk up from the requiring file's directory
-        // looking in `node_modules`.
-        let mut dir = dirname(&self.paths[from_idx]);
-        loop {
-            let candidate = if dir.is_empty() {
-                format!("node_modules/{name}")
-            } else {
-                format!("{dir}/node_modules/{name}")
-            };
-            if let Some(i) = with_suffixes(&candidate) {
-                return Some(i);
-            }
-            if dir.is_empty() {
-                return None;
-            }
-            dir = dirname(&dir);
-        }
-    }
-
     /// Loads the module named `name` from the module at `from_idx`:
     /// Node core modules first (prelude implementations or sandbox mocks),
     /// then project files. Used by the `require` native.
@@ -611,7 +572,7 @@ impl Interp {
                 return Ok(v);
             }
         }
-        match self.resolve_module(from_idx, name) {
+        match aji_ast::resolve_module(&self.paths, from_idx, name) {
             Some(idx) => {
                 let path = self.paths[idx].clone();
                 if let Some(s) = site {
@@ -1025,55 +986,9 @@ impl Drop for Interp {
     }
 }
 
-/// Directory part of a `/`-separated path (empty for top-level files).
-pub(crate) fn dirname(path: &str) -> String {
-    match path.rfind('/') {
-        Some(i) => path[..i].to_string(),
-        None => String::new(),
-    }
-}
-
-/// Joins two `/`-separated paths.
-pub(crate) fn join_path(dir: &str, rel: &str) -> String {
-    if rel.starts_with('/') {
-        return rel.trim_start_matches('/').to_string();
-    }
-    if dir.is_empty() {
-        rel.to_string()
-    } else {
-        format!("{dir}/{rel}")
-    }
-}
-
-/// Normalizes `.` and `..` segments.
-pub(crate) fn normalize_path(path: &str) -> String {
-    let mut out: Vec<&str> = Vec::new();
-    for seg in path.split('/') {
-        match seg {
-            "" | "." => {}
-            ".." => {
-                out.pop();
-            }
-            s => out.push(s),
-        }
-    }
-    out.join("/")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_helpers() {
-        assert_eq!(dirname("a/b/c.js"), "a/b");
-        assert_eq!(dirname("c.js"), "");
-        assert_eq!(join_path("a/b", "./c.js"), "a/b/./c.js");
-        assert_eq!(normalize_path("a/b/./c.js"), "a/b/c.js");
-        assert_eq!(normalize_path("a/b/../c.js"), "a/c.js");
-        assert_eq!(normalize_path("./x.js"), "x.js");
-        assert_eq!(normalize_path("a/../../x.js"), "x.js");
-    }
 
     #[test]
     fn options_defaults() {

@@ -238,10 +238,9 @@ impl ProjectOracle {
 ///
 /// # Errors
 ///
-/// [`PipelineError::Parse`] if the project does not parse,
-/// [`PipelineError::Dynamic`] if the concrete interpreter cannot be
-/// constructed at all (a crashing test driver is *not* an error — the
-/// partial dynamic graph is used, like a partially covering test suite).
+/// [`PipelineError::Parse`] if the project does not parse. A crashing
+/// test driver is *not* an error: the partial dynamic graph is used, like
+/// a partially covering test suite.
 ///
 /// # Example
 ///
@@ -258,22 +257,18 @@ pub fn run_oracle(
     opts: &OracleOptions,
 ) -> Result<ProjectOracle, PipelineError> {
     let parsed = aji_parser::parse_project(project)?;
-    run_oracle_parsed(project, &parsed, opts)
+    Ok(run_oracle_parsed(project, &parsed, opts))
 }
 
 /// [`run_oracle`] over an already-parsed project — the cache-aware entry
 /// point the `aji serve` daemon uses so an `oracle` request reuses the
 /// modules its content-hash-keyed parse cache already holds (the oracle's
-/// four phases then run parse-free, like the PR 4 pipeline).
-///
-/// # Errors
-///
-/// As [`run_oracle`], minus the parse errors.
+/// four phases then run parse-free).
 pub fn run_oracle_parsed(
     project: &Project,
     parsed: &aji_parser::ParsedProject,
     opts: &OracleOptions,
-) -> Result<ProjectOracle, PipelineError> {
+) -> ProjectOracle {
     let _span = aji_obs::span("oracle");
 
     // Approximate interpretation runs before the constraint graph is
@@ -297,9 +292,7 @@ pub fn run_oracle_parsed(
     drop(graph);
     let dynamic = {
         let _s = aji_obs::span("dynamic");
-        dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp).ok_or_else(|| {
-            PipelineError::Dynamic("could not construct the concrete interpreter".to_string())
-        })?
+        dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp)
     };
 
     let diff = {
@@ -336,14 +329,14 @@ pub fn run_oracle_parsed(
     let hint_count = approx.hints.reads.values().map(BTreeSet::len).sum::<usize>()
         + approx.hints.writes.len()
         + approx.hints.proxy_reads.len();
-    Ok(ProjectOracle {
+    ProjectOracle {
         name: project.name.clone(),
         diff,
         missed,
         spurious,
         hint_count,
         approx_stats: approx.stats,
-    })
+    }
 }
 
 /// Corpus-level aggregate of per-project oracle runs.

@@ -4,7 +4,7 @@
 
 use crate::dense_slot;
 use crate::scopes::VarId;
-use aji_ast::{FileId, Loc, NodeId};
+use aji_ast::{resolve_module, FileId, Loc, NodeId};
 use aji_support::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 
@@ -256,8 +256,9 @@ pub struct Solver {
     pub call_edges: FxHashSet<(u32, FuncIdx)>,
     /// Discovered module-load edges: (site, loaded file).
     pub module_edges: FxHashSet<(u32, FileId)>,
-    /// Module hints: `require` site loc → file paths (extended mode).
-    module_hints: FxHashMap<Loc, Vec<String>>,
+    /// Module hints: `require` site loc → hinted file indices (extended
+    /// mode).
+    module_hints: FxHashMap<Loc, Vec<usize>>,
     /// Sites the `require` builtin has fired at, by location: a module
     /// hint added after the fact is wired into these directly.
     required_at: FxHashMap<Loc, Vec<u32>>,
@@ -400,13 +401,18 @@ impl Solver {
     }
 
     /// Adds a module hint: the `require` call at `site` also loads the
-    /// project files `paths`. A site the builtin has already fired at is
-    /// wired at once; [`Solver::solve`] then propagates the new exports.
+    /// project files `paths` (paths outside the project are ignored). A
+    /// site the builtin has already fired at is wired at once;
+    /// [`Solver::solve`] then propagates the new exports.
     pub fn add_module_hint(&mut self, site: Loc, paths: Vec<String>) {
+        let files: Vec<usize> = paths
+            .iter()
+            .filter_map(|path| self.paths.iter().position(|p| p == path))
+            .collect();
         for idx in self.required_at.get(&site).cloned().unwrap_or_default() {
-            self.wire_require_targets(idx, &paths);
+            self.wire_require_targets(idx, &files);
         }
-        self.module_hints.insert(site, paths);
+        self.module_hints.insert(site, files);
     }
 
     /// Runs propagation to a fixpoint.
@@ -716,10 +722,10 @@ impl Solver {
         let last = name.rsplit('.').next().unwrap_or(name);
         match name {
             "require" => {
-                let mut targets: Vec<String> = Vec::new();
+                let mut targets: Vec<usize> = Vec::new();
                 if let Some(spec) = &lit_arg0 {
-                    if let Some(path) = resolve_module(&self.paths, file, spec) {
-                        targets.push(path);
+                    if let Some(idx) = resolve_module(&self.paths, file.index(), spec) {
+                        targets.push(idx);
                     } else if !spec.starts_with('.') && !spec.starts_with('/') {
                         // Core module: opaque builtin namespace.
                         let sym = self.interner.intern(&format!("module:{spec}"));
@@ -727,7 +733,7 @@ impl Solver {
                         self.add_token(result, tok);
                     }
                 }
-                if let Some(hinted) = self.module_hints.get(&loc).cloned() {
+                if let Some(hinted) = self.module_hints.get(&loc) {
                     targets.extend(hinted);
                 }
                 self.wire_require_targets(site, &targets);
@@ -787,80 +793,19 @@ impl Solver {
     }
 
     /// Makes `require` call `site` load each of the project files
-    /// `targets`: a module edge, and the file's `module.exports` flowing
-    /// into the call's result. Paths outside the project are ignored.
-    fn wire_require_targets(&mut self, site: u32, targets: &[String]) {
+    /// `targets` (file indices): a module edge, and the file's
+    /// `module.exports` flowing into the call's result.
+    fn wire_require_targets(&mut self, site: u32, targets: &[usize]) {
         let result = self.sites[site as usize].result;
-        for path in targets {
-            if let Some(idx) = self.paths.iter().position(|p| p == path) {
-                let fid = FileId(idx as u32);
-                self.module_edges.insert((site, fid));
-                let mobj = self.token(TokenData::ModuleObj(fid));
-                let exports_sym = self.interner.intern("exports");
-                let f = self.cell(CellKind::Field(mobj, exports_sym));
-                self.add_edge(f, result);
-            }
+        for &idx in targets {
+            let fid = FileId(idx as u32);
+            self.module_edges.insert((site, fid));
+            let mobj = self.token(TokenData::ModuleObj(fid));
+            let exports_sym = self.interner.intern("exports");
+            let f = self.cell(CellKind::Field(mobj, exports_sym));
+            self.add_edge(f, result);
         }
     }
-}
-
-/// Resolves a module specifier the same way the interpreter does.
-pub fn resolve_module(paths: &[String], from: FileId, spec: &str) -> Option<String> {
-    let find = |p: &str| paths.iter().find(|q| *q == p).cloned();
-    let with_suffixes = |base: &str| -> Option<String> {
-        find(base)
-            .or_else(|| find(&format!("{base}.js")))
-            .or_else(|| find(&format!("{base}/index.js")))
-            .or_else(|| find(&format!("{base}.json")))
-    };
-    let from_path = paths.get(from.index())?;
-    if spec.starts_with("./") || spec.starts_with("../") || spec.starts_with('/') {
-        let dir = match from_path.rfind('/') {
-            Some(i) => &from_path[..i],
-            None => "",
-        };
-        let joined = normalize(&if dir.is_empty() {
-            spec.to_string()
-        } else {
-            format!("{dir}/{spec}")
-        });
-        return with_suffixes(&joined);
-    }
-    let mut dir = match from_path.rfind('/') {
-        Some(i) => from_path[..i].to_string(),
-        None => String::new(),
-    };
-    loop {
-        let candidate = if dir.is_empty() {
-            format!("node_modules/{spec}")
-        } else {
-            format!("{dir}/node_modules/{spec}")
-        };
-        if let Some(p) = with_suffixes(&candidate) {
-            return Some(p);
-        }
-        if dir.is_empty() {
-            return None;
-        }
-        dir = match dir.rfind('/') {
-            Some(i) => dir[..i].to_string(),
-            None => String::new(),
-        };
-    }
-}
-
-fn normalize(path: &str) -> String {
-    let mut out: Vec<&str> = Vec::new();
-    for seg in path.split('/') {
-        match seg {
-            "" | "." => {}
-            ".." => {
-                out.pop();
-            }
-            s => out.push(s),
-        }
-    }
-    out.join("/")
 }
 
 #[cfg(test)]
@@ -955,27 +900,5 @@ mod tests {
             s.data(toks[0]),
             TokenData::Builtin(b) if s.interner.name(*b) == "Object.create"
         ));
-    }
-
-    #[test]
-    fn module_resolution() {
-        let paths = vec![
-            "index.js".to_string(),
-            "lib/util.js".to_string(),
-            "node_modules/dep/index.js".to_string(),
-        ];
-        assert_eq!(
-            resolve_module(&paths, FileId(0), "./lib/util"),
-            Some("lib/util.js".to_string())
-        );
-        assert_eq!(
-            resolve_module(&paths, FileId(1), "../index.js"),
-            Some("index.js".to_string())
-        );
-        assert_eq!(
-            resolve_module(&paths, FileId(0), "dep"),
-            Some("node_modules/dep/index.js".to_string())
-        );
-        assert_eq!(resolve_module(&paths, FileId(0), "missing"), None);
     }
 }

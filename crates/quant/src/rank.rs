@@ -211,8 +211,8 @@ fn rank_spurious(counts: &[(SpuriousCause, usize)], matched: usize, spurious: us
 ///
 /// # Errors
 ///
-/// As [`aji_oracle::run_oracle`]: parse failure or an unconstructible
-/// interpreter. A crashing test driver is not an error.
+/// As [`aji_oracle::run_oracle`]: parse failure. A crashing test driver
+/// is not an error.
 pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRank, PipelineError> {
     let _span = aji_obs::span("quant.rank");
     let parsed = aji_parser::parse_project(project)?;
@@ -221,10 +221,7 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
     let mut graph = ConstraintGraph::build(project, &parsed);
     let baseline = graph.extend(None, &AnalysisOptions::baseline());
     let extended = graph.extend(Some(&approx.hints), &opts.analysis);
-    let dynamic = dynamic_call_graph_parsed(project, &parsed, &opts.dynamic_interp)
-        .ok_or_else(|| {
-            PipelineError::Dynamic("could not construct the concrete interpreter".to_string())
-        })?;
+    let dynamic = dynamic_call_graph_parsed(project, &parsed, &opts.dynamic_interp);
     let diff = EdgeDiff::compute(&baseline.call_graph, &extended.call_graph, &dynamic);
     let missed = triage(
         &parsed,

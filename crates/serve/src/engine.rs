@@ -11,7 +11,7 @@
 //! |--------------|-----------------------------------------------------|
 //! | `analyze`    | full pipeline; warm responses come from the store   |
 //! | `oracle`     | differential soundness oracle on one project        |
-//! | `invalidate` | evict a project or one module's dependency cone     |
+//! | `invalidate` | evict a project, or one file and the derived layers |
 //! | `stats`      | store counters, layer sizes, request count          |
 //! | `save`       | write the store snapshot now                        |
 //! | `shutdown`   | save (if configured) and stop the accept loop       |
@@ -227,15 +227,10 @@ impl Engine {
             Ok(p) => p,
             Err(e) => return err_frame("oracle", format!("parse error: {e}")),
         };
-        match aji_oracle::run_oracle_parsed(&project, &parsed, &self.opts.oracle) {
-            Ok(oracle) => {
-                let result = oracle.to_json();
-                self.store
-                    .put_response("oracle", &project.name, digest, fp, result.to_string());
-                ok_frame("oracle", result)
-            }
-            Err(e) => err_frame("oracle", format!("oracle error: {e}")),
-        }
+        let result = aji_oracle::run_oracle_parsed(&project, &parsed, &self.opts.oracle).to_json();
+        self.store
+            .put_response("oracle", &project.name, digest, fp, result.to_string());
+        ok_frame("oracle", result)
     }
 
     fn op_invalidate(&mut self, req: &Json) -> Json {

@@ -11,8 +11,6 @@
 //! * [`HintStore`] — three content-hash-keyed cache layers (per-file
 //!   parses, solved hint sets, whole responses) with deterministic JSON
 //!   snapshots that survive daemon restarts;
-//! * [`ModuleGraph`] — the reverse-import index that scopes `invalidate`
-//!   to the dependency cone of an edited module;
 //! * [`serve`] — the Unix-socket accept loop speaking line-delimited
 //!   JSON ([`aji_support::wire`]).
 //!
@@ -48,11 +46,9 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod graph;
 pub mod store;
 
 pub use engine::{Engine, EngineOptions};
-pub use graph::ModuleGraph;
 pub use store::{HintStore, Invalidated, StoreStats};
 
 use std::io::{self, BufReader};

@@ -49,8 +49,6 @@ use aji_parser::{parse_module, ParseError, ParsedProject};
 use aji_support::hash::{fnv64, from_hex, hex};
 use aji_support::{FromJson, Json, ToJson};
 
-use crate::graph::ModuleGraph;
-
 /// Hit/miss/eviction counters, one pair per cache layer. Exposed by the
 /// daemon's `stats` op (deliberately *not* inside `analyze` responses,
 /// which must be byte-identical warm vs. cold).
@@ -113,8 +111,8 @@ struct HintEntry {
 struct ProjectCache {
     /// Parse layer; index `i` is `FileId(i)`. `None` = evicted.
     files: Vec<Option<FileEntry>>,
-    /// Import graph of the most recent parse (for cone invalidation).
-    graph: Option<ModuleGraph>,
+    /// File paths of the most recent parse, in file order.
+    paths: Vec<String>,
     /// Hint layer: `(project digest, approx fingerprint)` → result.
     hints: BTreeMap<(u64, u64), HintEntry>,
     /// Response layer: `(op, project digest, options fingerprint)` →
@@ -131,9 +129,6 @@ pub struct Invalidated {
     pub hints: usize,
     /// Response-layer entries dropped.
     pub responses: usize,
-    /// Paths of the dependency cone that was evicted (sorted by file
-    /// order; the whole project when no `path` was given).
-    pub cone: Vec<String>,
 }
 
 impl Invalidated {
@@ -143,10 +138,6 @@ impl Invalidated {
             ("modules", self.modules.to_json()),
             ("hints", self.hints.to_json()),
             ("responses", self.responses.to_json()),
-            (
-                "cone",
-                Json::Arr(self.cone.iter().map(|p| Json::Str(p.clone())).collect()),
-            ),
         ])
     }
 }
@@ -240,7 +231,7 @@ impl HintStore {
             }
         }
         cache.files = entries;
-        cache.graph = Some(ModuleGraph::build(project, &modules));
+        cache.paths = project.files.iter().map(|f| f.path.clone()).collect();
         self.stats.parse_hits += hits;
         self.stats.parse_misses += misses;
         aji_obs::counter_add("serve.store.parse_hits", hits);
@@ -314,61 +305,36 @@ impl HintStore {
     /// Evicts cached state for `name`.
     ///
     /// With `path: None` the project's entire cache is dropped. With a
-    /// path, the parse layer drops exactly the dependency cone of that
-    /// module (see [`ModuleGraph::cone`]) while the derived layers
-    /// (hints, responses) drop entirely — they aggregate whole-project
-    /// results, so any member of the cone taints all of them.
+    /// path, the parse layer drops that module's entry only, while the
+    /// derived layers (hints, responses) drop entirely: they aggregate
+    /// whole-project results. No other parse entry can go stale, because
+    /// each one is reused only under its own source digest and node-id
+    /// offset (see the module docs).
     ///
     /// Evicting an unknown project is a no-op (nothing cached means
-    /// nothing stale); naming a path that is not a module of a *known*
-    /// project is an error, since that is almost certainly a typo.
+    /// nothing stale); naming a path that was not a module of a *known*
+    /// project at its last parse is an error, since that is almost
+    /// certainly a typo.
     ///
     /// # Errors
     ///
     /// The unknown path, when one is given for a cached project.
     pub fn invalidate(&mut self, name: &str, path: Option<&str>) -> Result<Invalidated, String> {
-        if !self.projects.contains_key(name) {
-            return Ok(Invalidated::default());
-        }
-        let out = match path {
-            None => {
+        let out = match (self.projects.get_mut(name), path) {
+            (None, _) => return Ok(Invalidated::default()),
+            (Some(_), None) => {
                 let cache = self.projects.remove(name).expect("present above");
                 Invalidated {
                     modules: cache.files.iter().flatten().count(),
                     hints: cache.hints.len(),
                     responses: cache.responses.len(),
-                    cone: cache
-                        .graph
-                        .as_ref()
-                        .map(|g| g.paths().to_vec())
-                        .unwrap_or_default(),
                 }
             }
-            Some(p) => {
-                let cache = self.projects.get_mut(name).expect("present above");
-                let (cone, cone_paths) = {
-                    let Some(graph) = cache.graph.as_ref() else {
-                        return Err(format!(
-                            "project '{name}' has no cached parse to invalidate by path"
-                        ));
-                    };
-                    let Some(cone) = graph.cone(p) else {
-                        return Err(format!("'{p}' is not a module of project '{name}'"));
-                    };
-                    let cone_paths: Vec<String> = cone
-                        .iter()
-                        .filter_map(|&i| graph.paths().get(i).cloned())
-                        .collect();
-                    (cone, cone_paths)
+            (Some(cache), Some(p)) => {
+                let Some(i) = cache.paths.iter().position(|q| q == p) else {
+                    return Err(format!("'{p}' is not a module of project '{name}'"));
                 };
-                let mut modules = 0;
-                for &i in &cone {
-                    if let Some(slot) = cache.files.get_mut(i) {
-                        if slot.take().is_some() {
-                            modules += 1;
-                        }
-                    }
-                }
+                let modules = usize::from(cache.files.get_mut(i).and_then(Option::take).is_some());
                 let hints = cache.hints.len();
                 cache.hints.clear();
                 let responses = cache.responses.len();
@@ -377,7 +343,6 @@ impl HintStore {
                     modules,
                     hints,
                     responses,
-                    cone: cone_paths,
                 }
             }
         };
@@ -718,7 +683,6 @@ mod tests {
         store.put_hints("p", 1, 2, Hints::new(), ApproxStats::default());
         let out = store.invalidate("p", None).unwrap();
         assert_eq!((out.modules, out.hints, out.responses), (1, 1, 1));
-        assert_eq!(out.cone, vec!["m.js".to_string()]);
         assert_eq!(store.sizes(), (0, 0, 0, 0));
         // Unknown project: clean no-op.
         let out = store.invalidate("p", None).unwrap();
@@ -726,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_path_drops_exactly_the_cone() {
+    fn invalidate_path_evicts_only_that_file() {
         let proj = project(
             "p",
             &[
@@ -738,19 +702,26 @@ mod tests {
         let mut store = HintStore::new(0);
         store.parse(&proj).unwrap();
         store.put_response("analyze", "p", 1, 2, "r".into());
+        store.put_hints("p", 1, 2, Hints::new(), ApproxStats::default());
         let out = store.invalidate("p", Some("leaf.js")).unwrap();
-        assert_eq!(out.modules, 3, "whole chain depends on leaf");
-        assert_eq!(out.responses, 1);
+        assert_eq!((out.modules, out.hints, out.responses), (1, 1, 1));
+        let (_, modules, _, _) = store.sizes();
+        assert_eq!(modules, 2, "main and mid survive");
         let out = store.invalidate("p", Some("nope.js"));
         assert!(out.is_err(), "unknown module is a typo, not a no-op");
 
-        // Re-parse restores the cache; invalidating main evicts only it.
-        store.parse(&proj).unwrap();
-        let out = store.invalidate("p", Some("main.js")).unwrap();
-        assert_eq!(out.modules, 1);
-        assert_eq!(out.cone, vec!["main.js".to_string()]);
-        let (_, modules, _, _) = store.sizes();
-        assert_eq!(modules, 2, "mid and leaf survive");
+        // The importers of leaf.js are still valid: the next parse of the
+        // unchanged sources hits on main.js and mid.js and re-parses leaf.js.
+        let cold = aji_parser::parse_project(&proj).unwrap();
+        let again = store.parse(&proj).unwrap();
+        assert_eq!(fingerprint_parse(&again), fingerprint_parse(&cold));
+        let s = store.stats();
+        assert_eq!((s.parse_hits, s.parse_misses), (2, 4));
+
+        // An evicted path is still a module of the project.
+        store.invalidate("p", Some("leaf.js")).unwrap();
+        let out = store.invalidate("p", Some("leaf.js")).unwrap();
+        assert_eq!(out.modules, 0);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! - [`check`] — a minithesis-style property-testing harness with
 //!   choice-sequence shrinking and failure-seed replay (replaces
 //!   `proptest`);
-//! - [`mod@bench`] — a warmup + timed-iterations micro-benchmark harness with
-//!   median/p95 reporting and JSON output (replaces `criterion`);
 //! - [`par`] — a `std::thread::scope`-based fan-out helper (replaces
 //!   `crossbeam`);
 //! - [`hash`] — a seeded FNV-1a 64-bit content hasher with a splitmix64
@@ -43,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod hash;
 pub mod json;

@@ -135,12 +135,12 @@ mod socket {
                 ("path", Json::Str(victim_file)),
             ]),
         );
-        let cone = resp
+        let modules = resp
             .get("result")
-            .and_then(|r| r.get("cone"))
-            .and_then(Json::as_arr)
-            .expect("invalidate result has a cone");
-        assert!(!cone.is_empty(), "cone must at least contain the edited file");
+            .and_then(|r| r.get("modules"))
+            .and_then(Json::as_f64)
+            .expect("invalidate result counts evicted modules");
+        assert_eq!(modules, 1.0, "exactly the edited file's parse is evicted");
 
         let after = daemon_report(projects.clone(), &path, 4);
         assert_eq!(after, local, "post-invalidate run must match the local batch");

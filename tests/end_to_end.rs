@@ -69,6 +69,27 @@ fn recall_never_decreases_and_typically_improves() {
 }
 
 #[test]
+fn baseline_resolves_root_relative_requires_like_the_interpreter() {
+    // `require('/lib/x')` in a/b.js names the root's lib/x.js. The
+    // interpreter and the analysis resolve it with the same function, so
+    // the baseline finds every dynamic edge without any module hint.
+    let mut project = aji_ast::Project::new("rooted-require");
+    project.add_file("index.js", "require('./a/b').go();");
+    project.add_file("a/b.js", "exports.go = function() { require('/lib/x').run(); };");
+    project.add_file("lib/x.js", "exports.run = function() { return 1; };");
+    let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg()).unwrap();
+    let dynamic = aji::dynamic_call_graph(&project, &aji_interp::InterpOptions::default()).unwrap();
+    assert_eq!(dynamic.len(), 2, "{dynamic:?}");
+    for edge in &dynamic {
+        assert!(
+            report.baseline_call_graph.edges.contains(edge),
+            "baseline misses dynamic edge {edge:?}"
+        );
+    }
+    assert_eq!(report.accuracy.unwrap().baseline.matched_edges, 2);
+}
+
+#[test]
 fn hints_are_deterministic() {
     let project = aji_corpus::pattern_projects()
         .into_iter()

@@ -129,7 +129,6 @@ fn approx_interpreter_never_panics() {
                     approx: true,
                     ..tiny_budgets()
                 },
-                ..ApproxOptions::default()
             };
             let _ = approximate_interpret(&p, &opts).expect("approx");
             Ok(())
@@ -149,7 +148,6 @@ fn full_pipeline_never_panics_and_is_monotone() {
                     approx: true,
                     ..tiny_budgets()
                 },
-                ..ApproxOptions::default()
             };
             let hints = approximate_interpret(&p, &opts).expect("approx").hints;
             let base = analyze(&p, None, &AnalysisOptions::baseline()).expect("baseline");
