@@ -11,8 +11,9 @@
 //! * [`run_corpus_map`] — the generic variant for binaries that run
 //!   something other than the full pipeline per project (`table1` only
 //!   parses, `ablations` runs six analysis modes on one shared parse).
-//! * [`collect_reports`] — the uniform error path: split successes from
-//!   failures, printing each failure as `name: error` on stderr.
+//! * [`split_results`] / [`failures_json`] — the uniform error path:
+//!   split successes from `(name, error)` failures and report them;
+//!   [`collect_reports`] prints each failure as `name: error` on stderr.
 //! * [`CorpusCli`] / [`exit_code`] — the uniform command line
 //!   (`--threads N`, `--json`, `AJI_THREADS`) and exit codes
 //!   (0 = all projects succeeded, 1 = some failed, 2 = bad usage).
@@ -188,24 +189,48 @@ where
         .collect()
 }
 
+/// Splits corpus results into successful payloads and `(name, error)`
+/// pairs, both in input (corpus) order — the shape every corpus report
+/// keeps its failures in (see [`failures_json`]).
+pub fn split_results<R, E: fmt::Display>(
+    results: impl IntoIterator<Item = ProjectResult<R, E>>,
+) -> (Vec<R>, Vec<(String, String)>) {
+    let mut ok = Vec::new();
+    let mut errors = Vec::new();
+    for r in results {
+        match r.outcome {
+            Ok(payload) => ok.push(payload),
+            Err(e) => errors.push((r.name, e.to_string())),
+        }
+    }
+    (ok, errors)
+}
+
+/// A corpus report's failures: one `{"name", "error"}` object per
+/// `(name, error)` pair, in order.
+#[must_use]
+pub fn failures_json(errors: &[(String, String)]) -> Json {
+    Json::Arr(errors.iter().map(|(n, e)| failure_json(n, e)).collect())
+}
+
+fn failure_json(name: &str, error: &str) -> Json {
+    Json::obj(vec![
+        ("name", Json::Str(name.to_string())),
+        ("error", Json::Str(error.to_string())),
+    ])
+}
+
 /// Splits corpus results into successful payloads and a failure count,
 /// printing each failure as `name: error` on stderr — the uniform
 /// error-handling path shared by every experiment binary.
 ///
 /// Successes keep their input (corpus) order.
 pub fn collect_reports<R, E: fmt::Display>(results: Vec<ProjectResult<R, E>>) -> (Vec<R>, usize) {
-    let mut ok = Vec::with_capacity(results.len());
-    let mut failures = 0usize;
-    for r in results {
-        match r.outcome {
-            Ok(payload) => ok.push(payload),
-            Err(e) => {
-                eprintln!("{}: {e}", r.name);
-                failures += 1;
-            }
-        }
+    let (ok, errors) = split_results(results);
+    for (name, e) in &errors {
+        eprintln!("{name}: {e}");
     }
-    (ok, failures)
+    (ok, errors.len())
 }
 
 /// The profile a corpus binary prints at exit when collection is on
@@ -297,10 +322,7 @@ pub fn daemon_metrics_json(results: &[ProjectResult<Json, String>]) -> Json {
             .iter()
             .map(|r| match &r.outcome {
                 Ok(payload) => payload.clone(),
-                Err(e) => Json::obj(vec![
-                    ("name", Json::Str(r.name.clone())),
-                    ("error", Json::Str(e.clone())),
-                ]),
+                Err(e) => failure_json(&r.name, e),
             })
             .collect(),
     )
@@ -397,10 +419,7 @@ pub fn corpus_metrics_json<E: fmt::Display>(
             .iter()
             .map(|r| match &r.outcome {
                 Ok(report) => report.metrics_json(),
-                Err(e) => Json::obj(vec![
-                    ("name", Json::Str(r.name.clone())),
-                    ("error", Json::Str(e.to_string())),
-                ]),
+                Err(e) => failure_json(&r.name, &e.to_string()),
             })
             .collect(),
     )

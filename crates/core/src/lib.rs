@@ -6,16 +6,20 @@
 //! experiments do:
 //!
 //! 1. **approximate interpretation**
-//!    ([`aji_approx::approximate_interpret_parsed`]) producing hints; it
-//!    runs first, so its heap is gone before the solved graph exists;
-//! 2. one [`ConstraintGraph`] built from the parse, then the
-//!    **baseline** static analysis, its hint-free fixpoint;
-//! 3. the **extended** static analysis, which extends that fixpoint with
-//!    the hints (\[DPR\]/\[DPW\]) instead of solving from scratch;
-//! 4. optionally, a **dynamic call graph** from concretely executing the
+//!    ([`aji_approx::approximate_interpret_parsed`]) producing hints;
+//! 2. optionally, a **dynamic call graph** from concretely executing the
 //!    project's test driver (the ground truth for recall/precision);
+//! 3. one [`ConstraintGraph`] built from the parse, then the
+//!    **baseline** static analysis, its hint-free fixpoint;
+//! 4. the **extended** static analysis, which extends that fixpoint with
+//!    the hints (\[DPR\]/\[DPW\]) instead of solving from scratch;
 //! 5. optionally, the **vulnerability reachability** study over the
 //!    project's annotations.
+//!
+//! Steps 2–4 are [`run_stages`]: the one composition that
+//! [`run_benchmark`], the soundness oracle and the root-cause quantifier
+//! all reduce. Both interpreters run before the graph exists, so no
+//! interpreter heap is ever alive next to the solved graph.
 //!
 //! # Example
 //!
@@ -39,7 +43,7 @@
 
 #![warn(missing_docs)]
 
-use aji_approx::{approximate_interpret_parsed, ApproxOptions, ApproxResult, Hints};
+use aji_approx::{approximate_interpret_parsed, ApproxOptions, Hints};
 use aji_ast::{Loc, Project};
 use aji_interp::{DynCallGraph, Interp, InterpOptions};
 use aji_obs::ObsReport;
@@ -323,86 +327,66 @@ pub fn run_benchmark(
         let parse_start = std::time::Instant::now();
         let parsed = aji_parser::parse_project(project)?;
         let parse_seconds = parse_start.elapsed().as_secs_f64();
-        run_pipeline(project, &parsed, None, parse_seconds, total, opts)
+        Ok(run_pipeline(
+            project,
+            &parsed,
+            None,
+            parse_seconds,
+            total,
+            opts,
+        ))
     })
 }
 
-/// [`run_benchmark`] over an already-parsed project — the cache-aware
-/// entry point the `aji serve` daemon uses when its content-hash-keyed
-/// parse cache already holds the project's modules.
+/// [`run_benchmark`] over an already-parsed project, optionally with the
+/// approximate-interpretation phase replaced by a previously computed
+/// hint set — the cache-aware entry point the `aji serve` daemon uses
+/// when its parse cache already holds the project's modules and its hint
+/// store holds hints for this exact `(source digest, approx-options
+/// fingerprint)` key. `report.parse_seconds` is `0.0`, and so is
+/// `report.approx_seconds` when `cached_hints` is given.
 ///
-/// `report.parse_seconds` is `0.0` (no parsing happened here);
-/// [`BenchmarkReport::metrics_json`] — the deterministic payload caches
-/// compare — is byte-identical to a [`run_benchmark`] of the same
-/// sources.
-///
-/// # Errors
-///
-/// As [`run_benchmark`], minus the parse errors (the project already
-/// parsed).
+/// **Soundness contract:** `cached_hints` must come from an
+/// [`aji_approx::approximate_interpret`] run over byte-identical sources
+/// under fingerprint-identical options — then the report (and its
+/// [`BenchmarkReport::metrics_json`]) is byte-identical to a
+/// [`run_benchmark`] of the same sources, which
+/// `tests/daemon_determinism.rs` pins. Callers enforce that by keying on
+/// [`PipelineOptions::fingerprint`] and the content digest; handing over
+/// stale hints produces exactly the stale-hint unsoundness the store's
+/// invalidation exists to prevent.
 pub fn run_benchmark_parsed(
     project: &Project,
     parsed: &ParsedProject,
+    cached_hints: Option<(Hints, ApproxStats)>,
     opts: &PipelineOptions,
-) -> Result<BenchmarkReport, PipelineError> {
-    with_run_obs(|| {
+) -> BenchmarkReport {
+    let Ok(report) = with_run_obs(|| {
         let total = aji_obs::span("pipeline");
-        run_pipeline(project, parsed, None, 0.0, total, opts)
-    })
-}
-
-/// [`run_benchmark_parsed`] with the approximate-interpretation phase
-/// replaced by a previously computed hint set — the second cache-aware
-/// entry point: when the `aji serve` hint store holds hints for this
-/// exact `(source digest, approx-options fingerprint)` key, the most
-/// expensive pipeline phase (§5 puts approximate interpretation at ~54%
-/// of wall-clock) is skipped outright.
-///
-/// **Soundness contract:** `hints`/`approx_stats` must come from an
-/// [`aji_approx::approximate_interpret`] run over byte-identical sources
-/// under fingerprint-identical options — then the report (and its
-/// [`BenchmarkReport::metrics_json`]) is byte-identical to the uncached
-/// pipeline, which `tests/daemon_determinism.rs` pins. Callers enforce
-/// that by keying on [`PipelineOptions::fingerprint`] and the content
-/// digest; handing over stale hints produces exactly the stale-hint
-/// unsoundness the store's invalidation exists to prevent.
-///
-/// # Errors
-///
-/// As [`run_benchmark_parsed`].
-pub fn run_benchmark_with_hints(
-    project: &Project,
-    parsed: &ParsedProject,
-    hints: Hints,
-    approx_stats: ApproxStats,
-    opts: &PipelineOptions,
-) -> Result<BenchmarkReport, PipelineError> {
-    with_run_obs(|| {
-        let total = aji_obs::span("pipeline");
-        run_pipeline(
+        Ok::<_, std::convert::Infallible>(run_pipeline(
             project,
             parsed,
-            Some((hints, approx_stats)),
+            cached_hints,
             0.0,
             total,
             opts,
-        )
-    })
+        ))
+    });
+    report
 }
 
 /// When collection is active (AJI_OBS, an enclosing scope, or
 /// force_enable), gives the run its own registry so `report.obs` covers
-/// exactly this run, then folds it back into the enclosing registry.
-fn with_run_obs<F>(f: F) -> Result<BenchmarkReport, PipelineError>
-where
-    F: FnOnce() -> Result<BenchmarkReport, PipelineError>,
-{
+/// exactly this run, then folds it back into the enclosing registry —
+/// also when the run fails, so a failed project's spans still count.
+fn with_run_obs<E>(f: impl FnOnce() -> Result<BenchmarkReport, E>) -> Result<BenchmarkReport, E> {
     match aji_obs::current_registry() {
         Some(parent) => {
             let reg = Arc::new(aji_obs::Registry::new_like(&parent));
-            let mut report = aji_obs::scoped(&reg, f)?;
+            let outcome = aji_obs::scoped(&reg, f);
             let obs = reg.report();
             parent.absorb(&obs);
+            let mut report = outcome?;
             report.obs = Some(obs);
             Ok(report)
         }
@@ -410,18 +394,82 @@ where
     }
 }
 
-/// The pipeline proper. Phase timings come from the same [`aji_obs::span`]
-/// guards that feed the span tree — [`aji_obs::SpanGuard::finish`] returns
-/// the elapsed time whether or not collection is active.
+/// One project's staged analysis: what [`run_stages`] returns.
+pub struct Stages<'p> {
+    /// The hint-free baseline analysis.
+    pub baseline: Analysis,
+    /// The hint-extended analysis, solved on top of the baseline fixpoint.
+    pub extended: Analysis,
+    /// The dynamic call edges, when [`PipelineOptions::dynamic_cg`] is set.
+    pub dynamic: Option<BTreeSet<(Loc, Loc)>>,
+    /// The constraint graph, solved under the extended rules. Callers may
+    /// [`ConstraintGraph::extend`] it further with the same hints.
+    pub graph: ConstraintGraph<'p>,
+    /// Graph construction plus the baseline solve (seconds).
+    pub baseline_seconds: f64,
+    /// The hint delta on top of the baseline fixpoint (seconds).
+    pub extended_seconds: f64,
+    /// The dynamic run (seconds); zero when not requested.
+    pub dynamic_seconds: f64,
+}
+
+/// Runs the stages every experiment shares, in one fixed order, over a
+/// project whose hints are already computed:
 ///
-/// The project is parsed exactly **once** (by the caller); the
-/// approximate interpretation, the baseline analysis, the extended
-/// analysis, the dynamic run and the vulnerability study all share the
-/// same [`ParsedProject`] (modules are reference-counted, see
-/// [`aji_parser::ParsedProject`]). Likewise the constraint graph is
-/// built once: the extended analysis extends the baseline fixpoint (see
-/// [`ConstraintGraph`]). `cached_hints` short-circuits the
-/// approximate-interpretation phase; see [`run_benchmark_with_hints`].
+/// 1. when `opts.dynamic_cg` is set, the **dynamic call graph**;
+/// 2. one [`ConstraintGraph`] built from the parse, solved hint-free —
+///    the **baseline**;
+/// 3. the same graph extended with `hints` under `opts.analysis` — the
+///    **extended** analysis.
+///
+/// Taking the hints as an argument means approximate interpretation has
+/// already run, and the dynamic run comes before the graph exists: no
+/// interpreter heap is ever alive next to the solved graph. The
+/// pipeline, the oracle and the root-cause quantifier are all reductions
+/// of this one run.
+pub fn run_stages<'p>(
+    project: &'p Project,
+    parsed: &ParsedProject,
+    hints: &Hints,
+    opts: &PipelineOptions,
+) -> Stages<'p> {
+    let mut dynamic_seconds = 0.0;
+    let dynamic = opts.dynamic_cg.then(|| {
+        let phase = aji_obs::span("dynamic-cg");
+        let edges = dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp);
+        dynamic_seconds = phase.finish().as_secs_f64();
+        edges
+    });
+
+    let phase = aji_obs::span("baseline-pta");
+    let mut graph = ConstraintGraph::build(project, parsed);
+    let baseline = graph.extend(None, &AnalysisOptions::baseline());
+    let baseline_seconds = phase.finish().as_secs_f64();
+
+    let phase = aji_obs::span("extended-pta");
+    let extended = graph.extend(Some(hints), &opts.analysis);
+    let extended_seconds = phase.finish().as_secs_f64();
+
+    Stages {
+        baseline,
+        extended,
+        dynamic,
+        graph,
+        baseline_seconds,
+        extended_seconds,
+        dynamic_seconds,
+    }
+}
+
+/// The pipeline proper: approximate interpretation (unless `cached_hints`
+/// supplies its result), then [`run_stages`], then the vulnerability
+/// study. Phase timings come from the same [`aji_obs::span`] guards that
+/// feed the span tree — [`aji_obs::SpanGuard::finish`] returns the
+/// elapsed time whether or not collection is active.
+///
+/// The project is parsed exactly **once** (by the caller); every phase
+/// shares the same [`ParsedProject`] (modules are reference-counted, see
+/// [`aji_parser::ParsedProject`]).
 fn run_pipeline(
     project: &Project,
     parsed: &ParsedProject,
@@ -429,11 +477,7 @@ fn run_pipeline(
     parse_seconds: f64,
     total: aji_obs::SpanGuard,
     opts: &PipelineOptions,
-) -> Result<BenchmarkReport, PipelineError> {
-    // 1. Approximate interpretation — skipped when the caller supplies a
-    // content-hash-validated hint set (the `aji serve` warm path). It runs
-    // before the constraint graph exists, so the solved graph is never
-    // alive next to the interpreter's heap.
+) -> BenchmarkReport {
     let (hints, approx_stats, approx_seconds) = match cached_hints {
         Some((hints, stats)) => {
             aji_obs::counter_add("pipeline.hint_cache_uses", 1);
@@ -441,76 +485,56 @@ fn run_pipeline(
         }
         None => {
             let phase = aji_obs::span("approx-interp");
-            let approx: ApproxResult =
-                approximate_interpret_parsed(project, parsed, &opts.approx);
+            let approx = approximate_interpret_parsed(project, parsed, &opts.approx);
             let approx_seconds = phase.finish().as_secs_f64();
             (approx.hints, approx.stats, approx_seconds)
         }
     };
 
-    // 2. Baseline: build the constraint graph once and solve it hint-free.
-    let phase = aji_obs::span("baseline-pta");
-    let mut graph = ConstraintGraph::build(project, parsed);
-    let baseline_analysis = graph.extend(None, &AnalysisOptions::baseline());
-    let baseline_seconds = phase.finish().as_secs_f64();
-
-    // 3. Extended analysis: the hint delta on top of the baseline fixpoint.
-    let phase = aji_obs::span("extended-pta");
-    let extended_analysis = graph.extend(Some(&hints), &opts.analysis);
-    // Freed before the dynamic run builds its interpreter.
+    let Stages {
+        baseline,
+        extended,
+        dynamic,
+        graph,
+        baseline_seconds,
+        extended_seconds,
+        dynamic_seconds,
+    } = run_stages(project, parsed, &hints, opts);
     drop(graph);
-    let extended_seconds = phase.finish().as_secs_f64();
+    let accuracy = dynamic.map(|edges| AccuracyPair {
+        baseline: Accuracy::compare(&baseline.call_graph, &edges),
+        extended: Accuracy::compare(&extended.call_graph, &edges),
+        dynamic_edges: edges.len(),
+    });
 
-    // 4. Dynamic call graph (optional).
-    let mut dynamic_seconds = 0.0;
-    let accuracy = if opts.dynamic_cg {
-        let phase = aji_obs::span("dynamic-cg");
-        let dyn_edges = dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp);
-        let acc = AccuracyPair {
-            baseline: Accuracy::compare(&baseline_analysis.call_graph, &dyn_edges),
-            extended: Accuracy::compare(&extended_analysis.call_graph, &dyn_edges),
-            dynamic_edges: dyn_edges.len(),
-        };
-        dynamic_seconds = phase.finish().as_secs_f64();
-        Some(acc)
-    } else {
-        None
-    };
-
-    // 5. Vulnerability reachability (optional).
     let vulns = if project.vulns.is_empty() {
         None
     } else {
         let _s = aji_obs::span("vuln-study");
-        Some(vuln_reachability(
-            project,
-            parsed,
-            &baseline_analysis,
-            &extended_analysis,
-        ))
+        Some(vuln_reachability(project, parsed, &baseline, &extended))
     };
 
-    Ok(BenchmarkReport {
+    BenchmarkReport {
         name: project.name.clone(),
-        baseline: CgMetrics::of(&baseline_analysis.call_graph),
-        extended: CgMetrics::of(&extended_analysis.call_graph),
+        baseline: CgMetrics::of(&baseline.call_graph),
+        extended: CgMetrics::of(&extended.call_graph),
         parse_seconds,
         baseline_seconds,
         approx_seconds,
         extended_seconds,
-        baseline_analysis_seconds: baseline_analysis.analysis_seconds,
-        extended_analysis_seconds: extended_analysis.analysis_seconds,
+        baseline_analysis_seconds: baseline.analysis_seconds,
+        extended_analysis_seconds: extended.analysis_seconds,
         dynamic_seconds,
         total_seconds: total.finish().as_secs_f64(),
         hint_count: hints.len(),
         approx_stats,
         accuracy,
         vulns,
-        extended_call_graph: extended_analysis.call_graph,
-        baseline_call_graph: baseline_analysis.call_graph,
+        extended_call_graph: extended.call_graph,
+        baseline_call_graph: baseline.call_graph,
         hints,
         obs: None,
-    })
+    }
 }
 
 /// Produces the dynamic call graph of a project by concretely executing
@@ -525,7 +549,7 @@ pub fn dynamic_call_graph(
 }
 
 /// [`dynamic_call_graph`] over an already-parsed project.
-pub fn dynamic_call_graph_parsed(
+fn dynamic_call_graph_parsed(
     project: &Project,
     parsed: &ParsedProject,
     interp_opts: &InterpOptions,
@@ -677,18 +701,12 @@ mod tests {
         let golden = cold.metrics_json().to_string();
 
         let parsed = aji_parser::parse_project(&p).unwrap();
-        let warm = run_benchmark_parsed(&p, &parsed, &opts).unwrap();
+        let warm = run_benchmark_parsed(&p, &parsed, None, &opts);
         assert_eq!(warm.metrics_json().to_string(), golden);
         assert_eq!(warm.parse_seconds, 0.0);
 
-        let hinted = run_benchmark_with_hints(
-            &p,
-            &parsed,
-            cold.hints.clone(),
-            cold.approx_stats.clone(),
-            &opts,
-        )
-        .unwrap();
+        let cached = Some((cold.hints.clone(), cold.approx_stats.clone()));
+        let hinted = run_benchmark_parsed(&p, &parsed, cached, &opts);
         assert_eq!(hinted.metrics_json().to_string(), golden);
         assert_eq!(hinted.approx_seconds, 0.0);
     }

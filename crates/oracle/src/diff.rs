@@ -1,8 +1,8 @@
 //! The differential harness: dynamic vs. static call graphs, edge by edge.
 //!
-//! [`run_oracle`] runs one project through the full pipeline — parse,
-//! baseline analysis, approximate interpretation, hint-extended analysis,
-//! and the concrete interpreter's call-graph tracer — and intersects the
+//! [`run_oracle`] runs one project through approximate interpretation
+//! and [`aji::run_stages`] — the dynamic run, then the baseline and the
+//! hint-extended analysis on one constraint graph — and intersects the
 //! three call graphs into an [`EdgeDiff`]:
 //!
 //! * **missed** — dynamic edges absent from the extended graph: the
@@ -20,10 +20,10 @@
 
 use crate::spurious::{triage_spurious, SpuriousCause, SpuriousEdge};
 use crate::triage::{triage, Cause, MissedEdge};
-use aji::{dynamic_call_graph_parsed, PipelineError};
-use aji_approx::{approximate_interpret_parsed, ApproxOptions, ApproxStats};
+use aji::{run_stages, PipelineError, PipelineOptions, Stages};
+use aji_approx::{approximate_interpret_parsed, ApproxOptions, ApproxStats, Hints};
 use aji_ast::{Loc, Project};
-use aji_bench::{run_corpus_map, ProjectResult};
+use aji_bench::{failures_json, run_corpus_map, split_results};
 use aji_interp::InterpOptions;
 use aji_pta::{Accuracy, AnalysisOptions, ConstraintGraph};
 use aji_support::{Json, ToJson};
@@ -44,17 +44,26 @@ pub struct OracleOptions {
 }
 
 impl OracleOptions {
-    /// A stable digest of every result-affecting option, for cache keys —
-    /// the oracle-side counterpart of `aji::PipelineOptions::fingerprint`
-    /// (the `aji serve` store keys cached `oracle` responses on it).
+    /// The pipeline options an oracle run stages: these budgets and hint
+    /// rules, with the dynamic call graph switched on.
+    #[must_use]
+    pub fn pipeline(&self) -> PipelineOptions {
+        PipelineOptions {
+            approx: self.approx.clone(),
+            analysis: self.analysis,
+            dynamic_cg: true,
+            dynamic_interp: self.dynamic_interp.clone(),
+        }
+    }
+
+    /// A stable digest of every result-affecting option, for cache keys:
+    /// [`OracleOptions::pipeline`]'s fingerprint, domain-separated so an
+    /// `analyze` cache entry of the `aji serve` store can never be
+    /// mistaken for an `oracle` one.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        // Domain-separated from the pipeline fingerprint so an `analyze`
-        // cache entry can never be mistaken for an `oracle` one.
         let mut h = aji_support::Fnv64::new(0x04AC_1E00);
-        self.approx.fingerprint_into(&mut h);
-        self.analysis.fingerprint_into(&mut h);
-        self.dynamic_interp.fingerprint_into(&mut h);
+        h.write_u64(self.pipeline().fingerprint());
         h.finish()
     }
 }
@@ -144,8 +153,11 @@ pub struct ProjectOracle {
     pub missed: Vec<MissedEdge>,
     /// Every spurious edge, triaged (ordered by `(site, callee)`).
     pub spurious: Vec<SpuriousEdge>,
-    /// Total hints the approximate interpretation produced
-    /// (`|H_R| + |H_W| + |proxy reads|`).
+    /// Total hints the approximate interpretation produced, counted as
+    /// `|H_R| + |H_W| + |proxy-read sites|`. Unlike [`Hints::len`] it
+    /// counts the §6 proxy reads and leaves out module hints: it sizes
+    /// the hint classes the oracle triages against (`perfbench`'s
+    /// `expected.json` pins the population total).
     pub hint_count: usize,
     /// Approximate-interpretation run statistics.
     pub approx_stats: ApproxStats,
@@ -262,38 +274,37 @@ pub fn run_oracle(
 
 /// [`run_oracle`] over an already-parsed project — the cache-aware entry
 /// point the `aji serve` daemon uses so an `oracle` request reuses the
-/// modules its content-hash-keyed parse cache already holds (the oracle's
-/// four phases then run parse-free).
+/// modules its content-hash-keyed parse cache already holds.
 pub fn run_oracle_parsed(
     project: &Project,
     parsed: &aji_parser::ParsedProject,
     opts: &OracleOptions,
 ) -> ProjectOracle {
-    let _span = aji_obs::span("oracle");
+    run_oracle_staged(project, parsed, opts).0
+}
 
-    // Approximate interpretation runs before the constraint graph is
-    // built, so the solved graph never shares the heap with the
-    // interpreter; the extended analysis extends the baseline fixpoint.
+/// [`run_oracle_parsed`], also handing back the hints and the solved
+/// constraint graph of the staged run it reduced, so a caller can
+/// extend that graph with further hint rules (the quantifier's
+/// proxy-read counterfactual) instead of rebuilding it.
+pub fn run_oracle_staged<'p>(
+    project: &'p Project,
+    parsed: &aji_parser::ParsedProject,
+    opts: &OracleOptions,
+) -> (ProjectOracle, Hints, ConstraintGraph<'p>) {
+    let _span = aji_obs::span("oracle");
     let approx = {
-        let _s = aji_obs::span("approx");
+        let _s = aji_obs::span("approx-interp");
         approximate_interpret_parsed(project, parsed, &opts.approx)
     };
-    let (mut graph, baseline) = {
-        let _s = aji_obs::span("baseline");
-        let mut graph = ConstraintGraph::build(project, parsed);
-        let baseline = graph.extend(None, &AnalysisOptions::baseline());
-        (graph, baseline)
-    };
-    let extended = {
-        let _s = aji_obs::span("extended");
-        graph.extend(Some(&approx.hints), &opts.analysis)
-    };
-    // Freed before the dynamic run builds its interpreter.
-    drop(graph);
-    let dynamic = {
-        let _s = aji_obs::span("dynamic");
-        dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp)
-    };
+    let Stages {
+        baseline,
+        extended,
+        dynamic,
+        graph,
+        ..
+    } = run_stages(project, parsed, &approx.hints, &opts.pipeline());
+    let dynamic = dynamic.unwrap_or_default();
 
     let diff = {
         let _s = aji_obs::span("diff");
@@ -326,17 +337,19 @@ pub fn run_oracle_parsed(
         }
     }
 
-    let hint_count = approx.hints.reads.values().map(BTreeSet::len).sum::<usize>()
-        + approx.hints.writes.len()
-        + approx.hints.proxy_reads.len();
-    ProjectOracle {
+    let hints = approx.hints;
+    let hint_count = hints.reads.values().map(BTreeSet::len).sum::<usize>()
+        + hints.writes.len()
+        + hints.proxy_reads.len();
+    let oracle = ProjectOracle {
         name: project.name.clone(),
         diff,
         missed,
         spurious,
         hint_count,
         approx_stats: approx.stats,
-    }
+    };
+    (oracle, hints, graph)
 }
 
 /// Corpus-level aggregate of per-project oracle runs.
@@ -462,20 +475,7 @@ impl CorpusOracle {
                 "per_project",
                 Json::Arr(self.projects.iter().map(ProjectOracle::to_json).collect()),
             ),
-            (
-                "failures",
-                Json::Arr(
-                    self.errors
-                        .iter()
-                        .map(|(n, e)| {
-                            Json::obj(vec![
-                                ("name", Json::Str(n.clone())),
-                                ("error", Json::Str(e.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("failures", failures_json(&self.errors)),
         ])
     }
 }
@@ -489,17 +489,7 @@ pub fn run_oracle_corpus(
     opts: &OracleOptions,
     threads: usize,
 ) -> CorpusOracle {
-    let results: Vec<ProjectResult<ProjectOracle, PipelineError>> =
-        run_corpus_map(projects, threads, |p| run_oracle(p, opts));
-    let mut oracle = CorpusOracle {
-        projects: Vec::with_capacity(results.len()),
-        errors: Vec::new(),
-    };
-    for r in results {
-        match r.outcome {
-            Ok(p) => oracle.projects.push(p),
-            Err(e) => oracle.errors.push((r.name, e.to_string())),
-        }
-    }
-    oracle
+    let (projects, errors) =
+        split_results(run_corpus_map(projects, threads, |p| run_oracle(p, opts)));
+    CorpusOracle { projects, errors }
 }

@@ -25,9 +25,8 @@
 
 use crate::diff::{run_oracle, OracleOptions};
 use crate::triage::{Cause, MissedEdge};
-use aji::PipelineError;
 use aji_ast::Project;
-use aji_bench::{run_corpus_map, ProjectResult};
+use aji_bench::{failures_json, run_corpus_map, split_results, ProjectResult};
 use aji_corpus::{generate, GenConfig};
 use aji_support::check::{shrink_choices, TestCase};
 use aji_support::rng::splitmix64;
@@ -233,20 +232,7 @@ impl FuzzReport {
                 "findings",
                 Json::Arr(self.findings.iter().map(Finding::to_json).collect()),
             ),
-            (
-                "errors",
-                Json::Arr(
-                    self.errors
-                        .iter()
-                        .map(|(n, e)| {
-                            Json::obj(vec![
-                                ("name", Json::Str(n.clone())),
-                                ("error", Json::Str(e.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("errors", failures_json(&self.errors)),
         ])
     }
 
@@ -340,35 +326,37 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         }
 
         // Fan the oracle out; results come back in input (case) order.
-        let results: Vec<ProjectResult<_, PipelineError>> =
-            run_corpus_map(projects, opts.threads, |p| run_oracle(p, &opts.oracle));
+        let results = run_corpus_map(projects, opts.threads, |p| run_oracle(p, &opts.oracle));
+        let (oracles, errors) = split_results(
+            metas
+                .into_iter()
+                .zip(results)
+                .map(|(meta, r)| ProjectResult {
+                    name: r.name,
+                    outcome: r.outcome.map(|po| (meta, po)),
+                }),
+        );
+        report.errors.extend(errors);
 
         let mut batch_findings = 0usize;
-        for ((case, choices), r) in metas.into_iter().zip(results) {
-            match r.outcome {
-                Ok(po) => {
-                    report.dynamic_edges += po.diff.dynamic_edges;
-                    report.missed_edges += po.diff.missed.len();
-                    for m in &po.missed {
-                        if let Some(slot) =
-                            report.causes.iter_mut().find(|(k, _)| *k == m.cause.key())
-                        {
-                            slot.1 += 1;
-                        }
-                    }
-                    let covered = hint_covered(&po.missed);
-                    if !covered.is_empty() {
-                        batch_findings += 1;
-                        report.findings.push(Finding {
-                            case,
-                            name: r.name,
-                            choices,
-                            missed: covered,
-                            shrunk: None,
-                        });
-                    }
+        for ((case, choices), po) in oracles {
+            report.dynamic_edges += po.diff.dynamic_edges;
+            report.missed_edges += po.diff.missed.len();
+            for m in &po.missed {
+                if let Some(slot) = report.causes.iter_mut().find(|(k, _)| *k == m.cause.key()) {
+                    slot.1 += 1;
                 }
-                Err(e) => report.errors.push((r.name, e.to_string())),
+            }
+            let covered = hint_covered(&po.missed);
+            if !covered.is_empty() {
+                batch_findings += 1;
+                report.findings.push(Finding {
+                    case,
+                    name: po.name,
+                    choices,
+                    missed: covered,
+                    shrunk: None,
+                });
             }
         }
         report.cases_run = hi;

@@ -56,8 +56,8 @@ pub mod spurious;
 pub mod triage;
 
 pub use diff::{
-    run_oracle, run_oracle_corpus, run_oracle_parsed, CorpusOracle, EdgeDiff, OracleOptions,
-    ProjectOracle,
+    run_oracle, run_oracle_corpus, run_oracle_parsed, run_oracle_staged, CorpusOracle, EdgeDiff,
+    OracleOptions, ProjectOracle,
 };
 pub use fuzz::{case_config, case_seed, run_fuzz, Finding, FuzzOptions, FuzzReport, Reproducer};
 pub use spurious::{triage_spurious, SpuriousCause, SpuriousEdge};

@@ -82,15 +82,13 @@ impl AnalysisOptions {
 
     /// Folds the rule configuration into `h` as one bit per rule — the
     /// cache-key contribution the `aji serve` hint store uses so a solved
-    /// call graph is never reused under a different rule set (e.g. an
-    /// `AJI_PTA_ABLATE` ablation run must miss a cache warmed without it).
+    /// call graph is never reused under a different rule set.
     pub fn fingerprint_into(&self, h: &mut aji_support::Fnv64) {
         let bits = u64::from(self.use_read_hints)
             | u64::from(self.use_write_hints) << 1
             | u64::from(self.use_module_hints) << 2
             | u64::from(self.nonrelational_writes) << 3
-            | u64::from(self.use_proxy_read_hints) << 4
-            | u64::from(rule_ablated("dpw")) << 5;
+            | u64::from(self.use_proxy_read_hints) << 4;
         h.write_u64(bits);
     }
 }
@@ -98,23 +96,6 @@ impl AnalysisOptions {
 impl Default for AnalysisOptions {
     fn default() -> Self {
         Self::extended()
-    }
-}
-
-/// Test-only ablation switch: `true` when the `AJI_PTA_ABLATE`
-/// environment variable names `rule` (comma-separated, case-insensitive).
-///
-/// The soundness oracle's regression test sets `AJI_PTA_ABLATE=dpw` to
-/// silently disable the \[DPW\] rule *without* touching
-/// [`AnalysisOptions`] — mimicking how a real unsoundness regression
-/// would slip in: the configuration still claims write hints are on, but
-/// the rule no longer fires. Production paths never set the variable, so
-/// the switch is inert outside tests.
-#[must_use]
-pub fn rule_ablated(rule: &str) -> bool {
-    match std::env::var("AJI_PTA_ABLATE") {
-        Ok(v) => v.split(',').any(|r| r.trim().eq_ignore_ascii_case(rule)),
-        Err(_) => false,
     }
 }
 
@@ -346,7 +327,7 @@ impl<'p> ConstraintGraph<'p> {
                 solver.token(TokenData::Obj(loc))
             }
         };
-        if opts.use_write_hints && !was.use_write_hints && !rule_ablated("dpw") {
+        if opts.use_write_hints && !was.use_write_hints {
             // [DPW]: t_{ℓ''} ∈ ⟦t_ℓ.p⟧
             for w in &h.writes {
                 let t_obj = token_at(solver, w.obj);

@@ -48,9 +48,7 @@ mod metrics;
 pub mod scopes;
 pub mod solver;
 
-pub use analysis::{
-    analyze, analyze_parsed, rule_ablated, Analysis, AnalysisOptions, ConstraintGraph,
-};
+pub use analysis::{analyze, analyze_parsed, Analysis, AnalysisOptions, ConstraintGraph};
 pub use callgraph::CallGraph;
 pub use metrics::{Accuracy, CgMetrics};
 

@@ -33,12 +33,11 @@
 //! and every collection is ordered, so parallel runs are byte-identical
 //! to serial ones.
 
-use aji::{dynamic_call_graph_parsed, PipelineError};
-use aji_approx::approximate_interpret_parsed;
+use aji::PipelineError;
 use aji_ast::{Loc, Project};
-use aji_bench::{run_corpus_map, ProjectResult};
-use aji_oracle::{triage, triage_spurious, Cause, EdgeDiff, OracleOptions, SpuriousCause};
-use aji_pta::{AnalysisOptions, ConstraintGraph};
+use aji_bench::{failures_json, run_corpus_map, split_results};
+use aji_oracle::{run_oracle_staged, Cause, OracleOptions, ProjectOracle, SpuriousCause};
+use aji_pta::AnalysisOptions;
 use aji_support::Json;
 use std::collections::BTreeSet;
 
@@ -206,8 +205,9 @@ fn rank_spurious(counts: &[(SpuriousCause, usize)], matched: usize, spurious: us
     out
 }
 
-/// Runs the full oracle pipeline on one project, keeping the
-/// intermediates, and computes the per-cause counterfactuals.
+/// Reduces one oracle run to per-cause counterfactuals: the oracle's
+/// triaged misses and spurious edges, plus one proxy-read re-solve on
+/// the constraint graph the oracle's staged run left behind.
 ///
 /// # Errors
 ///
@@ -216,21 +216,13 @@ fn rank_spurious(counts: &[(SpuriousCause, usize)], matched: usize, spurious: us
 pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRank, PipelineError> {
     let _span = aji_obs::span("quant.rank");
     let parsed = aji_parser::parse_project(project)?;
-
-    let approx = approximate_interpret_parsed(project, &parsed, &opts.approx);
-    let mut graph = ConstraintGraph::build(project, &parsed);
-    let baseline = graph.extend(None, &AnalysisOptions::baseline());
-    let extended = graph.extend(Some(&approx.hints), &opts.analysis);
-    let dynamic = dynamic_call_graph_parsed(project, &parsed, &opts.dynamic_interp);
-    let diff = EdgeDiff::compute(&baseline.call_graph, &extended.call_graph, &dynamic);
-    let missed = triage(
-        &parsed,
-        &approx.hints,
-        &approx,
-        &extended.call_graph,
-        &diff.missed,
-    );
-    let spurious = triage_spurious(&parsed, &baseline.call_graph, &diff.spurious);
+    let (oracle, hints, mut graph) = run_oracle_staged(project, &parsed, opts);
+    let ProjectOracle {
+        diff,
+        missed,
+        spurious,
+        ..
+    } = oracle;
 
     // The one measured counterfactual: §6 proxy-read hints force-enabled
     // on top of the extended analysis. Only worth a re-solve when the
@@ -240,7 +232,7 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
         .any(|m| m.cause == Cause::HigherOrderProxy);
     let resolve_recovered: BTreeSet<(Loc, Loc)> = if proxy_missed {
         let resolved = graph.extend(
-            Some(&approx.hints),
+            Some(&hints),
             &AnalysisOptions {
                 use_proxy_read_hints: true,
                 ..opts.analysis
@@ -391,20 +383,7 @@ impl CorpusRank {
                 "per_project",
                 Json::Arr(self.projects.iter().map(ProjectRank::to_json).collect()),
             ),
-            (
-                "failures",
-                Json::Arr(
-                    self.errors
-                        .iter()
-                        .map(|(n, e)| {
-                            Json::obj(vec![
-                                ("name", Json::Str(n.clone())),
-                                ("error", Json::Str(e.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("failures", failures_json(&self.errors)),
         ])
     }
 }
@@ -414,19 +393,9 @@ impl CorpusRank {
 /// to a serial run.
 #[must_use]
 pub fn rank_corpus(projects: Vec<Project>, opts: &OracleOptions, threads: usize) -> CorpusRank {
-    let results: Vec<ProjectResult<ProjectRank, PipelineError>> =
-        run_corpus_map(projects, threads, |p| rank_project(p, opts));
-    let mut rank = CorpusRank {
-        projects: Vec::with_capacity(results.len()),
-        errors: Vec::new(),
-    };
-    for r in results {
-        match r.outcome {
-            Ok(p) => rank.projects.push(p),
-            Err(e) => rank.errors.push((r.name, e.to_string())),
-        }
-    }
-    rank
+    let (projects, errors) =
+        split_results(run_corpus_map(projects, threads, |p| rank_project(p, opts)));
+    CorpusRank { projects, errors }
 }
 
 #[cfg(test)]

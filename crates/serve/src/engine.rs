@@ -177,33 +177,22 @@ impl Engine {
         let mut h = Fnv64::new(APPROX_FP_SEED);
         opts.approx.fingerprint_into(&mut h);
         let approx_fp = h.finish();
-        let report = match self.store.hints(&project.name, digest, approx_fp) {
-            Some((hints, stats)) => {
-                aji::run_benchmark_with_hints(&project, &parsed, hints, stats, &opts)
-            }
-            None => {
-                let report = aji::run_benchmark_parsed(&project, &parsed, &opts);
-                if let Ok(r) = &report {
-                    self.store.put_hints(
-                        &project.name,
-                        digest,
-                        approx_fp,
-                        r.hints.clone(),
-                        r.approx_stats.clone(),
-                    );
-                }
-                report
-            }
-        };
-        match report {
-            Ok(report) => {
-                let result = report.metrics_json();
-                self.store
-                    .put_response("analyze", &project.name, digest, fp, result.to_string());
-                ok_frame("analyze", result)
-            }
-            Err(e) => err_frame("analyze", format!("pipeline error: {e}")),
+        let cached = self.store.hints(&project.name, digest, approx_fp);
+        let hints_missed = cached.is_none();
+        let report = aji::run_benchmark_parsed(&project, &parsed, cached, &opts);
+        if hints_missed {
+            self.store.put_hints(
+                &project.name,
+                digest,
+                approx_fp,
+                report.hints.clone(),
+                report.approx_stats.clone(),
+            );
         }
+        let result = report.metrics_json();
+        self.store
+            .put_response("analyze", &project.name, digest, fp, result.to_string());
+        ok_frame("analyze", result)
     }
 
     /// `oracle`: same caching shape as `analyze` (response layer keyed

@@ -45,7 +45,7 @@ cmp target/trace-1.json target/trace-2.json
 echo "==> cargo test -q --offline --test trace_determinism (threads 1 vs 4 + recorder-off invariance)"
 cargo test -q --offline --test trace_determinism
 
-echo "==> aji-serve daemon smoke (warm = cold byte-identical, invalidate, clean shutdown)"
+echo "==> aji-serve daemon smoke (warm = cold byte-identical for analyze and oracle, invalidate, clean shutdown)"
 SOCK=target/aji-serve-smoke.sock
 STORE=target/aji-serve-smoke-store.json
 rm -f "$SOCK" "$STORE"
@@ -70,6 +70,9 @@ grep -q '"response_misses":2' target/serve-stats.json || {
     echo "error: expected two response-layer misses (cold + post-invalidate)"; cat target/serve-stats.json; exit 1; }
 grep -q '"invalidations":1' target/serve-stats.json || {
     echo "error: expected one recorded invalidation"; cat target/serve-stats.json; exit 1; }
+./target/release/aji-serve --client "$SOCK" --op oracle --name webframe-app > target/serve-oracle-cold.json
+./target/release/aji-serve --client "$SOCK" --op oracle --name webframe-app > target/serve-oracle-warm.json
+cmp target/serve-oracle-cold.json target/serve-oracle-warm.json
 ./target/release/aji-serve --client "$SOCK" --op shutdown > /dev/null
 wait "$SERVE_PID"
 [ -f "$STORE" ] || { echo "error: shutdown did not persist the hint store"; exit 1; }

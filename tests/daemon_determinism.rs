@@ -183,6 +183,29 @@ fn snapshot_reload_preserves_answers_byte_for_byte() {
     let _ = std::fs::remove_file(&store);
 }
 
+#[test]
+fn oracle_op_matches_a_local_oracle_run_cold_and_warm() {
+    let mut engine = Engine::new(EngineOptions::default());
+    for project in corpus().iter().take(3) {
+        let local = aji_oracle::run_oracle(project, &aji_oracle::OracleOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", project.name))
+            .to_json()
+            .to_string();
+        let frame = Json::obj(vec![
+            ("op", Json::Str("oracle".into())),
+            ("project", project.to_json()),
+        ]);
+        for pass in ["cold", "warm"] {
+            let (resp, _) = engine.handle(&frame);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+            let result = resp.get("result").expect("result").to_string();
+            assert_eq!(result, local, "{} ({pass}): oracle op differs", project.name);
+        }
+    }
+    let stats = engine.store().stats();
+    assert_eq!((stats.response_misses, stats.response_hits), (3, 3));
+}
+
 /// Applies one random, parse-safe edit to a random file of `project`.
 fn random_edit(tc: &mut TestCase, project: &mut Project, step: usize) {
     let i = tc.int_in(0usize..project.files.len());

@@ -116,3 +116,24 @@ fn obs_off_means_no_report_and_same_results() {
     assert_eq!(off.hint_count, on.hint_count);
     assert_eq!(off.hints, on.hints);
 }
+
+#[test]
+fn failed_runs_keep_their_profile() {
+    let mut broken = Project::new("obs-broken");
+    broken.add_file("index.js", "var = ;");
+    let reg = Arc::new(Registry::new());
+    let results = aji_obs::scoped(&reg, || {
+        aji_bench::run_corpus(vec![doc_example(), broken], &PipelineOptions::default(), 1)
+    });
+    assert!(results[0].outcome.is_ok());
+    assert!(
+        results[1].outcome.is_err(),
+        "the broken project must fail to parse"
+    );
+
+    // The failed run's spans are absorbed like the good run's.
+    let obs = reg.report();
+    assert_eq!(obs.counter("corpus.projects"), Some(2));
+    assert_eq!(obs.span_named("pipeline").expect("pipeline span").count, 2);
+    assert_eq!(obs.span_named("parse").expect("parse span").count, 2);
+}

@@ -1,22 +1,20 @@
 //! The oracle's reason to exist: catch a soundness regression.
 //!
-//! `AJI_PTA_ABLATE=dpw` silently disables the \[DPW\] write-hint rule —
-//! the analysis still *collects* `H_W` but no longer applies it, exactly
-//! the shape of a real regression (options say extended, behaviour says
-//! baseline). This test asserts the full oracle loop catches it: the
-//! fuzzer flags findings, every finding is triaged as a `dynamic-write`
-//! cause with `hint_covered` set, and the first finding shrinks to a
-//! smaller reproducer that still exhibits the miss.
-//!
-//! Kept as a **single test function**: `AJI_PTA_ABLATE` is process-global
-//! and tests within one binary may run concurrently, so the ablated and
-//! healthy phases must be sequenced explicitly.
+//! Turning \[DPW\] off through `FuzzOptions.oracle.analysis` keeps every
+//! other hint rule and still *collects* `H_W`, but no longer applies it —
+//! the shape of a real regression in the write-hint rule. This test
+//! asserts the full oracle loop catches it: the fuzzer flags findings,
+//! every finding is triaged as a `dynamic-write` cause with
+//! `hint_covered` set, and the first finding shrinks to a smaller
+//! reproducer that still exhibits the miss. The same seeds with the
+//! default options then fuzz clean.
 
-use aji_oracle::{run_fuzz, Cause, FuzzOptions};
+use aji_oracle::{run_fuzz, Cause, FuzzOptions, OracleOptions};
+use aji_pta::AnalysisOptions;
 
 #[test]
 fn dpw_ablation_is_caught_triaged_and_shrunk() {
-    let opts = FuzzOptions {
+    let healthy_opts = FuzzOptions {
         seed: 1,
         cases: 8,
         threads: 2,
@@ -24,12 +22,19 @@ fn dpw_ablation_is_caught_triaged_and_shrunk() {
         max_shrink_runs: 150,
         ..FuzzOptions::default()
     };
+    let ablated_opts = FuzzOptions {
+        oracle: OracleOptions {
+            analysis: AnalysisOptions {
+                use_write_hints: false,
+                ..AnalysisOptions::extended()
+            },
+            ..OracleOptions::default()
+        },
+        ..healthy_opts.clone()
+    };
 
     // Phase 1: ablated. The fuzzer must catch the regression.
-    std::env::set_var("AJI_PTA_ABLATE", "dpw");
-    assert!(aji_pta::rule_ablated("dpw"), "ablation switch must engage");
-    let ablated = run_fuzz(&opts);
-    std::env::remove_var("AJI_PTA_ABLATE");
+    let ablated = run_fuzz(&ablated_opts);
 
     assert!(
         !ablated.clean(),
@@ -85,7 +90,7 @@ fn dpw_ablation_is_caught_triaged_and_shrunk() {
 
     // Phase 2: healthy. The same seeds come back clean — the findings
     // above were the ablation, not the generator.
-    let healthy = run_fuzz(&opts);
+    let healthy = run_fuzz(&healthy_opts);
     assert!(
         healthy.clean(),
         "healthy build must fuzz clean:\n{}",

@@ -6,7 +6,7 @@
 //! * the fuzzer's JSON report is invariant under `--threads` and
 //!   repeatable for a fixed seed (property-tested over seeds).
 
-use aji_oracle::{run_fuzz, run_oracle_corpus, FuzzOptions, OracleOptions};
+use aji_oracle::{run_fuzz, run_oracle, run_oracle_corpus, FuzzOptions, OracleOptions};
 use aji_support::check::property;
 
 /// Pattern projects built around a dynamic idiom the hints recover —
@@ -134,6 +134,19 @@ fn pattern_corpus_golden_report() {
             "{}: every spurious edge is triaged",
             p.name
         );
+    }
+}
+
+#[test]
+fn oracle_accuracy_matches_the_dynamic_pipeline() {
+    for p in aji_corpus::pattern_projects() {
+        let oracle = run_oracle(&p, &OracleOptions::default()).expect("oracle runs");
+        let report = aji::run_benchmark(&p, &aji::PipelineOptions::with_dynamic_cg())
+            .expect("pipeline runs");
+        let acc = report.accuracy.expect("dynamic run requested");
+        assert_eq!(oracle.diff.baseline, acc.baseline, "{}: baseline", p.name);
+        assert_eq!(oracle.diff.extended, acc.extended, "{}: extended", p.name);
+        assert_eq!(oracle.diff.dynamic_edges, acc.dynamic_edges, "{}", p.name);
     }
 }
 
