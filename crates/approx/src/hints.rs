@@ -86,12 +86,18 @@ impl Hints {
 
     /// Records the property name observed at a dynamic-write site.
     pub fn add_write_prop(&mut self, site: Loc, prop: impl Into<String>) {
-        self.write_props.entry(site).or_default().insert(prop.into());
+        self.write_props
+            .entry(site)
+            .or_default()
+            .insert(prop.into());
     }
 
     /// Records a proxy-base read (§6 extension).
     pub fn add_proxy_read(&mut self, site: Loc, prop: impl Into<String>) {
-        self.proxy_reads.entry(site).or_default().insert(prop.into());
+        self.proxy_reads
+            .entry(site)
+            .or_default()
+            .insert(prop.into());
     }
 
     /// Total number of primary hints: read hints, write hints and module
@@ -113,7 +119,10 @@ impl Hints {
     /// pre-analysis results, §6).
     pub fn merge(&mut self, other: &Hints) {
         for (op, locs) in &other.reads {
-            self.reads.entry(*op).or_default().extend(locs.iter().copied());
+            self.reads
+                .entry(*op)
+                .or_default()
+                .extend(locs.iter().copied());
         }
         self.writes.extend(other.writes.iter().cloned());
         for (site, paths) in &other.modules {
@@ -285,7 +294,10 @@ mod tests {
     fn json_rejects_malformed_hint_sets() {
         assert!(Hints::from_json_str("").is_err());
         assert!(Hints::from_json_str("[]").is_err());
-        assert!(Hints::from_json_str("{\"reads\": []}").is_err(), "missing fields");
+        assert!(
+            Hints::from_json_str("{\"reads\": []}").is_err(),
+            "missing fields"
+        );
         assert!(
             Hints::from_json_str(
                 "{\"reads\":[],\"writes\":[[1,2]],\"modules\":[],\

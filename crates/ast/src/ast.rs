@@ -906,8 +906,14 @@ mod tests {
 
     #[test]
     fn prop_name_static_name() {
-        assert_eq!(PropName::Ident("x".into()).static_name().as_deref(), Some("x"));
-        assert_eq!(PropName::Str("y z".into()).static_name().as_deref(), Some("y z"));
+        assert_eq!(
+            PropName::Ident("x".into()).static_name().as_deref(),
+            Some("x")
+        );
+        assert_eq!(
+            PropName::Str("y z".into()).static_name().as_deref(),
+            Some("y z")
+        );
         assert_eq!(PropName::Num(3.0).static_name().as_deref(), Some("3"));
     }
 

@@ -727,10 +727,7 @@ impl Printer {
                     UnaryOp::TypeOf | UnaryOp::Void | UnaryOp::Delete => self.word(" "),
                     // Avoid `--x` when printing `-(-x)`.
                     UnaryOp::Neg | UnaryOp::Pos => {
-                        if matches!(
-                            expr.kind,
-                            ExprKind::Unary { .. } | ExprKind::Update { .. }
-                        ) {
+                        if matches!(expr.kind, ExprKind::Unary { .. } | ExprKind::Update { .. }) {
                             self.word(" ");
                         } else if let ExprKind::Num(n) = expr.kind {
                             if n < 0.0 {

@@ -6,8 +6,8 @@
 //! out on disk. A [`Project`] owns the file contents and the metadata the
 //! experiments need (main module, test driver, vulnerability annotations).
 
-use aji_support::Json;
 use crate::source::SourceMap;
+use aji_support::Json;
 use std::collections::BTreeSet;
 
 /// One file of a [`Project`].
@@ -277,9 +277,11 @@ impl Project {
 /// resolve to `None`.
 pub fn resolve_module(paths: &[String], from: usize, spec: &str) -> Option<usize> {
     let find = |base: &str| {
-        ["", ".js", "/index.js", ".json"]
-            .iter()
-            .find_map(|suffix| paths.iter().position(|p| p.strip_prefix(base) == Some(*suffix)))
+        ["", ".js", "/index.js", ".json"].iter().find_map(|suffix| {
+            paths
+                .iter()
+                .position(|p| p.strip_prefix(base) == Some(*suffix))
+        })
     };
     let mut dir = parent_dir(paths.get(from)?);
     if let Some(rooted) = spec.strip_prefix('/') {
@@ -396,7 +398,10 @@ mod tests {
         assert_eq!(back.test_driver, p.test_driver);
         assert_eq!(back.files.len(), p.files.len());
         for (a, b) in back.files.iter().zip(&p.files) {
-            assert_eq!((a.path.as_str(), a.src.as_str()), (b.path.as_str(), b.src.as_str()));
+            assert_eq!(
+                (a.path.as_str(), a.src.as_str()),
+                (b.path.as_str(), b.src.as_str())
+            );
         }
         assert_eq!(back.vulns, p.vulns);
         // Re-serialization is byte-identical (the wire format is stable).

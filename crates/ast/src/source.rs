@@ -152,7 +152,11 @@ impl Loc {
     /// If this is a prototype sentinel, the owning function's location.
     pub fn prototype_owner(self) -> Option<Loc> {
         if self.col >= Self::PROTO_COL_MARK {
-            Some(Loc::new(self.file, self.line, self.col - Self::PROTO_COL_MARK))
+            Some(Loc::new(
+                self.file,
+                self.line,
+                self.col - Self::PROTO_COL_MARK,
+            ))
         } else {
             None
         }

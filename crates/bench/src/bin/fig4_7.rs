@@ -107,7 +107,8 @@ fn main() -> ExitCode {
     let mut mono_delta = Vec::new();
     for r in &rows {
         if r.base_edges > 0 {
-            edge_incr.push(100.0 * (r.ext_edges as f64 - r.base_edges as f64) / r.base_edges as f64);
+            edge_incr
+                .push(100.0 * (r.ext_edges as f64 - r.base_edges as f64) / r.base_edges as f64);
         }
         if r.base_reach > 0 {
             reach_incr
@@ -123,8 +124,14 @@ fn main() -> ExitCode {
 
     println!();
     println!("== Summary (cf. paper §5) ==");
-    println!("avg extra call edges:        {:+.1}%   (paper: +55.1%)", avg(&edge_incr));
-    println!("avg extra reachable funcs:   {:+.1}%   (paper: +21.8%)", avg(&reach_incr));
+    println!(
+        "avg extra call edges:        {:+.1}%   (paper: +55.1%)",
+        avg(&edge_incr)
+    );
+    println!(
+        "avg extra reachable funcs:   {:+.1}%   (paper: +21.8%)",
+        avg(&reach_incr)
+    );
     println!(
         "avg resolved call sites:     {:+.1}pp  (paper: +17.7pp)",
         avg(&resolved_delta)

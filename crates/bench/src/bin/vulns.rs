@@ -68,8 +68,6 @@ fn main() -> ExitCode {
     println!(
         "vulnerabilities: {total} total; reachable {reach_b} (baseline) -> {reach_x} (extended)   (paper: 447 total; 52 -> 55)"
     );
-    println!(
-        "total reachable functions: {funcs_b} -> {funcs_x}   (paper: 42661 -> 53805)"
-    );
+    println!("total reachable functions: {funcs_b} -> {funcs_x}   (paper: 42661 -> 53805)");
     exit_code(failures)
 }

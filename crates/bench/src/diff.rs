@@ -83,8 +83,8 @@ impl DiffReport {
 /// Substrings that mark a key as wall-clock-derived. Matched against the
 /// lower-cased final path segment.
 const WALL_MARKERS: &[&str] = &[
-    "_ns", "_ms", "_secs", "_s", "secs", "seconds", "elapsed", "wall", "per_sec", "speedup",
-    "rss", "_ts", "duration", "overhead",
+    "_ns", "_ms", "_secs", "_s", "secs", "seconds", "elapsed", "wall", "per_sec", "speedup", "rss",
+    "_ts", "duration", "overhead",
 ];
 
 /// Counter families whose *total* disappearance from the new document is
@@ -196,8 +196,7 @@ pub fn diff_reports(old: &Json, new: &Json, tolerance: f64) -> DiffReport {
         report.compared += 1;
         match (old_v.as_f64(), new_v.as_f64()) {
             (Some(a), Some(b)) => match classify(path) {
-                LeafClass::Exact =>
-                {
+                LeafClass::Exact => {
                     #[allow(clippy::float_cmp)] // exact-match contract
                     if a != b {
                         report.findings.push(DiffFinding {
@@ -321,16 +320,13 @@ mod tests {
 
     #[test]
     fn span_records_are_keyed_by_path_and_total_ns_is_tolerant() {
-        let old = parse(
-            r#"{"spans": [{"path": "pipeline/solve", "count": 2, "total_ns": 1000000}]}"#,
-        );
-        let new = parse(
-            r#"{"spans": [{"path": "pipeline/solve", "count": 2, "total_ns": 1100000}]}"#,
-        );
+        let old =
+            parse(r#"{"spans": [{"path": "pipeline/solve", "count": 2, "total_ns": 1000000}]}"#);
+        let new =
+            parse(r#"{"spans": [{"path": "pipeline/solve", "count": 2, "total_ns": 1100000}]}"#);
         assert!(diff_reports(&old, &new, 0.25).passed());
-        let changed = parse(
-            r#"{"spans": [{"path": "pipeline/solve", "count": 3, "total_ns": 1000000}]}"#,
-        );
+        let changed =
+            parse(r#"{"spans": [{"path": "pipeline/solve", "count": 3, "total_ns": 1000000}]}"#);
         assert!(!diff_reports(&old, &changed, 0.25).passed());
     }
 
@@ -373,7 +369,11 @@ mod tests {
         let fatal: Vec<_> = r.findings.iter().filter(|f| f.fatal).collect();
         assert_eq!(fatal.len(), 1);
         assert_eq!(fatal[0].path, "interp.*");
-        assert!(fatal[0].message.contains("2 interp.* metrics"), "{}", fatal[0].message);
+        assert!(
+            fatal[0].message.contains("2 interp.* metrics"),
+            "{}",
+            fatal[0].message
+        );
     }
 
     #[test]

@@ -411,9 +411,7 @@ pub fn run_daemon_mode(
 ///
 /// Two runs over the same corpus print byte-identical text whatever the
 /// thread count; `tests/corpus_determinism.rs` asserts exactly that.
-pub fn corpus_metrics_json<E: fmt::Display>(
-    results: &[ProjectResult<BenchmarkReport, E>],
-) -> Json {
+pub fn corpus_metrics_json<E: fmt::Display>(results: &[ProjectResult<BenchmarkReport, E>]) -> Json {
     Json::Arr(
         results
             .iter()
@@ -501,10 +499,11 @@ impl CorpusCli {
                 "--daemon" if json_supported => {
                     cli.daemon = Some(it.next().ok_or("--daemon expects a socket path")?);
                 }
-                "--daemon" => {
-                    return Err("--daemon is not supported by this binary".to_string())
-                }
-                other => match (other.strip_prefix("--threads="), other.strip_prefix("--daemon=")) {
+                "--daemon" => return Err("--daemon is not supported by this binary".to_string()),
+                other => match (
+                    other.strip_prefix("--threads="),
+                    other.strip_prefix("--daemon="),
+                ) {
                     (Some(v), _) => {
                         cli.threads = v
                             .parse()
@@ -603,12 +602,20 @@ mod tests {
         let cli = CorpusCli::parse(args(&["--threads", "3", "--json"]), true).unwrap();
         assert_eq!(
             cli,
-            CorpusCli { threads: 3, json: true, daemon: None }
+            CorpusCli {
+                threads: 3,
+                json: true,
+                daemon: None
+            }
         );
         let cli = CorpusCli::parse(args(&["--threads=2"]), false).unwrap();
         assert_eq!(
             cli,
-            CorpusCli { threads: 2, json: false, daemon: None }
+            CorpusCli {
+                threads: 2,
+                json: false,
+                daemon: None
+            }
         );
     }
 
@@ -652,8 +659,7 @@ mod tests {
 
     #[test]
     fn daemon_requests_against_a_dead_socket_fail_cleanly_in_order() {
-        let projects: Vec<Project> =
-            aji_corpus::pattern_projects().into_iter().take(3).collect();
+        let projects: Vec<Project> = aji_corpus::pattern_projects().into_iter().take(3).collect();
         let names: Vec<String> = projects.iter().map(|p| p.name.clone()).collect();
         let results = run_corpus_daemon(projects, "/nonexistent/aji.sock", 2, false);
         let got: Vec<String> = results.iter().map(|r| r.name.clone()).collect();

@@ -555,8 +555,12 @@ fn dynamic_call_graph_parsed(
     interp_opts: &InterpOptions,
 ) -> BTreeSet<(Loc, Loc)> {
     let recorder = Rc::new(RefCell::new(DynCallGraph::new()));
-    let mut interp =
-        Interp::with_parsed(project, parsed, interp_opts.clone(), Box::new(recorder.clone()));
+    let mut interp = Interp::with_parsed(
+        project,
+        parsed,
+        interp_opts.clone(),
+        Box::new(recorder.clone()),
+    );
     let driver = project
         .test_driver
         .clone()

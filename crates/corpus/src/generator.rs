@@ -355,7 +355,10 @@ pub fn generate_with_manifest(cfg: &GenConfig) -> (Project, Vec<InjectedTypo>) {
             } else {
                 format!("lib{li}")
             };
-            let _ = writeln!(src, "exports.dispatch{ai} = function dispatch{ai}(name, arg) {{");
+            let _ = writeln!(
+                src,
+                "exports.dispatch{ai} = function dispatch{ai}(name, arg) {{"
+            );
             let _ = writeln!(src, "  return {recv}[name](arg);");
             let _ = writeln!(src, "}};");
             dispatchers.push((ai, li));
@@ -404,11 +407,14 @@ pub fn generate_with_manifest(cfg: &GenConfig) -> (Project, Vec<InjectedTypo>) {
         let mut trng = Rng::seed_from_u64(cfg.seed ^ 0x7AB0_5EED);
         for i in 0..cfg.typo_injections {
             let li = trng.random_range(0..cfg.libs);
-            let (original, _) = lib_methods[li][trng.random_range(0..lib_methods[li].len())].clone();
+            let (original, _) =
+                lib_methods[li][trng.random_range(0..lib_methods[li].len())].clone();
             // Every library shares the same method-name space, so one
             // collision check covers them all.
             let taken = |name: &str| {
-                lib_methods.iter().any(|ms| ms.iter().any(|(m, _)| m == name))
+                lib_methods
+                    .iter()
+                    .any(|ms| ms.iter().any(|(m, _)| m == name))
                     || name == "snapshot"
                     || typos.iter().any(|t| t.prop == name)
             };
@@ -420,7 +426,10 @@ pub fn generate_with_manifest(cfg: &GenConfig) -> (Project, Vec<InjectedTypo>) {
                 // can reach.
                 let chars: Vec<char> = original.chars().collect();
                 let stem: String = chars[..chars.len() - 1].iter().collect();
-                let mut alts = vec![stem.clone(), format!("{original}{}", chars[chars.len() - 1])];
+                let mut alts = vec![
+                    stem.clone(),
+                    format!("{original}{}", chars[chars.len() - 1]),
+                ];
                 for ch in ['x', 'z', 'q', 'k', 'w'] {
                     alts.push(format!("{original}{ch}"));
                     alts.push(format!("{stem}{ch}"));
@@ -536,12 +545,21 @@ mod tests {
         let p = generate(&cfg);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for f in &p.files {
-            for b in f.path.bytes().chain([0u8]).chain(f.src.bytes()).chain([0u8]) {
+            for b in f
+                .path
+                .bytes()
+                .chain([0u8])
+                .chain(f.src.bytes())
+                .chain([0u8])
+            {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         }
-        assert_eq!(h, 0xeca6_03e2_f631_9f35, "generator output changed for a fixed seed");
+        assert_eq!(
+            h, 0xeca6_03e2_f631_9f35,
+            "generator output changed for a fixed seed"
+        );
     }
 
     #[test]
@@ -588,9 +606,21 @@ mod tests {
         let p = generate(&cfg);
         aji_parser::parse_project(&p).unwrap();
         let lib0 = p.file("node_modules/lib0/index.js").unwrap();
-        assert!(lib0.src.contains("['cw' + ci0]"), "computed-key loop:\n{}", lib0.src);
-        assert!(lib0.src.contains("Object.defineProperty(api0, 'ds0'"), "{}", lib0.src);
-        assert!(lib0.src.contains("get: function()"), "accessor descriptor:\n{}", lib0.src);
+        assert!(
+            lib0.src.contains("['cw' + ci0]"),
+            "computed-key loop:\n{}",
+            lib0.src
+        );
+        assert!(
+            lib0.src.contains("Object.defineProperty(api0, 'ds0'"),
+            "{}",
+            lib0.src
+        );
+        assert!(
+            lib0.src.contains("get: function()"),
+            "accessor descriptor:\n{}",
+            lib0.src
+        );
         // App modules call the extras and read the accessor.
         let mods: String = p
             .files

@@ -25,7 +25,9 @@
 pub mod generator;
 mod patterns;
 
-pub use generator::{generate, generate_with_manifest, population_configs, GenConfig, InjectedTypo};
+pub use generator::{
+    generate, generate_with_manifest, population_configs, GenConfig, InjectedTypo,
+};
 pub use patterns::pattern_projects;
 
 use aji_ast::Project;

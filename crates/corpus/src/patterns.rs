@@ -205,7 +205,11 @@ app.handle({ url: '/' }, { send: function(body) { return body; } });
 app.set('view engine', 'none');
 "#,
     );
-    p.add_vuln("CVE-SYN-0001", "node_modules/webframe/router.js", "dispatch");
+    p.add_vuln(
+        "CVE-SYN-0001",
+        "node_modules/webframe/router.js",
+        "dispatch",
+    );
     p.add_vuln("CVE-SYN-0002", "node_modules/mixin-props/index.js", "merge");
     p
 }
@@ -500,7 +504,11 @@ u2.age = 30;
 u2.toJSON();
 "#,
     );
-    p.add_vuln("CVE-SYN-0005", "node_modules/modeldef/index.js", "defineModel");
+    p.add_vuln(
+        "CVE-SYN-0005",
+        "node_modules/modeldef/index.js",
+        "defineModel",
+    );
     p
 }
 

@@ -127,7 +127,12 @@ pub fn install(interp: &mut Interp) {
     set_method(interp, object_proto, "hasOwnProperty", "object_has_own");
     set_method(interp, object_proto, "toString", "object_to_string");
     set_method(interp, object_proto, "valueOf", "identity_this");
-    set_method(interp, object_proto, "isPrototypeOf", "object_is_prototype_of");
+    set_method(
+        interp,
+        object_proto,
+        "isPrototypeOf",
+        "object_is_prototype_of",
+    );
     set_method(
         interp,
         object_proto,
@@ -238,7 +243,10 @@ pub fn install(interp: &mut Interp) {
             ("defineProperty", "object_define_property"),
             ("defineProperties", "object_define_properties"),
             ("getOwnPropertyNames", "object_get_own_property_names"),
-            ("getOwnPropertyDescriptor", "object_get_own_property_descriptor"),
+            (
+                "getOwnPropertyDescriptor",
+                "object_get_own_property_descriptor",
+            ),
             ("getPrototypeOf", "object_get_prototype_of"),
             ("setPrototypeOf", "object_set_prototype_of"),
             ("freeze", "identity_first_arg"),
@@ -284,8 +292,18 @@ pub fn install(interp: &mut Interp) {
         set_method(interp, nc, "isNaN", "global_is_nan");
         set_method(interp, nc, "parseInt", "global_parse_int");
         set_method(interp, nc, "parseFloat", "global_parse_float");
-        set_hidden(interp, nc, "MAX_SAFE_INTEGER", Value::Num(9007199254740991.0));
-        set_hidden(interp, nc, "MIN_SAFE_INTEGER", Value::Num(-9007199254740991.0));
+        set_hidden(
+            interp,
+            nc,
+            "MAX_SAFE_INTEGER",
+            Value::Num(9007199254740991.0),
+        );
+        set_hidden(
+            interp,
+            nc,
+            "MIN_SAFE_INTEGER",
+            Value::Num(-9007199254740991.0),
+        );
         set_hidden(interp, nc, "EPSILON", Value::Num(f64::EPSILON));
         set_hidden(interp, nc, "NaN", Value::Num(f64::NAN));
     }
@@ -297,7 +315,14 @@ pub fn install(interp: &mut Interp) {
     bind_global(interp, "Boolean", boolean_ctor);
 
     // Errors.
-    for name in ["Error", "TypeError", "RangeError", "SyntaxError", "EvalError", "ReferenceError"] {
+    for name in [
+        "Error",
+        "TypeError",
+        "RangeError",
+        "SyntaxError",
+        "EvalError",
+        "ReferenceError",
+    ] {
         let ctor = make_native(interp, "error_ctor");
         if let Some(ec) = ctor.as_obj() {
             // Per-type prototype chained to Error.prototype.
@@ -398,7 +423,12 @@ pub fn install(interp: &mut Interp) {
     }
     // Symbol.iterator marker used by some libraries.
     if let Some(Value::Obj(sym)) = crate::env::lookup(&interp.global_scope, "Symbol").as_ref() {
-        set_hidden(interp, *sym, "iterator", Value::str("Symbol(Symbol.iterator)"));
+        set_hidden(
+            interp,
+            *sym,
+            "iterator",
+            Value::str("Symbol(Symbol.iterator)"),
+        );
         set_hidden(
             interp,
             *sym,
@@ -724,8 +754,16 @@ fn define_one_property(
     if i.heap.is_callable(&get) || i.heap.is_callable(&set) {
         let prop = Prop {
             value: PropValue::Accessor {
-                get: if i.heap.is_callable(&get) { Some(get.clone()) } else { None },
-                set: if i.heap.is_callable(&set) { Some(set.clone()) } else { None },
+                get: if i.heap.is_callable(&get) {
+                    Some(get.clone())
+                } else {
+                    None
+                },
+                set: if i.heap.is_callable(&set) {
+                    Some(set.clone())
+                } else {
+                    None
+                },
             },
             enumerable: enumerable.is_truthy(),
         };
@@ -736,14 +774,16 @@ fn define_one_property(
         let op_loc = i.current_call_site;
         let obj_loc = i.loc_of(target);
         let val_loc = i.loc_of(&get);
-        i.tracer.on_dynamic_write(op_loc, obj_loc, key, val_loc, &get);
+        i.tracer
+            .on_dynamic_write(op_loc, obj_loc, key, val_loc, &get);
         return Ok(());
     }
     let value = i.get_property(descriptor.clone(), "value", None)?;
     let op_loc = i.current_call_site;
     let obj_loc = i.loc_of(target);
     let val_loc = i.loc_of(&value);
-    i.tracer.on_dynamic_write(op_loc, obj_loc, key, val_loc, &value);
+    i.tracer
+        .on_dynamic_write(op_loc, obj_loc, key, val_loc, &value);
     i.heap.get_mut(tid).props.insert(
         Rc::from(key),
         Prop {
@@ -766,11 +806,7 @@ fn object_define_property(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) 
     Ok(target)
 }
 
-fn define_properties_from(
-    i: &mut Interp,
-    target: &Value,
-    props: &Value,
-) -> Result<(), JsError> {
+fn define_properties_from(i: &mut Interp, target: &Value, props: &Value) -> Result<(), JsError> {
     if let Some(pid) = props.as_obj() {
         if !matches!(i.heap.get(pid).kind, ObjKind::Proxy) {
             for k in i.heap.own_enumerable_keys(pid) {
@@ -792,12 +828,7 @@ fn object_define_properties(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]
 fn object_get_own_property_names(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let keys = match arg(args, 0).as_obj() {
         Some(id) if !matches!(i.heap.get(id).kind, ObjKind::Proxy) => {
-            let mut ks: Vec<Value> = i
-                .heap
-                .own_keys(id)
-                .into_iter()
-                .map(Value::Str)
-                .collect();
+            let mut ks: Vec<Value> = i.heap.own_keys(id).into_iter().map(Value::Str).collect();
             if matches!(i.heap.get(id).kind, ObjKind::Array(_)) {
                 ks.push(Value::str("length"));
             }
@@ -832,10 +863,8 @@ fn object_get_own_property_descriptor(i: &mut Interp, _s: ObjId, _t: Value, args
             i.heap.set_prop(d, "writable", Value::Bool(true));
         }
         PropValue::Accessor { get, set } => {
-            i.heap
-                .set_prop(d, "get", get.unwrap_or(Value::Undefined));
-            i.heap
-                .set_prop(d, "set", set.unwrap_or(Value::Undefined));
+            i.heap.set_prop(d, "get", get.unwrap_or(Value::Undefined));
+            i.heap.set_prop(d, "set", set.unwrap_or(Value::Undefined));
         }
     }
     i.heap
@@ -846,12 +875,7 @@ fn object_get_own_property_descriptor(i: &mut Interp, _s: ObjId, _t: Value, args
 
 fn object_get_prototype_of(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     match arg(args, 0).as_obj() {
-        Some(id) => Ok(i
-            .heap
-            .get(id)
-            .proto
-            .map(Value::Obj)
-            .unwrap_or(Value::Null)),
+        Some(id) => Ok(i.heap.get(id).proto.map(Value::Obj).unwrap_or(Value::Null)),
         None => Ok(Value::Null),
     }
 }
@@ -955,8 +979,7 @@ fn function_bind(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     match i.heap.get(fid).kind.clone() {
         ObjKind::Function(mut data) => {
             data.bound_this = Some(Box::new(arg(args, 0)));
-            data.bound_args
-                .extend(args.iter().skip(1).cloned());
+            data.bound_args.extend(args.iter().skip(1).cloned());
             let b = i.heap.alloc(ObjKind::Function(data));
             let src = i.heap.get(fid).clone();
             let dst = i.heap.get_mut(b);
@@ -985,11 +1008,7 @@ fn function_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
         Some(b) => i.to_string_value(b),
         None => String::new(),
     };
-    let src = format!(
-        "(function anonymous({}) {{ {} }})",
-        params.join(", "),
-        body
-    );
+    let src = format!("(function anonymous({}) {{ {} }})", params.join(", "), body);
     let scope = i.global_scope();
     i.run_eval(&src, &scope)
 }
@@ -1120,7 +1139,9 @@ fn array_splice(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         Some(v) => (i.to_number_value(v)?.max(0.0) as usize).min(len - start),
         None => len - start,
     };
-    let removed: Vec<Value> = elems.splice(start..start + delete_count, args.iter().skip(2).cloned()).collect();
+    let removed: Vec<Value> = elems
+        .splice(start..start + delete_count, args.iter().skip(2).cloned())
+        .collect();
     store_elems(i, &this, elems);
     Ok(new_array(i, removed))
 }
@@ -1345,12 +1366,8 @@ fn array_sort(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         for e in elems.into_iter() {
             let mut at = sorted.len();
             for (j, s) in sorted.iter().enumerate() {
-                let r = i.call_value(
-                    cmp.clone(),
-                    Value::Undefined,
-                    &[e.clone(), s.clone()],
-                    None,
-                )?;
+                let r =
+                    i.call_value(cmp.clone(), Value::Undefined, &[e.clone(), s.clone()], None)?;
                 if i.to_number_value(&r)? < 0.0 {
                     at = j;
                     break;
@@ -1427,7 +1444,10 @@ fn string_char_at(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let s = this_string(i, &this);
     let idx = i.to_number_value(&arg(args, 0))? as usize;
     Ok(Value::from(
-        s.chars().nth(idx).map(|c| c.to_string()).unwrap_or_default(),
+        s.chars()
+            .nth(idx)
+            .map(|c| c.to_string())
+            .unwrap_or_default(),
     ))
 }
 
@@ -1479,7 +1499,10 @@ fn string_ends_with(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R
 }
 
 fn char_slice(s: &str, start: usize, end: usize) -> String {
-    s.chars().skip(start).take(end.saturating_sub(start)).collect()
+    s.chars()
+        .skip(start)
+        .take(end.saturating_sub(start))
+        .collect()
 }
 
 fn string_slice(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1536,9 +1559,7 @@ fn string_split(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let sep = arg(args, 0);
     let parts: Vec<Value> = match &sep {
         Value::Undefined => vec![Value::from(s)],
-        Value::Str(sep) if sep.is_empty() => {
-            s.chars().map(|c| Value::str(c.to_string())).collect()
-        }
+        Value::Str(sep) if sep.is_empty() => s.chars().map(|c| Value::str(c.to_string())).collect(),
         Value::Str(sep) => s.split(&**sep).map(Value::str).collect(),
         Value::Obj(_) => {
             // Regex separator: approximate by whitespace split.
@@ -1656,13 +1677,15 @@ fn boolean_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
 }
 
 fn number_is_integer(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
-    Ok(Value::Bool(matches!(
-        arg(args, 0),
-        Value::Num(n) if n.fract() == 0.0 && n.is_finite()
-    ) && {
-        let _ = i;
-        true
-    }))
+    Ok(Value::Bool(
+        matches!(
+            arg(args, 0),
+            Value::Num(n) if n.fract() == 0.0 && n.is_finite()
+        ) && {
+            let _ = i;
+            true
+        },
+    ))
 }
 
 fn number_to_string(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1764,14 +1787,13 @@ fn global_parse_int(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let has_hex_prefix = t.starts_with("0x") || t.starts_with("0X");
     let radix = explicit.unwrap_or(if has_hex_prefix { 16 } else { 10 });
     let t = if radix == 16 {
-        t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")).unwrap_or(t)
+        t.strip_prefix("0x")
+            .or_else(|| t.strip_prefix("0X"))
+            .unwrap_or(t)
     } else {
         t
     };
-    let digits: String = t
-        .chars()
-        .take_while(|c| c.is_digit(radix))
-        .collect();
+    let digits: String = t.chars().take_while(|c| c.is_digit(radix)).collect();
     if digits.is_empty() {
         return Ok(Value::Num(f64::NAN));
     }
@@ -1862,7 +1884,8 @@ fn error_ctor(i: &mut Interp, s: ObjId, _t: Value, args: &[Value]) -> R {
     let e = i.heap.alloc_plain(Some(proto), site);
     i.tracer.on_alloc(site);
     i.heap.set_prop(e, "message", Value::from(msg));
-    i.heap.set_prop(e, "stack", Value::str("Error\n    at <anonymous>"));
+    i.heap
+        .set_prop(e, "stack", Value::str("Error\n    at <anonymous>"));
     Ok(Value::Obj(e))
 }
 
@@ -1927,7 +1950,7 @@ fn date_ctor(i: &mut Interp, s: ObjId, _t: Value, _a: &[Value]) -> R {
 fn deterministic_now(i: &mut Interp) -> f64 {
     // A fixed epoch advanced by 1s per observation keeps runs reproducible
     // while still looking like a clock to the program.
-    
+
     1_700_000_000_000.0 + (i.heap.len() as f64) * 1000.0
 }
 
@@ -2347,7 +2370,10 @@ static NATIVE_TABLE: &[(&str, NativeFn)] = &[
     ("object_create", object_create),
     ("object_define_property", object_define_property),
     ("object_define_properties", object_define_properties),
-    ("object_get_own_property_names", object_get_own_property_names),
+    (
+        "object_get_own_property_names",
+        object_get_own_property_names,
+    ),
     (
         "object_get_own_property_descriptor",
         object_get_own_property_descriptor,

@@ -37,8 +37,7 @@ impl Interp {
                 self.tracer.on_alloc(loc);
                 self.heap.set_prop(obj, "source", Value::str(pattern));
                 self.heap.set_prop(obj, "flags", Value::str(flags));
-                self.heap
-                    .set_prop(obj, "lastIndex", Value::Num(0.0));
+                self.heap.set_prop(obj, "lastIndex", Value::Num(0.0));
                 Ok(Value::Obj(obj))
             }
             ExprKind::Ident(name) => self.eval_ident(name, scope),
@@ -48,9 +47,10 @@ impl Interp {
                 for el in elems {
                     match el {
                         None => out.push(Value::Undefined),
-                        Some(ExprOrSpread { spread: false, expr }) => {
-                            out.push(self.eval_expr(expr, scope)?)
-                        }
+                        Some(ExprOrSpread {
+                            spread: false,
+                            expr,
+                        }) => out.push(self.eval_expr(expr, scope)?),
                         Some(ExprOrSpread { spread: true, expr }) => {
                             let v = self.eval_expr(expr, scope)?;
                             out.extend(self.iterate_values(&v)?);
@@ -142,9 +142,7 @@ impl Interp {
                     }
                     _ => {
                         let r = self.eval_expr(value, scope)?;
-                        let bop = op
-                            .binary_op()
-                            .expect("compound assignment with binary op");
+                        let bop = op.binary_op().expect("compound assignment with binary op");
                         self.eval_binary(bop, old, r)?
                     }
                 };
@@ -196,9 +194,7 @@ impl Interp {
     fn resolves_to_global_eval(&self, scope: &ScopeRef) -> bool {
         match env::lookup(scope, "eval") {
             Some(Value::Obj(id)) => match &self.heap.get(id).kind {
-                crate::heap::ObjKind::Native(n) => {
-                    self.natives[*n as usize].name == "global_eval"
-                }
+                crate::heap::ObjKind::Native(n) => self.natives[*n as usize].name == "global_eval",
                 _ => false,
             },
             _ => false,
@@ -326,12 +322,7 @@ impl Interp {
         Ok(objv)
     }
 
-    fn eval_unary(
-        &mut self,
-        op: UnaryOp,
-        expr: &Expr,
-        scope: &ScopeRef,
-    ) -> Result<Value, JsError> {
+    fn eval_unary(&mut self, op: UnaryOp, expr: &Expr, scope: &ScopeRef) -> Result<Value, JsError> {
         if op == UnaryOp::TypeOf {
             // `typeof x` on an unbound identifier yields "undefined".
             if let ExprKind::Ident(name) = &expr.unparen().kind {
@@ -475,10 +466,8 @@ impl Interp {
                         if self.opts.approx {
                             Ok(Value::Bool(false))
                         } else {
-                            Err(self.throw_error(
-                                "TypeError",
-                                "cannot use 'in' operator on non-object",
-                            ))
+                            Err(self
+                                .throw_error("TypeError", "cannot use 'in' operator on non-object"))
                         }
                     }
                 }
@@ -774,11 +763,7 @@ impl Interp {
                     }
                 }
                 if let Some(r) = rest {
-                    let tail: Vec<Value> = values
-                        .iter()
-                        .skip(elems.len())
-                        .cloned()
-                        .collect();
+                    let tail: Vec<Value> = values.iter().skip(elems.len()).cloned().collect();
                     let arr = self.heap.alloc(ObjKind::Array(tail));
                     self.heap.get_mut(arr).proto = Some(self.protos.array);
                     self.bind_pattern(r, Value::Obj(arr), scope, declare)?;
@@ -799,10 +784,9 @@ impl Interp {
                         if self.opts.approx {
                             self.proxy_value()
                         } else {
-                            return Err(self.throw_error(
-                                "TypeError",
-                                "cannot destructure nullish value",
-                            ));
+                            return Err(
+                                self.throw_error("TypeError", "cannot destructure nullish value")
+                            );
                         }
                     } else {
                         self.get_property(v.clone(), &key, None)?
@@ -900,7 +884,12 @@ impl Interp {
         if is_default_ctor && super_ctor.is_some() {
             self.heap
                 .set_prop(fid, "__default_derived_ctor__", Value::Bool(true));
-            if let Some(p) = self.heap.get_mut(fid).props.get_mut("__default_derived_ctor__") {
+            if let Some(p) = self
+                .heap
+                .get_mut(fid)
+                .props
+                .get_mut("__default_derived_ctor__")
+            {
                 p.enumerable = false;
             }
         }
@@ -1065,11 +1054,7 @@ impl Interp {
     /// Constructs a new object honoring `__default_derived_ctor__` and
     /// `__instance_fields__` set by [`Self::eval_class`]. Called from the
     /// generic `construct` path via closures — exposed for the builtins.
-    pub(crate) fn run_instance_fields(
-        &mut self,
-        ctor: ObjId,
-        this: &Value,
-    ) -> Result<(), JsError> {
+    pub(crate) fn run_instance_fields(&mut self, ctor: ObjId, this: &Value) -> Result<(), JsError> {
         let fields = match self.heap.own_prop(ctor, "__instance_fields__") {
             Some(Prop {
                 value: PropValue::Data(Value::Obj(arr)),
@@ -1084,9 +1069,7 @@ impl Interp {
         for pair in pairs {
             let Some(pid) = pair.as_obj() else { continue };
             let (name, init) = match &self.heap.get(pid).kind {
-                ObjKind::Array(elems) if elems.len() == 2 => {
-                    (elems[0].clone(), elems[1].clone())
-                }
+                ObjKind::Array(elems) if elems.len() == 2 => (elems[0].clone(), elems[1].clone()),
                 _ => continue,
             };
             let key = self.to_string_value(&name);

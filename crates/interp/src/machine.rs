@@ -396,7 +396,8 @@ impl Interp {
     /// for absent properties").
     pub fn make_this_wrapper(&mut self, base: ObjId) -> Value {
         let w = self.heap.alloc_plain(Some(base), None);
-        self.heap.set_prop(w, "__proxy_fallback__", Value::Bool(true));
+        self.heap
+            .set_prop(w, "__proxy_fallback__", Value::Bool(true));
         if let Some(p) = self.heap.get_mut(w).props.get_mut("__proxy_fallback__") {
             p.enumerable = false;
         }
@@ -473,10 +474,8 @@ impl Interp {
         let mobj = self
             .heap
             .alloc_plain(Some(self.protos.object), Some(Loc::new(file, 0, 1)));
-        self.heap
-            .set_prop(mobj, "exports", Value::Obj(exports));
-        self.heap
-            .set_prop(mobj, "id", Value::str(&self.paths[idx]));
+        self.heap.set_prop(mobj, "exports", Value::Obj(exports));
+        self.heap.set_prop(mobj, "id", Value::str(&self.paths[idx]));
         self.module_cache.insert(idx, mobj);
 
         let module_rc = self.modules[idx].clone();
@@ -590,10 +589,7 @@ impl Interp {
                 if self.opts.approx {
                     Ok(self.proxy_value())
                 } else {
-                    Err(self.throw_error(
-                        "Error",
-                        format!("Cannot find module '{name}'"),
-                    ))
+                    Err(self.throw_error("Error", format!("Cannot find module '{name}'")))
                 }
             }
         }
@@ -601,9 +597,7 @@ impl Interp {
 
     /// Executes an embedded core-module implementation.
     fn load_prelude(&mut self, name: &str, src: &'static str) -> Result<Value, JsError> {
-        let file = self
-            .source_map
-            .add_file(format!("<builtin:{name}>"), src);
+        let file = self.source_map.add_file(format!("<builtin:{name}>"), src);
         let module = aji_parser::parse_module(src, file, &mut self.ids)
             .map_err(|e| JsError::Internal(format!("prelude `{name}` failed to parse: {e}")))?;
         // Register functions without locations: prelude code is not part
@@ -635,7 +629,11 @@ impl Interp {
         if let Some(&mobj) = self.module_cache.get(&idx) {
             return Ok(self.exports_of(mobj));
         }
-        let text = self.source_map.file(aji_ast::FileId(idx as u32)).src.clone();
+        let text = self
+            .source_map
+            .file(aji_ast::FileId(idx as u32))
+            .src
+            .clone();
         let json = builtins::make_native(self, "json_parse");
         let v = self.call_value(json, Value::Undefined, &[Value::from(text)], None)?;
         let mobj = self.heap.alloc_plain(Some(self.protos.object), None);
@@ -674,10 +672,7 @@ impl Interp {
             if self.opts.approx {
                 return Ok(self.proxy_value());
             }
-            return Err(self.throw_error(
-                "TypeError",
-                format!("{} is not a function", callee),
-            ));
+            return Err(self.throw_error("TypeError", format!("{} is not a function", callee)));
         };
         let kind = self.heap.get(id).kind.clone();
         match kind {
@@ -708,10 +703,7 @@ impl Interp {
                 if self.opts.approx {
                     Ok(self.proxy_value())
                 } else {
-                    Err(self.throw_error(
-                        "TypeError",
-                        format!("{} is not a function", callee),
-                    ))
+                    Err(self.throw_error("TypeError", format!("{} is not a function", callee)))
                 }
             }
         }
@@ -780,7 +772,9 @@ impl Interp {
             // `arguments`.
             let args_obj = self.heap.alloc(ObjKind::Array(args.to_vec()));
             self.heap.get_mut(args_obj).proto = Some(self.protos.array);
-            scope.borrow_mut().declare("arguments", Value::Obj(args_obj));
+            scope
+                .borrow_mut()
+                .declare("arguments", Value::Obj(args_obj));
         }
         // Named function expressions can refer to themselves.
         if let Some(name) = &def.name {
@@ -809,11 +803,7 @@ impl Interp {
             self.bind_pattern(&param.pat, v, &scope, true)?;
         }
         if let Some(rest) = &def.rest {
-            let extra: Vec<Value> = args
-                .iter()
-                .skip(def.params.len())
-                .cloned()
-                .collect();
+            let extra: Vec<Value> = args.iter().skip(def.params.len()).cloned().collect();
             let arr = self.heap.alloc(ObjKind::Array(extra));
             self.heap.get_mut(arr).proto = Some(self.protos.array);
             self.bind_pattern(rest, Value::Obj(arr), &scope, true)?;
@@ -887,21 +877,16 @@ impl Interp {
         // The prototype object inherits a sentinel allocation site derived
         // from its function's, so hints about `F.prototype` map onto the
         // static analysis' Proto token.
-        let proto_site = self
-            .heap
-            .get(fid)
-            .born_at
-            .map(|l| l.prototype_site());
+        let proto_site = self.heap.get(fid).born_at.map(|l| l.prototype_site());
         let proto = self.heap.alloc_plain(Some(self.protos.object), proto_site);
-        self.heap
-            .set_prop(proto, "constructor", Value::Obj(fid));
+        self.heap.set_prop(proto, "constructor", Value::Obj(fid));
         if let Some(p) = self.heap.get_mut(proto).props.get_mut("constructor") {
             p.enumerable = false;
         }
-        self.heap.get_mut(fid).props.insert(
-            Rc::from("prototype"),
-            Prop::hidden(Value::Obj(proto)),
-        );
+        self.heap
+            .get_mut(fid)
+            .props
+            .insert(Rc::from("prototype"), Prop::hidden(Value::Obj(proto)));
         proto
     }
 

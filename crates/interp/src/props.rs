@@ -51,15 +51,15 @@ impl Interp {
                         self.obs.proxy_ops.inc();
                         return Ok(self.proxy_value());
                     }
-                    ObjKind::Array(elems)
-                        if key == "length" => {
-                            return Ok(Value::Num(elems.len() as f64));
-                        }
+                    ObjKind::Array(elems) if key == "length" => {
+                        return Ok(Value::Num(elems.len() as f64));
+                    }
                     ObjKind::Function(_) | ObjKind::Native(_)
-                        if key == "prototype" && self.heap.own_prop(id, "prototype").is_none() => {
-                            let p = self.function_prototype(id);
-                            return Ok(Value::Obj(p));
-                        }
+                        if key == "prototype" && self.heap.own_prop(id, "prototype").is_none() =>
+                    {
+                        let p = self.function_prototype(id);
+                        return Ok(Value::Obj(p));
+                    }
                     _ => {}
                 }
                 match self.heap.lookup(id, key) {
@@ -77,11 +77,7 @@ impl Interp {
                             return Ok(Value::Obj(id));
                         }
                         // §3 receiver wrappers delegate misses to p*.
-                        if self
-                            .heap
-                            .lookup(id, "__proxy_fallback__")
-                            .is_some()
-                        {
+                        if self.heap.lookup(id, "__proxy_fallback__").is_some() {
                             return Ok(self.proxy_value());
                         }
                         Ok(Value::Undefined)
@@ -136,7 +132,12 @@ impl Interp {
         self.tracer.on_prop_access(site, name, &shape, found);
     }
 
-    fn proto_lookup(&mut self, proto: crate::value::ObjId, this: Value, key: &str) -> Result<Value, JsError> {
+    fn proto_lookup(
+        &mut self,
+        proto: crate::value::ObjId,
+        this: Value,
+        key: &str,
+    ) -> Result<Value, JsError> {
         match self.heap.lookup(proto, key) {
             Some((Prop { value, .. }, _)) => match value {
                 PropValue::Data(v) => Ok(v),
@@ -159,10 +160,9 @@ impl Interp {
     ) -> Result<(), JsError> {
         let Some(id) = base.as_obj() else {
             if base.is_nullish() && !self.opts.approx {
-                return Err(self.throw_error(
-                    "TypeError",
-                    format!("Cannot set properties of {}", base),
-                ));
+                return Err(
+                    self.throw_error("TypeError", format!("Cannot set properties of {}", base))
+                );
             }
             return Ok(()); // writes to primitives are silently dropped
         };
@@ -171,10 +171,13 @@ impl Interp {
             return Ok(());
         }
         // Setter anywhere on the prototype chain wins.
-        if let Some((Prop {
-            value: PropValue::Accessor { set, .. },
-            ..
-        }, _)) = self.heap.lookup(id, key)
+        if let Some((
+            Prop {
+                value: PropValue::Accessor { set, .. },
+                ..
+            },
+            _,
+        )) = self.heap.lookup(id, key)
         {
             if let Some(s) = set {
                 self.call_value(s, base.clone(), &[v], None)?;
@@ -212,10 +215,13 @@ impl Interp {
             ObjKind::Plain => {
                 // valueOf first (for Date-like objects), then toString.
                 for m in ["valueOf", "toString"] {
-                    if let Some((Prop {
-                        value: PropValue::Data(f),
-                        ..
-                    }, _)) = self.heap.lookup(id, m)
+                    if let Some((
+                        Prop {
+                            value: PropValue::Data(f),
+                            ..
+                        },
+                        _,
+                    )) = self.heap.lookup(id, m)
                     {
                         if self.heap.is_callable(&f) {
                             let r = self.call_value(f, v.clone(), &[], None)?;

@@ -385,12 +385,7 @@ impl Interp {
         }
     }
 
-    fn bind_for_head(
-        &mut self,
-        head: &ForHead,
-        v: Value,
-        scope: &ScopeRef,
-    ) -> Result<(), JsError> {
+    fn bind_for_head(&mut self, head: &ForHead, v: Value, scope: &ScopeRef) -> Result<(), JsError> {
         match head {
             ForHead::VarDecl { kind, pat } => {
                 let declare = *kind != VarKind::Var;
@@ -453,17 +448,12 @@ impl Interp {
                                 if self.opts.approx {
                                     return Ok(Vec::new());
                                 }
-                                return Err(self
-                                    .throw_error("TypeError", "value is not iterable"));
+                                return Err(self.throw_error("TypeError", "value is not iterable"));
                             }
                         };
                         let mut out = Vec::with_capacity(len.min(4096));
                         for i in 0..len.min(100_000) {
-                            out.push(self.get_property(
-                                v.clone(),
-                                &i.to_string(),
-                                None,
-                            )?);
+                            out.push(self.get_property(v.clone(), &i.to_string(), None)?);
                         }
                         Ok(out)
                     }
@@ -581,7 +571,5 @@ pub(crate) fn collect_pattern_names(p: &Pattern, out: &mut Vec<String>) {
 fn pattern_names_bound(p: &Pattern, scope: &ScopeRef) -> bool {
     let mut names = Vec::new();
     collect_pattern_names(p, &mut names);
-    names
-        .iter()
-        .all(|n| crate::env::lookup(scope, n).is_some())
+    names.iter().all(|n| crate::env::lookup(scope, n).is_some())
 }

@@ -84,7 +84,8 @@ impl<T: Tracer> Tracer for std::rc::Rc<std::cell::RefCell<T>> {
         self.borrow_mut().on_call(call_site, callee_def, callee_loc);
     }
     fn on_dynamic_read(&mut self, op_loc: Loc, result: &Value, result_loc: Option<Loc>) {
-        self.borrow_mut().on_dynamic_read(op_loc, result, result_loc);
+        self.borrow_mut()
+            .on_dynamic_read(op_loc, result, result_loc);
     }
     fn on_dynamic_write(
         &mut self,

@@ -15,8 +15,7 @@ impl ObjId {
 }
 
 /// A JavaScript value.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// `undefined`.
     #[default]
@@ -90,7 +89,6 @@ impl Value {
         }
     }
 }
-
 
 impl From<bool> for Value {
     fn from(b: bool) -> Self {

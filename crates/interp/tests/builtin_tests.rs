@@ -9,9 +9,9 @@ fn run(src: &str) -> String {
     let mut p = Project::new("t");
     p.add_file("index.js", src);
     let mut interp = Interp::new(&p).expect("parse");
-    let exports = interp.run_module("index.js").unwrap_or_else(|e| {
-        panic!("run failed: {e}\nsource:\n{src}")
-    });
+    let exports = interp
+        .run_module("index.js")
+        .unwrap_or_else(|e| panic!("run failed: {e}\nsource:\n{src}"));
     let r = interp
         .get_property_public(&exports, "result")
         .expect("result");
@@ -65,9 +65,11 @@ fn object_get_own_property_names_vs_keys() {
 #[test]
 fn object_create_with_descriptor_map() {
     assert_eq!(
-        run("var base = { greet: function() { return 'hi ' + this.name; } };\n\
+        run(
+            "var base = { greet: function() { return 'hi ' + this.name; } };\n\
              var o = Object.create(base, { name: { value: 'ada', enumerable: true } });\n\
-             exports.result = o.greet();"),
+             exports.result = o.greet();"
+        ),
         "hi ada"
     );
 }
@@ -117,7 +119,10 @@ fn array_higher_order_chain() {
 #[test]
 fn array_find_and_find_index() {
     assert_eq!(run("exports.result = [5, 12, 8].find(x => x > 9);"), "12");
-    assert_eq!(run("exports.result = [5, 12, 8].findIndex(x => x > 9);"), "1");
+    assert_eq!(
+        run("exports.result = [5, 12, 8].findIndex(x => x > 9);"),
+        "1"
+    );
     assert_eq!(run("exports.result = [5].find(x => x > 9);"), "undefined");
 }
 
@@ -162,8 +167,10 @@ fn array_reverse_and_fill() {
 #[test]
 fn array_like_arguments_slice() {
     assert_eq!(
-        run("function f() { return Array.prototype.slice.call(arguments, 1).join('-'); }\n\
-             exports.result = f('skip', 'a', 'b');"),
+        run(
+            "function f() { return Array.prototype.slice.call(arguments, 1).join('-'); }\n\
+             exports.result = f('skip', 'a', 'b');"
+        ),
         "a-b"
     );
 }
@@ -171,7 +178,9 @@ fn array_like_arguments_slice() {
 #[test]
 fn array_reduce_right() {
     assert_eq!(
-        run("exports.result = ['a','b','c'].reduceRight(function(acc, x) { return acc + x; }, '');"),
+        run(
+            "exports.result = ['a','b','c'].reduceRight(function(acc, x) { return acc + x; }, '');"
+        ),
         "cba"
     );
 }
@@ -192,7 +201,10 @@ fn spread_in_calls_and_arrays() {
 fn string_split_edge_cases() {
     assert_eq!(run("exports.result = ''.split(',').length;"), "1");
     assert_eq!(run("exports.result = 'abc'.split('').join('|');"), "a|b|c");
-    assert_eq!(run("exports.result = 'a,b,c'.split(',', 2).join('|');"), "a|b");
+    assert_eq!(
+        run("exports.result = 'a,b,c'.split(',', 2).join('|');"),
+        "a|b"
+    );
 }
 
 #[test]
@@ -226,7 +238,10 @@ fn number_formatting() {
     assert_eq!(run("exports.result = (10).toString(2);"), "1010");
     assert_eq!(run("exports.result = (-255).toString(16);"), "-ff");
     assert_eq!(run("exports.result = Number('12.5');"), "12.5");
-    assert_eq!(run("exports.result = Number.isInteger(4) + ':' + Number.isInteger(4.5);"), "true:false");
+    assert_eq!(
+        run("exports.result = Number.isInteger(4) + ':' + Number.isInteger(4.5);"),
+        "true:false"
+    );
 }
 
 #[test]
@@ -254,8 +269,10 @@ fn json_stringify_skips_functions_and_undefined() {
 #[test]
 fn json_parse_nested() {
     assert_eq!(
-        run("var o = JSON.parse('{\"a\": {\"b\": [1, {\"c\": true}]}}');\n\
-             exports.result = o.a.b[1].c;"),
+        run(
+            "var o = JSON.parse('{\"a\": {\"b\": [1, {\"c\": true}]}}');\n\
+             exports.result = o.a.b[1].c;"
+        ),
         "true"
     );
 }
@@ -471,8 +488,7 @@ fn date_is_deterministic_and_monotone() {
 
 #[test]
 fn math_random_in_range_and_varies() {
-    let out = run(
-        "var seen = {};\n\
+    let out = run("var seen = {};\n\
          var distinct = 0;\n\
          for (var i = 0; i < 20; i++) {\n\
          var r = Math.random();\n\
@@ -480,8 +496,7 @@ fn math_random_in_range_and_varies() {
          var k = '' + r;\n\
          if (!seen[k]) { seen[k] = true; distinct++; }\n\
          }\n\
-         exports.result = distinct;",
-    );
+         exports.result = distinct;");
     assert_eq!(out, "20");
 }
 

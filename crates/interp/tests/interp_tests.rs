@@ -10,7 +10,10 @@ fn run(src: &str) -> String {
     p.add_file("index.js", src);
     let mut interp = Interp::new(&p).expect("parse");
     let exports = interp.run_module("index.js").unwrap_or_else(|e| {
-        panic!("run failed: {e}\nsource:\n{src}\nconsole:\n{:?}", interp.console)
+        panic!(
+            "run failed: {e}\nsource:\n{src}\nconsole:\n{:?}",
+            interp.console
+        )
     });
     let r = interp
         .get_property_public(&exports, "result")
@@ -49,7 +52,10 @@ fn arithmetic_and_precedence() {
 fn string_concatenation() {
     assert_eq!(run("exports.result = 'a' + 'b' + 1;"), "ab1");
     assert_eq!(run("exports.result = 1 + 2 + 'x';"), "3x");
-    assert_eq!(run("exports.result = 'n=' + null + ',' + undefined;"), "n=null,undefined");
+    assert_eq!(
+        run("exports.result = 'n=' + null + ',' + undefined;"),
+        "n=null,undefined"
+    );
 }
 
 #[test]
@@ -187,7 +193,10 @@ fn closures_capture_environment() {
 
 #[test]
 fn hoisting_of_functions_and_vars() {
-    assert_eq!(run("exports.result = f(); function f() { return 'hoisted'; }"), "hoisted");
+    assert_eq!(
+        run("exports.result = f(); function f() { return 'hoisted'; }"),
+        "hoisted"
+    );
     assert_eq!(run("exports.result = typeof x; var x = 1;"), "undefined");
 }
 
@@ -201,7 +210,10 @@ fn arguments_object() {
 
 #[test]
 fn default_and_rest_params() {
-    assert_eq!(run("function f(a, b = 10) { return a + b; } exports.result = f(1);"), "11");
+    assert_eq!(
+        run("function f(a, b = 10) { return a + b; } exports.result = f(1);"),
+        "11"
+    );
     assert_eq!(
         run("function f(a, ...rest) { return rest.join('-'); } exports.result = f(1, 2, 3, 4);"),
         "2-3-4"
@@ -250,22 +262,40 @@ fn named_function_expression_self_reference() {
 
 #[test]
 fn iife() {
-    assert_eq!(run("exports.result = (function() { return 'iife'; })();"), "iife");
+    assert_eq!(
+        run("exports.result = (function() { return 'iife'; })();"),
+        "iife"
+    );
 }
 
 // ----- objects -----
 
 #[test]
 fn object_literals_and_member_access() {
-    assert_eq!(run("var o = { a: { b: { c: 'deep' } } }; exports.result = o.a.b.c;"), "deep");
-    assert_eq!(run("var o = { 'key with space': 1 }; exports.result = o['key with space'];"), "1");
-    assert_eq!(run("var k = 'dyn'; var o = {}; o[k] = 'v'; exports.result = o.dyn;"), "v");
-    assert_eq!(run("var k = 'a'; var o = { [k + 'b']: 'computed' }; exports.result = o.ab;"), "computed");
+    assert_eq!(
+        run("var o = { a: { b: { c: 'deep' } } }; exports.result = o.a.b.c;"),
+        "deep"
+    );
+    assert_eq!(
+        run("var o = { 'key with space': 1 }; exports.result = o['key with space'];"),
+        "1"
+    );
+    assert_eq!(
+        run("var k = 'dyn'; var o = {}; o[k] = 'v'; exports.result = o.dyn;"),
+        "v"
+    );
+    assert_eq!(
+        run("var k = 'a'; var o = { [k + 'b']: 'computed' }; exports.result = o.ab;"),
+        "computed"
+    );
 }
 
 #[test]
 fn shorthand_and_spread_properties() {
-    assert_eq!(run("var x = 1, y = 2; var o = { x, y }; exports.result = o.x + o.y;"), "3");
+    assert_eq!(
+        run("var x = 1, y = 2; var o = { x, y }; exports.result = o.x + o.y;"),
+        "3"
+    );
     assert_eq!(
         run("var base = { a: 1, b: 2 }; var o = { ...base, b: 3 }; exports.result = o.a + o.b;"),
         "4"
@@ -282,7 +312,10 @@ fn getters_and_setters() {
 
 #[test]
 fn delete_and_in_operators() {
-    assert_eq!(run("var o = { a: 1 }; delete o.a; exports.result = 'a' in o;"), "false");
+    assert_eq!(
+        run("var o = { a: 1 }; delete o.a; exports.result = 'a' in o;"),
+        "false"
+    );
     assert_eq!(run("var o = { a: 1 }; exports.result = 'a' in o;"), "true");
     assert_eq!(run("var o = {}; exports.result = 'toString' in o;"), "true");
 }
@@ -298,7 +331,9 @@ fn prototype_inheritance_via_functions() {
 #[test]
 fn new_returns_object_override() {
     assert_eq!(
-        run("function F() { return { custom: true }; } var o = new F(); exports.result = o.custom;"),
+        run(
+            "function F() { return { custom: true }; } var o = new F(); exports.result = o.custom;"
+        ),
         "true"
     );
     assert_eq!(
@@ -309,22 +344,40 @@ fn new_returns_object_override() {
 
 #[test]
 fn instanceof_checks() {
-    assert_eq!(run("function F() {} exports.result = new F() instanceof F;"), "true");
-    assert_eq!(run("function F() {} function G() {} exports.result = new F() instanceof G;"), "false");
-    assert_eq!(run("exports.result = new TypeError('x') instanceof Error;"), "true");
+    assert_eq!(
+        run("function F() {} exports.result = new F() instanceof F;"),
+        "true"
+    );
+    assert_eq!(
+        run("function F() {} function G() {} exports.result = new F() instanceof G;"),
+        "false"
+    );
+    assert_eq!(
+        run("exports.result = new TypeError('x') instanceof Error;"),
+        "true"
+    );
 }
 
 // ----- destructuring -----
 
 #[test]
 fn destructuring_declarations_and_params() {
-    assert_eq!(run("var { a, b: { c } } = { a: 1, b: { c: 2 } }; exports.result = a + c;"), "3");
-    assert_eq!(run("var [x, , z = 9] = [1, 2]; exports.result = x + z;"), "10");
+    assert_eq!(
+        run("var { a, b: { c } } = { a: 1, b: { c: 2 } }; exports.result = a + c;"),
+        "3"
+    );
+    assert_eq!(
+        run("var [x, , z = 9] = [1, 2]; exports.result = x + z;"),
+        "10"
+    );
     assert_eq!(
         run("function f({ name, age = 30 }) { return name + age; } exports.result = f({ name: 'x' });"),
         "x30"
     );
-    assert_eq!(run("var [a, ...rest] = [1, 2, 3, 4]; exports.result = rest.length;"), "3");
+    assert_eq!(
+        run("var [a, ...rest] = [1, 2, 3, 4]; exports.result = rest.length;"),
+        "3"
+    );
     assert_eq!(
         run("var { a, ...others } = { a: 1, b: 2, c: 3 }; exports.result = Object.keys(others).join('');"),
         "bc"
@@ -333,7 +386,10 @@ fn destructuring_declarations_and_params() {
 
 #[test]
 fn destructuring_assignment_expressions() {
-    assert_eq!(run("var a, b; [a, b] = [5, 6]; exports.result = a * b;"), "30");
+    assert_eq!(
+        run("var a, b; [a, b] = [5, 6]; exports.result = a * b;"),
+        "30"
+    );
 }
 
 // ----- classes -----
@@ -368,7 +424,10 @@ fn class_static_members_and_fields() {
         run("class C { static make() { return new C(); } tag = 'field'; } exports.result = C.make().tag;"),
         "field"
     );
-    assert_eq!(run("class C { static VERSION = 3; } exports.result = C.VERSION;"), "3");
+    assert_eq!(
+        run("class C { static VERSION = 3; } exports.result = C.VERSION;"),
+        "3"
+    );
 }
 
 #[test]
@@ -383,20 +442,47 @@ fn class_getters() {
 
 #[test]
 fn array_methods() {
-    assert_eq!(run("exports.result = [1, 2, 3].map(function(x) { return x * 2; }).join(',');"), "2,4,6");
-    assert_eq!(run("exports.result = [1, 2, 3, 4].filter(x => x % 2 === 0).length;"), "2");
-    assert_eq!(run("exports.result = [1, 2, 3].reduce((a, b) => a + b, 10);"), "16");
+    assert_eq!(
+        run("exports.result = [1, 2, 3].map(function(x) { return x * 2; }).join(',');"),
+        "2,4,6"
+    );
+    assert_eq!(
+        run("exports.result = [1, 2, 3, 4].filter(x => x % 2 === 0).length;"),
+        "2"
+    );
+    assert_eq!(
+        run("exports.result = [1, 2, 3].reduce((a, b) => a + b, 10);"),
+        "16"
+    );
     assert_eq!(run("exports.result = [3, 1, 2].sort().join('');"), "123");
     assert_eq!(run("exports.result = [1, 2, 3].indexOf(2);"), "1");
     assert_eq!(run("exports.result = [1, [2, 3]].flat().length;"), "3");
-    assert_eq!(run("var a = [1, 2]; a.push(3, 4); exports.result = a.length;"), "4");
-    assert_eq!(run("exports.result = [1, 2, 3, 4, 5].slice(1, -1).join('');"), "234");
-    assert_eq!(run("var a = [1, 2, 3]; a.splice(1, 1); exports.result = a.join('');"), "13");
-    assert_eq!(run("exports.result = Array.isArray([]) + ':' + Array.isArray({});"), "true:false");
+    assert_eq!(
+        run("var a = [1, 2]; a.push(3, 4); exports.result = a.length;"),
+        "4"
+    );
+    assert_eq!(
+        run("exports.result = [1, 2, 3, 4, 5].slice(1, -1).join('');"),
+        "234"
+    );
+    assert_eq!(
+        run("var a = [1, 2, 3]; a.splice(1, 1); exports.result = a.join('');"),
+        "13"
+    );
+    assert_eq!(
+        run("exports.result = Array.isArray([]) + ':' + Array.isArray({});"),
+        "true:false"
+    );
     assert_eq!(run("exports.result = Array.from('ab').join('-');"), "a-b");
-    assert_eq!(run("exports.result = [5, 6].concat([7], 8).join('');"), "5678");
+    assert_eq!(
+        run("exports.result = [5, 6].concat([7], 8).join('');"),
+        "5678"
+    );
     assert_eq!(run("exports.result = [1,2,3].find(x => x > 1);"), "2");
-    assert_eq!(run("exports.result = [1,2,3].some(x => x > 2) && [1,2,3].every(x => x > 0);"), "true");
+    assert_eq!(
+        run("exports.result = [1,2,3].some(x => x > 2) && [1,2,3].every(x => x > 0);"),
+        "true"
+    );
 }
 
 #[test]
@@ -413,15 +499,24 @@ fn string_methods() {
     assert_eq!(run("exports.result = 'abc'.charCodeAt(0);"), "97");
     assert_eq!(run("exports.result = String.fromCharCode(104, 105);"), "hi");
     assert_eq!(run("exports.result = 'x'.padStart(3, '0');"), "00x");
-    assert_eq!(run("exports.result = 'hello'.startsWith('he') && 'hello'.endsWith('lo');"), "true");
+    assert_eq!(
+        run("exports.result = 'hello'.startsWith('he') && 'hello'.endsWith('lo');"),
+        "true"
+    );
     assert_eq!(run("exports.result = 'abc'.length;"), "3");
     assert_eq!(run("exports.result = 'abc'[1];"), "b");
 }
 
 #[test]
 fn object_statics() {
-    assert_eq!(run("exports.result = Object.keys({ a: 1, b: 2 }).join('');"), "ab");
-    assert_eq!(run("exports.result = Object.values({ a: 1, b: 2 }).join('');"), "12");
+    assert_eq!(
+        run("exports.result = Object.keys({ a: 1, b: 2 }).join('');"),
+        "ab"
+    );
+    assert_eq!(
+        run("exports.result = Object.values({ a: 1, b: 2 }).join('');"),
+        "12"
+    );
     assert_eq!(
         run("var t = {}; Object.assign(t, { x: 1 }, { y: 2 }); exports.result = t.x + t.y;"),
         "3"
@@ -447,7 +542,10 @@ fn object_statics() {
 #[test]
 fn math_and_number() {
     assert_eq!(run("exports.result = Math.max(1, 5, 3);"), "5");
-    assert_eq!(run("exports.result = Math.floor(2.9) + Math.ceil(2.1);"), "5");
+    assert_eq!(
+        run("exports.result = Math.floor(2.9) + Math.ceil(2.1);"),
+        "5"
+    );
     assert_eq!(run("exports.result = Math.abs(-4);"), "4");
     assert_eq!(run("exports.result = parseInt('42abc');"), "42");
     assert_eq!(run("exports.result = parseInt('ff', 16);"), "255");
@@ -516,12 +614,18 @@ fn async_functions_run_synchronously() {
 #[test]
 fn direct_eval_in_caller_scope() {
     assert_eq!(run("var x = 10; exports.result = eval('x + 5');"), "15");
-    assert_eq!(run("var o = {}; eval(\"o.fromEval = 'yes'\"); exports.result = o.fromEval;"), "yes");
+    assert_eq!(
+        run("var o = {}; eval(\"o.fromEval = 'yes'\"); exports.result = o.fromEval;"),
+        "yes"
+    );
 }
 
 #[test]
 fn function_constructor() {
-    assert_eq!(run("var f = new Function('a', 'b', 'return a * b;'); exports.result = f(6, 7);"), "42");
+    assert_eq!(
+        run("var f = new Function('a', 'b', 'return a * b;'); exports.result = f(6, 7);"),
+        "42"
+    );
 }
 
 // ----- modules -----
@@ -531,8 +635,14 @@ fn require_relative_modules() {
     assert_eq!(
         run_project(
             &[
-                ("index.js", "var lib = require('./lib/math'); exports.result = lib.add(2, 3);"),
-                ("lib/math.js", "exports.add = function(a, b) { return a + b; };"),
+                (
+                    "index.js",
+                    "var lib = require('./lib/math'); exports.result = lib.add(2, 3);"
+                ),
+                (
+                    "lib/math.js",
+                    "exports.add = function(a, b) { return a + b; };"
+                ),
             ],
             "index.js"
         ),
@@ -591,8 +701,14 @@ fn cyclic_requires() {
         run_project(
             &[
                 ("index.js", "exports.result = require('./a').fromA;"),
-                ("a.js", "exports.early = 'e'; var b = require('./b'); exports.fromA = 'a' + b.fromB;"),
-                ("b.js", "var a = require('./a'); exports.fromB = 'b' + a.early;"),
+                (
+                    "a.js",
+                    "exports.early = 'e'; var b = require('./b'); exports.fromA = 'a' + b.fromB;"
+                ),
+                (
+                    "b.js",
+                    "var a = require('./a'); exports.fromB = 'b' + a.early;"
+                ),
             ],
             "index.js"
         ),
@@ -611,15 +727,13 @@ fn missing_module_is_error() {
 #[test]
 fn builtin_events_module() {
     assert_eq!(
-        run(
-            "var EventEmitter = require('events');\n\
+        run("var EventEmitter = require('events');\n\
              var e = new EventEmitter();\n\
              var got = [];\n\
              e.on('data', function(x) { got.push(x); });\n\
              e.on('data', function(x) { got.push(x * 2); });\n\
              e.emit('data', 21);\n\
-             exports.result = got.join(',');"
-        ),
+             exports.result = got.join(',');"),
         "21,42"
     );
 }
@@ -627,22 +741,32 @@ fn builtin_events_module() {
 #[test]
 fn builtin_util_inherits() {
     assert_eq!(
-        run(
-            "var util = require('util');\n\
+        run("var util = require('util');\n\
              function Base() {} Base.prototype.hi = function() { return 'base'; };\n\
              function Child() {} util.inherits(Child, Base);\n\
-             exports.result = new Child().hi();"
-        ),
+             exports.result = new Child().hi();"),
         "base"
     );
 }
 
 #[test]
 fn builtin_path_module() {
-    assert_eq!(run("var path = require('path'); exports.result = path.join('a', 'b', '..', 'c.js');"), "a/c.js");
-    assert_eq!(run("var path = require('path'); exports.result = path.basename('/x/y/file.txt');"), "file.txt");
-    assert_eq!(run("var path = require('path'); exports.result = path.extname('file.tar.gz');"), ".gz");
-    assert_eq!(run("var path = require('path'); exports.result = path.dirname('/a/b/c');"), "/a/b");
+    assert_eq!(
+        run("var path = require('path'); exports.result = path.join('a', 'b', '..', 'c.js');"),
+        "a/c.js"
+    );
+    assert_eq!(
+        run("var path = require('path'); exports.result = path.basename('/x/y/file.txt');"),
+        "file.txt"
+    );
+    assert_eq!(
+        run("var path = require('path'); exports.result = path.extname('file.tar.gz');"),
+        ".gz"
+    );
+    assert_eq!(
+        run("var path = require('path'); exports.result = path.dirname('/a/b/c');"),
+        "/a/b"
+    );
 }
 
 #[test]
@@ -660,23 +784,19 @@ fn builtin_assert_module() {
 #[test]
 fn mocked_node_modules_invoke_callbacks() {
     assert_eq!(
-        run(
-            "var fs = require('fs');\n\
+        run("var fs = require('fs');\n\
              var called = false;\n\
              fs.readFile('whatever.txt', function(err, data) { called = true; });\n\
-             exports.result = called;"
-        ),
+             exports.result = called;"),
         "true"
     );
     // Chained mock usage does not crash.
     assert_eq!(
-        run(
-            "var http = require('http');\n\
+        run("var http = require('http');\n\
              var hit = false;\n\
              var server = http.createServer(function(req, res) { hit = true; });\n\
              server.listen(8080);\n\
-             exports.result = hit;"
-        ),
+             exports.result = hit;"),
         "true"
     );
 }

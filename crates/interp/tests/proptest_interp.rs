@@ -59,22 +59,24 @@ fn run_expr(src: &str) -> Value {
 
 #[test]
 fn arithmetic_matches_reference() {
-    property("arithmetic_matches_reference").cases(192).run(|tc| {
-        let case = arith(tc, 5);
-        // Keep magnitudes within the exact f64 integer range, where the
-        // i128 reference and JS's f64 arithmetic must agree exactly
-        // (i128 math never overflows for these sizes: 5 levels of ±1000
-        // leaves ample headroom).
-        if case.expected.unsigned_abs() >= 1u128 << 52 {
-            return Ok(());
-        }
-        let v = run_expr(&case.src);
-        match v {
-            Value::Num(n) => prop_assert_eq!(n, case.expected as f64, "src: {}", case.src),
-            other => prop_assert!(false, "non-number {other:?} for {}", case.src),
-        }
-        Ok(())
-    });
+    property("arithmetic_matches_reference")
+        .cases(192)
+        .run(|tc| {
+            let case = arith(tc, 5);
+            // Keep magnitudes within the exact f64 integer range, where the
+            // i128 reference and JS's f64 arithmetic must agree exactly
+            // (i128 math never overflows for these sizes: 5 levels of ±1000
+            // leaves ample headroom).
+            if case.expected.unsigned_abs() >= 1u128 << 52 {
+                return Ok(());
+            }
+            let v = run_expr(&case.src);
+            match v {
+                Value::Num(n) => prop_assert_eq!(n, case.expected as f64, "src: {}", case.src),
+                other => prop_assert!(false, "non-number {other:?} for {}", case.src),
+            }
+            Ok(())
+        });
 }
 
 /// The case proptest once recorded in `proptest_interp.proptest-regressions`:
@@ -159,7 +161,10 @@ fn json_roundtrip_strings() {
         let r = interp
             .call_function(f, Value::Undefined, &[Value::str(&s)])
             .unwrap();
-        prop_assert!(matches!(r, Value::Bool(true)), "string {s:?} did not round-trip");
+        prop_assert!(
+            matches!(r, Value::Bool(true)),
+            "string {s:?} did not round-trip"
+        );
         Ok(())
     });
 }
@@ -197,8 +202,10 @@ fn object_keys_preserve_insertion_order() {
         .run(|tc| {
             // A set of 1-5 distinct short keys, in sorted order like the
             // original btree_set strategy produced.
-            let keys: BTreeSet<String> =
-                tc.vec_of(1..6, |t| t.string_of(LOWER, 1..5)).into_iter().collect();
+            let keys: BTreeSet<String> = tc
+                .vec_of(1..6, |t| t.string_of(LOWER, 1..5))
+                .into_iter()
+                .collect();
             let keys: Vec<String> = keys.into_iter().collect();
             let assignments: String = keys
                 .iter()

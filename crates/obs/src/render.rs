@@ -124,7 +124,12 @@ pub fn render_text(report: &ObsReport, opts: &RenderOptions) -> String {
 
     if !report.gauges.is_empty() {
         out.push_str("\ngauges (peaks):\n");
-        let width = report.gauges.iter().map(|g| g.name.len()).max().unwrap_or(0);
+        let width = report
+            .gauges
+            .iter()
+            .map(|g| g.name.len())
+            .max()
+            .unwrap_or(0);
         for g in &report.gauges {
             let _ = writeln!(out, "  {:<width$}  {:>12}", g.name, group_digits(g.value));
         }
@@ -185,7 +190,13 @@ fn children_of<'r>(report: &'r ObsReport, path: &str) -> Vec<&'r SpanRecord> {
     out
 }
 
-fn render_span(out: &mut String, report: &ObsReport, span: &SpanRecord, root_ns: u64, depth: usize) {
+fn render_span(
+    out: &mut String,
+    report: &ObsReport,
+    span: &SpanRecord,
+    root_ns: u64,
+    depth: usize,
+) {
     let pct = 100.0 * span.total_ns as f64 / root_ns as f64;
     let _ = writeln!(
         out,

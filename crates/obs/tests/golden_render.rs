@@ -68,10 +68,13 @@ histograms:
 
 #[test]
 fn rendering_matches_golden() {
-    let text = render_text(&fixture(), &RenderOptions {
+    let text = render_text(
+        &fixture(),
+        &RenderOptions {
             top_counters: 2,
             ..RenderOptions::default()
-        });
+        },
+    );
     assert_eq!(text, GOLDEN, "rendered:\n{text}");
 }
 
@@ -81,10 +84,13 @@ fn golden_fixture_roundtrips_through_json() {
     let back = ObsReport::from_json_str(&r.to_json_string()).unwrap();
     assert_eq!(back, r);
     assert_eq!(
-        render_text(&back, &RenderOptions {
-            top_counters: 2,
-            ..RenderOptions::default()
-        }),
+        render_text(
+            &back,
+            &RenderOptions {
+                top_counters: 2,
+                ..RenderOptions::default()
+            }
+        ),
         GOLDEN
     );
 }

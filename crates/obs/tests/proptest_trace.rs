@@ -134,10 +134,7 @@ fn per_thread_rings_merge_deterministically_in_step_order() {
                 d.len() == steps.len()
             };
             if distinct {
-                prop_assert_eq!(
-                    merged.to_json().to_string(),
-                    merged2.to_json().to_string()
-                );
+                prop_assert_eq!(merged.to_json().to_string(), merged2.to_json().to_string());
             }
             Ok(())
         });
@@ -145,22 +142,24 @@ fn per_thread_rings_merge_deterministically_in_step_order() {
 
 #[test]
 fn trace_report_json_roundtrips() {
-    property("trace_report_json_roundtrips").cases(200).run(|tc| {
-        let rep = TraceReport {
-            events: (0..tc.int_in(0usize..8))
-                .map(|_| {
-                    let step = tc.int_in(0u64..MAX_EXACT);
-                    event(tc, step)
-                })
-                .collect(),
-            dropped: tc.int_in(0u64..MAX_EXACT),
-        };
-        let text = rep.to_json().to_string();
-        let back = TraceReport::from_json(&Json::parse(&text).expect("trace JSON reparses"))
-            .expect("trace JSON has report shape");
-        prop_assert_eq!(back, rep);
-        Ok(())
-    });
+    property("trace_report_json_roundtrips")
+        .cases(200)
+        .run(|tc| {
+            let rep = TraceReport {
+                events: (0..tc.int_in(0usize..8))
+                    .map(|_| {
+                        let step = tc.int_in(0u64..MAX_EXACT);
+                        event(tc, step)
+                    })
+                    .collect(),
+                dropped: tc.int_in(0u64..MAX_EXACT),
+            };
+            let text = rep.to_json().to_string();
+            let back = TraceReport::from_json(&Json::parse(&text).expect("trace JSON reparses"))
+                .expect("trace JSON has report shape");
+            prop_assert_eq!(back, rep);
+            Ok(())
+        });
 }
 
 /// The Chrome export must always be valid JSON with the trace-event shape:
@@ -170,48 +169,53 @@ fn trace_report_json_roundtrips() {
 /// their timestamp.
 #[test]
 fn chrome_trace_export_is_valid() {
-    property("chrome_trace_export_is_valid").cases(150).run(|tc| {
-        let deterministic = tc.bool();
-        let events: Vec<TraceEvent> = (0..tc.int_in(0usize..10))
-            .map(|_| {
-                let step = tc.int_in(0u64..MAX_EXACT);
-                let mut ev = event(tc, step);
-                if deterministic {
-                    ev.wall_ns = 0;
+    property("chrome_trace_export_is_valid")
+        .cases(150)
+        .run(|tc| {
+            let deterministic = tc.bool();
+            let events: Vec<TraceEvent> = (0..tc.int_in(0usize..10))
+                .map(|_| {
+                    let step = tc.int_in(0u64..MAX_EXACT);
+                    let mut ev = event(tc, step);
+                    if deterministic {
+                        ev.wall_ns = 0;
+                    }
+                    ev
+                })
+                .collect();
+            let rep = TraceReport {
+                events,
+                dropped: tc.int_in(0u64..100),
+            };
+            let text = rep.to_chrome_trace().to_string();
+            let doc = Json::parse(&text).expect("chrome export reparses");
+            let Some(Json::Arr(evs)) = doc.get("traceEvents") else {
+                return Err("traceEvents is not an array".into());
+            };
+            prop_assert_eq!(evs.len(), rep.events.len());
+            for (ev, src) in evs.iter().zip(&rep.events) {
+                for field in ["name", "cat", "ph", "ts", "pid", "tid", "args"] {
+                    prop_assert!(ev.get(field).is_some(), "missing {field}: {ev:?}");
                 }
-                ev
-            })
-            .collect();
-        let rep = TraceReport { events, dropped: tc.int_in(0u64..100) };
-        let text = rep.to_chrome_trace().to_string();
-        let doc = Json::parse(&text).expect("chrome export reparses");
-        let Some(Json::Arr(evs)) = doc.get("traceEvents") else {
-            return Err("traceEvents is not an array".into());
-        };
-        prop_assert_eq!(evs.len(), rep.events.len());
-        for (ev, src) in evs.iter().zip(&rep.events) {
-            for field in ["name", "cat", "ph", "ts", "pid", "tid", "args"] {
-                prop_assert!(ev.get(field).is_some(), "missing {field}: {ev:?}");
+                let ph = String::from_json(ev.get("ph").unwrap()).unwrap();
+                let want = match src.kind {
+                    TraceKind::SpanBegin => "B",
+                    TraceKind::SpanEnd => "E",
+                    _ => "i",
+                };
+                prop_assert_eq!(&ph, want);
+                let ts = match ev.get("ts").unwrap() {
+                    Json::Num(x) => *x,
+                    other => return Err(format!("ts not a number: {other:?}")),
+                };
+                if deterministic {
+                    prop_assert_eq!(ts, src.step as f64);
+                }
+                let step = ev.get("args").unwrap().get("step").unwrap();
+                prop_assert_eq!(step, &Json::Num(src.step as f64));
             }
-            let ph = String::from_json(ev.get("ph").unwrap()).unwrap();
-            let want = match src.kind {
-                TraceKind::SpanBegin => "B",
-                TraceKind::SpanEnd => "E",
-                _ => "i",
-            };
-            prop_assert_eq!(&ph, want);
-            let ts = match ev.get("ts").unwrap() {
-                Json::Num(x) => *x,
-                other => return Err(format!("ts not a number: {other:?}")),
-            };
-            if deterministic {
-                prop_assert_eq!(ts, src.step as f64);
-            }
-            let step = ev.get("args").unwrap().get("step").unwrap();
-            prop_assert_eq!(step, &Json::Num(src.step as f64));
-        }
-        Ok(())
-    });
+            Ok(())
+        });
 }
 
 /// Deterministic-mode exports are a pure function of the event stream:

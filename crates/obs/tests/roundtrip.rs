@@ -108,13 +108,15 @@ fn span_records_roundtrip() {
 
 #[test]
 fn histogram_records_roundtrip() {
-    property("histogram_records_roundtrip").cases(200).run(|tc| {
-        let h = histogram(tc);
-        let back =
-            HistogramRecord::from_json(&Json::parse(&h.to_json().to_string()).unwrap()).unwrap();
-        prop_assert_eq!(back, h);
-        Ok(())
-    });
+    property("histogram_records_roundtrip")
+        .cases(200)
+        .run(|tc| {
+            let h = histogram(tc);
+            let back = HistogramRecord::from_json(&Json::parse(&h.to_json().to_string()).unwrap())
+                .unwrap();
+            prop_assert_eq!(back, h);
+            Ok(())
+        });
 }
 
 #[test]

@@ -264,10 +264,7 @@ impl ProjectOracle {
 /// // Hints never hurt recall: everything the baseline had, extended keeps.
 /// assert!(oracle.diff.extended.matched_edges >= oracle.diff.baseline.matched_edges);
 /// ```
-pub fn run_oracle(
-    project: &Project,
-    opts: &OracleOptions,
-) -> Result<ProjectOracle, PipelineError> {
+pub fn run_oracle(project: &Project, opts: &OracleOptions) -> Result<ProjectOracle, PipelineError> {
     let parsed = aji_parser::parse_project(project)?;
     Ok(run_oracle_parsed(project, &parsed, opts))
 }

@@ -259,7 +259,11 @@ impl FuzzReport {
                 self.errors.len()
             ));
             for f in &self.findings {
-                out.push_str(&format!("  {} ({} hint-covered miss(es))", f.name, f.missed.len()));
+                out.push_str(&format!(
+                    "  {} ({} hint-covered miss(es))",
+                    f.name,
+                    f.missed.len()
+                ));
                 if let Some(r) = &f.shrunk {
                     out.push_str(&format!(
                         " -> shrunk to {} choice(s), {} file(s) in {} runs",
@@ -327,15 +331,16 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
 
         // Fan the oracle out; results come back in input (case) order.
         let results = run_corpus_map(projects, opts.threads, |p| run_oracle(p, &opts.oracle));
-        let (oracles, errors) = split_results(
-            metas
-                .into_iter()
-                .zip(results)
-                .map(|(meta, r)| ProjectResult {
-                    name: r.name,
-                    outcome: r.outcome.map(|po| (meta, po)),
-                }),
-        );
+        let (oracles, errors) =
+            split_results(
+                metas
+                    .into_iter()
+                    .zip(results)
+                    .map(|(meta, r)| ProjectResult {
+                        name: r.name,
+                        outcome: r.outcome.map(|po| (meta, po)),
+                    }),
+            );
         report.errors.extend(errors);
 
         let mut batch_findings = 0usize;

@@ -56,7 +56,9 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         match a.as_str() {
             "--seed" => {
                 let v = take("--seed")?;
-                cli.seed = v.parse().map_err(|_| format!("invalid --seed value: {v}"))?;
+                cli.seed = v
+                    .parse()
+                    .map_err(|_| format!("invalid --seed value: {v}"))?;
             }
             "--cases" => {
                 let v = take("--cases")?;

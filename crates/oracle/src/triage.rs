@@ -318,8 +318,16 @@ pub fn triage(
 
     let mut out = Vec::with_capacity(missed.len());
     for &(site, callee) in missed {
-        let (cause, hint_covered, detail) =
-            classify(site, callee, &idx, hints, approx, extended, &write_values, sm);
+        let (cause, hint_covered, detail) = classify(
+            site,
+            callee,
+            &idx,
+            hints,
+            approx,
+            extended,
+            &write_values,
+            sm,
+        );
         out.push(MissedEdge {
             site,
             callee,
@@ -461,11 +469,7 @@ fn classify(
                 approx.stats.items_aborted
             ),
         ),
-        _ => (
-            Cause::Unknown,
-            false,
-            "no triage rule matched".to_string(),
-        ),
+        _ => (Cause::Unknown, false, "no triage rule matched".to_string()),
     }
 }
 

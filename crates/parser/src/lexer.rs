@@ -167,14 +167,10 @@ impl<'a> Lexer<'a> {
             | Some(Tok::TemplateNoSub(_))
             | Some(Tok::TemplateTail(_)) => false,
             Some(Tok::Ident(_)) => false,
-            Some(Tok::Kw(k)) => !matches!(
-                k,
-                Kw::This | Kw::Null | Kw::True | Kw::False | Kw::Super
-            ),
-            Some(Tok::P(p)) => !matches!(
-                p,
-                P::RParen | P::RBracket | P::PlusPlus | P::MinusMinus
-            ),
+            Some(Tok::Kw(k)) => {
+                !matches!(k, Kw::This | Kw::Null | Kw::True | Kw::False | Kw::Super)
+            }
+            Some(Tok::P(p)) => !matches!(p, P::RParen | P::RBracket | P::PlusPlus | P::MinusMinus),
             _ => true,
         }
     }
@@ -202,8 +198,8 @@ impl<'a> Lexer<'a> {
             let text: String = std::str::from_utf8(&self.src[start..self.pos])
                 .unwrap()
                 .replace('_', "");
-            let v = u64::from_str_radix(&text, 16)
-                .map_err(|_| self.error("invalid hex literal"))?;
+            let v =
+                u64::from_str_radix(&text, 16).map_err(|_| self.error("invalid hex literal"))?;
             self.push(Tok::Num(v as f64), lo);
             return Ok(());
         }
@@ -216,8 +212,8 @@ impl<'a> Lexer<'a> {
             let text: String = std::str::from_utf8(&self.src[start..self.pos])
                 .unwrap()
                 .replace('_', "");
-            let v = u64::from_str_radix(&text, 8)
-                .map_err(|_| self.error("invalid octal literal"))?;
+            let v =
+                u64::from_str_radix(&text, 8).map_err(|_| self.error("invalid octal literal"))?;
             self.push(Tok::Num(v as f64), lo);
             return Ok(());
         }
@@ -230,8 +226,8 @@ impl<'a> Lexer<'a> {
             let text: String = std::str::from_utf8(&self.src[start..self.pos])
                 .unwrap()
                 .replace('_', "");
-            let v = u64::from_str_radix(&text, 2)
-                .map_err(|_| self.error("invalid binary literal"))?;
+            let v =
+                u64::from_str_radix(&text, 2).map_err(|_| self.error("invalid binary literal"))?;
             self.push(Tok::Num(v as f64), lo);
             return Ok(());
         }
@@ -281,12 +277,7 @@ impl<'a> Lexer<'a> {
             }
             match c {
                 b'\\' => self.escape(&mut value)?,
-                b'\n' => {
-                    return Err(ParseError::new(
-                        "unterminated string literal",
-                        lo as u32,
-                    ))
-                }
+                b'\n' => return Err(ParseError::new("unterminated string literal", lo as u32)),
                 c if c < 0x80 => value.push(c as char),
                 c => {
                     // Re-decode a UTF-8 sequence.
@@ -430,9 +421,7 @@ impl<'a> Lexer<'a> {
                 b'[' => in_class = true,
                 b']' => in_class = false,
                 b'/' if !in_class => break,
-                b'\n' => {
-                    return Err(ParseError::new("unterminated regex literal", lo as u32))
-                }
+                b'\n' => return Err(ParseError::new("unterminated regex literal", lo as u32)),
                 _ => {}
             }
         }

@@ -78,8 +78,8 @@ pub fn parse_project(project: &Project) -> Result<ParsedProject, ParseError> {
     let mut modules = Vec::with_capacity(source_map.len());
     let mut bytes = 0u64;
     for (file, sf) in source_map.iter() {
-        let module = parse_module(&sf.src, file, &mut ids)
-            .map_err(|e| e.with_path(sf.path.clone()))?;
+        let module =
+            parse_module(&sf.src, file, &mut ids).map_err(|e| e.with_path(sf.path.clone()))?;
         bytes += sf.src.len() as u64;
         modules.push(Rc::new(module));
     }

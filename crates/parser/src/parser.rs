@@ -22,11 +22,7 @@ use std::sync::Arc;
 /// # Errors
 ///
 /// Returns the first lex or parse error encountered.
-pub fn parse_module(
-    src: &str,
-    file: FileId,
-    ids: &mut NodeIdGen,
-) -> Result<Module, ParseError> {
+pub fn parse_module(src: &str, file: FileId, ids: &mut NodeIdGen) -> Result<Module, ParseError> {
     let tokens = lex(src)?;
     aji_obs::counter_add("parser.tokens", tokens.len() as u64);
     let mut p = Parser {
@@ -57,11 +53,7 @@ pub fn parse_module(
 /// # Errors
 ///
 /// Returns the first lex or parse error encountered.
-pub fn parse_expr(
-    src: &str,
-    file: FileId,
-    ids: &mut NodeIdGen,
-) -> Result<Expr, ParseError> {
+pub fn parse_expr(src: &str, file: FileId, ids: &mut NodeIdGen) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
     aji_obs::counter_add("parser.tokens", tokens.len() as u64);
     let mut p = Parser {
@@ -972,8 +964,9 @@ impl<'a> Parser<'a> {
                 is_async,
                 is_generator,
             });
-            let is_ctor =
-                !is_static && accessor.is_none() && key.static_name().as_deref() == Some("constructor");
+            let is_ctor = !is_static
+                && accessor.is_none()
+                && key.static_name().as_deref() == Some("constructor");
             let kind = if is_ctor {
                 ClassMemberKind::Constructor(func)
             } else {
@@ -1102,10 +1095,7 @@ impl<'a> Parser<'a> {
                 let pat = self.expr_to_pattern(e)?;
                 Ok(AssignTarget::Pattern(Box::new(pat)))
             }
-            _ => Err(ParseError::new(
-                "invalid assignment target",
-                e.span.lo,
-            )),
+            _ => Err(ParseError::new("invalid assignment target", e.span.lo)),
         }
     }
 
@@ -1161,7 +1151,10 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                PatternKind::Array { elems: pelems, rest }
+                PatternKind::Array {
+                    elems: pelems,
+                    rest,
+                }
             }
             ExprKind::Object(props) => {
                 let mut pprops = Vec::new();
@@ -1188,14 +1181,12 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                PatternKind::Object { props: pprops, rest }
+                PatternKind::Object {
+                    props: pprops,
+                    rest,
+                }
             }
-            _ => {
-                return Err(ParseError::new(
-                    "invalid destructuring pattern",
-                    span.lo,
-                ))
-            }
+            _ => return Err(ParseError::new("invalid destructuring pattern", span.lo)),
         };
         Ok(Pattern {
             id: self.fresh(),
@@ -1279,13 +1270,7 @@ impl<'a> Parser<'a> {
                 span: self.span_from(plo),
                 kind: PatternKind::Ident(name),
             };
-            (
-                vec![Param {
-                    pat,
-                    default: None,
-                }],
-                None,
-            )
+            (vec![Param { pat, default: None }], None)
         };
         self.expect(P::Arrow)?;
         let body = if self.at(P::LBrace) {
@@ -1333,7 +1318,9 @@ impl<'a> Parser<'a> {
         let mut links = 0;
         loop {
             let (prec, right_assoc, op) = match self.cur() {
-                Tok::P(P::QuestionQuestion) => (1, false, BinOrLogical::Logical(LogicalOp::Nullish)),
+                Tok::P(P::QuestionQuestion) => {
+                    (1, false, BinOrLogical::Logical(LogicalOp::Nullish))
+                }
                 Tok::P(P::PipePipe) => (2, false, BinOrLogical::Logical(LogicalOp::Or)),
                 Tok::P(P::AmpAmp) => (3, false, BinOrLogical::Logical(LogicalOp::And)),
                 Tok::P(P::Pipe) => (4, false, BinOrLogical::Binary(BinaryOp::BitOr)),
@@ -1430,7 +1417,20 @@ impl<'a> Parser<'a> {
             ));
         }
         // `await e` — evaluate the operand synchronously.
-        if self.at_ident("await") && !matches!(self.peek_kind(1), Tok::P(P::Semi) | Tok::P(P::RParen) | Tok::P(P::Comma) | Tok::P(P::RBrace) | Tok::Eof | Tok::P(P::Dot) | Tok::P(P::Arrow) | Tok::P(P::Colon) | Tok::P(P::Eq)) {
+        if self.at_ident("await")
+            && !matches!(
+                self.peek_kind(1),
+                Tok::P(P::Semi)
+                    | Tok::P(P::RParen)
+                    | Tok::P(P::Comma)
+                    | Tok::P(P::RBrace)
+                    | Tok::Eof
+                    | Tok::P(P::Dot)
+                    | Tok::P(P::Arrow)
+                    | Tok::P(P::Colon)
+                    | Tok::P(P::Eq)
+            )
+        {
             self.bump();
             return self.unary_expr();
         }
@@ -1438,7 +1438,12 @@ impl<'a> Parser<'a> {
         if self.at_ident("yield") {
             if matches!(
                 self.peek_kind(1),
-                Tok::P(P::Semi) | Tok::P(P::RParen) | Tok::P(P::RBrace) | Tok::P(P::RBracket) | Tok::P(P::Comma) | Tok::Eof
+                Tok::P(P::Semi)
+                    | Tok::P(P::RParen)
+                    | Tok::P(P::RBrace)
+                    | Tok::P(P::RBracket)
+                    | Tok::P(P::Comma)
+                    | Tok::Eof
             ) || self.tokens[self.idx + 1].newline_before
             {
                 self.bump();

@@ -21,7 +21,10 @@ fn parse_err(src: &str) -> aji_parser::ParseError {
 fn roundtrip(src: &str) {
     let once = print_module(&parse(src));
     let twice = print_module(&parse(&once));
-    assert_eq!(once, twice, "printer not stable for:\n{src}\nfirst:\n{once}");
+    assert_eq!(
+        once, twice,
+        "printer not stable for:\n{src}\nfirst:\n{once}"
+    );
 }
 
 fn first_expr(m: &Module) -> &Expr {
@@ -95,9 +98,7 @@ fn for_in_operator_restriction() {
 
 #[test]
 fn switch_statement() {
-    let m = parse(
-        "switch (x) { case 1: a(); break; case 2: case 3: b(); break; default: c(); }",
-    );
+    let m = parse("switch (x) { case 1: a(); break; case 2: case 3: b(); break; default: c(); }");
     match &m.body[0].kind {
         StmtKind::Switch { cases, .. } => {
             assert_eq!(cases.len(), 4);
@@ -243,10 +244,7 @@ fn new_expressions() {
     parse("new a.b.C(1, 2);");
     parse("new (getClass())(arg);");
     let m = parse("x = new new Meta()();");
-    assert!(matches!(
-        first_expr(&m).kind,
-        ExprKind::Assign { .. }
-    ));
+    assert!(matches!(first_expr(&m).kind, ExprKind::Assign { .. }));
 }
 
 #[test]
@@ -400,10 +398,7 @@ fn classes() {
             assert_eq!(c.name.as_deref(), Some("A"));
             assert!(c.super_class.is_some());
             assert_eq!(c.members.len(), 7);
-            assert!(matches!(
-                c.members[0].kind,
-                ClassMemberKind::Constructor(_)
-            ));
+            assert!(matches!(c.members[0].kind, ClassMemberKind::Constructor(_)));
             assert!(c.members[2].is_static);
         }
         _ => panic!(),

@@ -9,11 +9,49 @@ use aji_support::check::{property, TestCase};
 use aji_support::{prop_assert, prop_assert_eq};
 
 const KEYWORDS: &[&str] = &[
-    "var", "let", "const", "function", "return", "if", "else", "while", "do", "for", "in",
-    "new", "delete", "typeof", "void", "instanceof", "this", "null", "true", "false", "class",
-    "extends", "super", "try", "catch", "finally", "throw", "switch", "case", "default",
-    "break", "continue", "debugger", "of", "get", "set", "static", "async", "await", "yield",
-    "arguments", "eval", "undefined",
+    "var",
+    "let",
+    "const",
+    "function",
+    "return",
+    "if",
+    "else",
+    "while",
+    "do",
+    "for",
+    "in",
+    "new",
+    "delete",
+    "typeof",
+    "void",
+    "instanceof",
+    "this",
+    "null",
+    "true",
+    "false",
+    "class",
+    "extends",
+    "super",
+    "try",
+    "catch",
+    "finally",
+    "throw",
+    "switch",
+    "case",
+    "default",
+    "break",
+    "continue",
+    "debugger",
+    "of",
+    "get",
+    "set",
+    "static",
+    "async",
+    "await",
+    "yield",
+    "arguments",
+    "eval",
+    "undefined",
 ];
 
 fn ident(tc: &mut TestCase) -> String {
@@ -33,7 +71,10 @@ fn literal(tc: &mut TestCase) -> String {
         0 => tc.int_in(0u32..100_000).to_string(),
         1 => format!(
             "'{}'",
-            tc.string_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _.-", 0..10)
+            tc.string_of(
+                "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _.-",
+                0..10
+            )
         ),
         2 => "true".to_string(),
         3 => "false".to_string(),
@@ -171,7 +212,12 @@ fn node_ids_unique_per_parse() {
         let mut sorted = v.0.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), v.0.len(), "duplicate expr node ids in:\n{}", src);
+        prop_assert_eq!(
+            sorted.len(),
+            v.0.len(),
+            "duplicate expr node ids in:\n{}",
+            src
+        );
         Ok(())
     });
 }

@@ -103,9 +103,7 @@ pub fn generate(
                 if BUILTIN_GLOBALS.contains(&name.as_str()) {
                     let sym = g.solver.interner.intern(name);
                     let tok = g.solver.token(TokenData::Builtin(sym));
-                    let cell = g
-                        .solver
-                        .cell(CellKind::Var(crate::scopes::VarId(i as u32)));
+                    let cell = g.solver.cell(CellKind::Var(crate::scopes::VarId(i as u32)));
                     g.solver.add_token(cell, tok);
                 }
             }
@@ -300,10 +298,7 @@ impl<'a> Gen<'a> {
                     self.stmt(s);
                 }
             }
-            StmtKind::Empty
-            | StmtKind::Break(_)
-            | StmtKind::Continue(_)
-            | StmtKind::Debugger => {}
+            StmtKind::Empty | StmtKind::Break(_) | StmtKind::Continue(_) | StmtKind::Debugger => {}
             StmtKind::Labeled { body, .. } => self.stmt(body),
             StmtKind::Switch { disc, cases } => {
                 self.expr(disc);
@@ -596,10 +591,7 @@ impl<'a> Gen<'a> {
     fn expr(&mut self, e: &Expr) -> CellId {
         let cell = self.expr_cell(e);
         match &e.kind {
-            ExprKind::Num(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::Null => {}
+            ExprKind::Num(_) | ExprKind::Str(_) | ExprKind::Bool(_) | ExprKind::Null => {}
             ExprKind::Template { exprs, .. } => {
                 for x in exprs {
                     self.expr(x);
@@ -664,8 +656,7 @@ impl<'a> Gen<'a> {
                                 other => {
                                     if let Some(name) = other.static_name() {
                                         let prop = self.solver.interner.intern(&name);
-                                        let f =
-                                            self.solver.cell(CellKind::Field(tok, prop));
+                                        let f = self.solver.cell(CellKind::Field(tok, prop));
                                         self.solver.add_edge(v, f);
                                     }
                                 }
@@ -691,8 +682,7 @@ impl<'a> Gen<'a> {
                                         self.solver.add_edge(r, f);
                                     }
                                     MethodKind::Set => {
-                                        let p =
-                                            self.solver.cell(CellKind::Param(midx, 0));
+                                        let p = self.solver.cell(CellKind::Param(midx, 0));
                                         self.solver.add_edge(f, p);
                                     }
                                 }
@@ -772,11 +762,7 @@ impl<'a> Gen<'a> {
                 self.solver.add_edge(c1, cell);
                 self.solver.add_edge(c2, cell);
             }
-            ExprKind::Call {
-                callee,
-                args,
-                ..
-            } => {
+            ExprKind::Call { callee, args, .. } => {
                 return self.call(e, callee, args, false);
             }
             ExprKind::New { callee, args } => {
@@ -917,8 +903,7 @@ impl<'a> Gen<'a> {
         match &callee_u.kind {
             // `super(...)` — constructor chaining is not modeled.
             ExprKind::Ident(n) if n == "super" => {}
-            ExprKind::Member { obj, prop, .. }
-                if !matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") =>
+            ExprKind::Member { obj, prop, .. } if !matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") =>
             {
                 let base = self.expr(obj);
                 self.solver.sites[site_idx as usize].this_cell = Some(base);
@@ -970,7 +955,8 @@ impl<'a> Gen<'a> {
         let elems_sym = self.solver.elems_sym;
         match name {
             "call" => {
-                self.solver.add_constraint(base, Constraint::DotCall { site });
+                self.solver
+                    .add_constraint(base, Constraint::DotCall { site });
             }
             "apply" => {
                 // Collect the argument array's elements in the site's
@@ -1059,8 +1045,13 @@ impl<'a> Gen<'a> {
             }
             "push" | "unshift" => {
                 for a in args {
-                    self.solver
-                        .add_constraint(base, Constraint::Store { prop: elems_sym, src: *a });
+                    self.solver.add_constraint(
+                        base,
+                        Constraint::Store {
+                            prop: elems_sym,
+                            src: *a,
+                        },
+                    );
                 }
             }
             "pop" | "shift" => {
@@ -1083,8 +1074,13 @@ impl<'a> Gen<'a> {
                             dst: tmp,
                         },
                     );
-                    self.solver
-                        .add_constraint(base, Constraint::Store { prop: elems_sym, src: tmp });
+                    self.solver.add_constraint(
+                        base,
+                        Constraint::Store {
+                            prop: elems_sym,
+                            src: tmp,
+                        },
+                    );
                 }
             }
             "slice" | "splice" | "reverse" | "fill" | "flat" => {

@@ -225,8 +225,7 @@ mod tests {
     fn metrics_json_roundtrip() {
         let cg = cg_with_edges(&[(1, 10), (1, 11), (2, 10)], &[3]);
         let m = CgMetrics::of(&cg);
-        let back =
-            CgMetrics::from_json(&Json::parse(&m.to_json().to_string()).unwrap()).unwrap();
+        let back = CgMetrics::from_json(&Json::parse(&m.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, m);
     }
 

@@ -108,9 +108,7 @@ pub fn resolve(modules: &[std::rc::Rc<Module>]) -> Resolution {
         };
         r.push_scope();
         for name in MODULE_MAGIC {
-            let v = r
-                .res
-                .fresh(VarInfo::ModuleMagic(file, name.to_string()));
+            let v = r.res.fresh(VarInfo::ModuleMagic(file, name.to_string()));
             r.declare_raw(name, v);
         }
         r.hoist_stmts(&m.body, true);
@@ -353,10 +351,7 @@ impl<'a> Resolver<'a> {
                 }
                 self.pop_scope();
             }
-            StmtKind::Empty
-            | StmtKind::Break(_)
-            | StmtKind::Continue(_)
-            | StmtKind::Debugger => {}
+            StmtKind::Empty | StmtKind::Break(_) | StmtKind::Continue(_) | StmtKind::Debugger => {}
             StmtKind::Labeled { body, .. } => self.stmt(body),
             StmtKind::Switch { disc, cases } => {
                 self.expr(disc);
@@ -655,9 +650,8 @@ mod tests {
 
     #[test]
     fn closure_references_resolve_to_same_var() {
-        let (ms, res) = resolve_src(
-            "var x = 1; function f() { return x; } function g() { return x; }",
-        );
+        let (ms, res) =
+            resolve_src("var x = 1; function f() { return x; } function g() { return x; }");
         let refs = find_ident(&ms[0], "x");
         assert_eq!(refs.len(), 2);
         let v1 = res.var_of(refs[0]).unwrap();

@@ -359,11 +359,7 @@ impl Solver {
             return;
         }
         c.succs.push(to);
-        let tokens: Vec<Token> = self.cells[from.0 as usize]
-            .tokens
-            .iter()
-            .copied()
-            .collect();
+        let tokens: Vec<Token> = self.cells[from.0 as usize].tokens.iter().copied().collect();
         for t in tokens {
             self.add_token(to, t);
         }
@@ -371,11 +367,7 @@ impl Solver {
 
     /// Attaches a constraint to a cell, replaying existing tokens.
     pub fn add_constraint(&mut self, cell: CellId, c: Constraint) {
-        let tokens: Vec<Token> = self.cells[cell.0 as usize]
-            .tokens
-            .iter()
-            .copied()
-            .collect();
+        let tokens: Vec<Token> = self.cells[cell.0 as usize].tokens.iter().copied().collect();
         self.cells[cell.0 as usize].cons.push(c.clone());
         for t in tokens {
             self.apply(cell, t, &c);
@@ -384,11 +376,7 @@ impl Solver {
 
     /// The tokens currently in a cell.
     pub fn tokens_of(&self, cell: CellId) -> Vec<Token> {
-        self.cells[cell.0 as usize]
-            .tokens
-            .iter()
-            .copied()
-            .collect()
+        self.cells[cell.0 as usize].tokens.iter().copied().collect()
     }
 
     /// Looks up a cell without creating it.
@@ -552,10 +540,7 @@ impl Solver {
                 self.add_token(dst, tok);
             }
         }
-        self.loads_by_token
-            .entry(t)
-            .or_default()
-            .push((prop, dst));
+        self.loads_by_token.entry(t).or_default().push((prop, dst));
         // Field of t and of every ancestor.
         let chain = self.proto_chain(t);
         for a in chain {
@@ -610,11 +595,7 @@ impl Solver {
         // Replay their loads against the new ancestor chain.
         let parent_chain = self.proto_chain(parent);
         for x in affected {
-            let loads = self
-                .loads_by_token
-                .get(&x)
-                .cloned()
-                .unwrap_or_default();
+            let loads = self.loads_by_token.get(&x).cloned().unwrap_or_default();
             for (prop, dst) in loads {
                 for a in &parent_chain {
                     let f = self.cell(CellKind::Field(*a, prop));
@@ -892,7 +873,13 @@ mod tests {
         let out = s.tmp();
         let create = s.interner.intern("create");
         s.add_token(cell, t);
-        s.add_constraint(cell, Constraint::Load { prop: create, dst: out });
+        s.add_constraint(
+            cell,
+            Constraint::Load {
+                prop: create,
+                dst: out,
+            },
+        );
         s.solve();
         let toks = s.tokens_of(out);
         assert_eq!(toks.len(), 1);

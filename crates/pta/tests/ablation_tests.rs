@@ -166,11 +166,10 @@ exports.pick = function pick(cfg) {\n\
     let _ = hints2;
     // The read `cfg['handler']` in index.js line 2, treated as `.handler`,
     // lets `f()` in app.js resolve to realHandler (app.js line 2).
-    let found = analysis
-        .call_graph
-        .edges
-        .iter()
-        .any(|(cs, f)| cs.file.index() == 1 && cs.line == 3 && f.file.index() == 1 && f.line == 2);
+    let found =
+        analysis.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 1 && cs.line == 3 && f.file.index() == 1 && f.line == 2
+        });
     assert!(
         found,
         "proxy-read extension should resolve f(); edges: {:?}",

@@ -216,7 +216,11 @@ fn class_static_method_call() {
          var r = Registry.create();\n\
          r.ping();",
     );
-    assert!(has_edge(&a, 5, 2), "static call, edges: {:?}", a.call_graph.edges);
+    assert!(
+        has_edge(&a, 5, 2),
+        "static call, edges: {:?}",
+        a.call_graph.edges
+    );
     assert!(has_edge(&a, 6, 3), "instance via static factory");
 }
 
@@ -282,17 +286,13 @@ fn compound_logical_assignment_flows() {
 
 #[test]
 fn promise_then_callback_is_invoked() {
-    let a = analyze_src(
-        "somePromise.then(function onOk() {});",
-    );
+    let a = analyze_src("somePromise.then(function onOk() {});");
     assert!(has_edge(&a, 1, 1));
 }
 
 #[test]
 fn event_listener_registration_counts_as_call() {
-    let a = analyze_src(
-        "emitter.on('evt', function listener() {});",
-    );
+    let a = analyze_src("emitter.on('evt', function listener() {});");
     assert!(has_edge(&a, 1, 1));
 }
 

@@ -110,7 +110,10 @@ fn edge_order_is_irrelevant() {
                 s.add_edge(cells[*a], cells[*b]);
             }
             s.solve();
-            cells.iter().map(|c| token_lines(&s, *c)).collect::<Vec<_>>()
+            cells
+                .iter()
+                .map(|c| token_lines(&s, *c))
+                .collect::<Vec<_>>()
         };
         let fwd = build(&case.edges);
         let mut rev = case.edges.clone();
@@ -123,31 +126,47 @@ fn edge_order_is_irrelevant() {
 
 #[test]
 fn store_then_load_is_identity() {
-    property("store_then_load_is_identity").cases(256).run(|tc| {
-        // Storing tokens into a field and loading it back yields the same
-        // set, through an arbitrary chain of aliases.
-        let lines: BTreeSet<u32> =
-            tc.vec_of(1..6, |t| t.int_in(1u32..50)).into_iter().collect();
-        let mut s = Solver::new(vec![]);
-        let obj_cell = s.tmp();
-        let alias = s.tmp();
-        let src = s.tmp();
-        let dst = s.tmp();
-        let obj = s.token(TokenData::Obj(Loc::new(FileId(0), 999, 1)));
-        s.add_token(obj_cell, obj);
-        s.add_edge(obj_cell, alias);
-        let prop_sym = s.interner.intern("p");
-        for l in &lines {
-            let t = s.token(TokenData::Obj(Loc::new(FileId(0), *l, 1)));
-            s.add_token(src, t);
-        }
-        s.add_constraint(obj_cell, Constraint::Store { prop: prop_sym, src });
-        s.add_constraint(alias, Constraint::Load { prop: prop_sym, dst });
-        s.solve();
-        let got = token_lines(&s, dst);
-        prop_assert_eq!(got, lines);
-        Ok(())
-    });
+    property("store_then_load_is_identity")
+        .cases(256)
+        .run(|tc| {
+            // Storing tokens into a field and loading it back yields the same
+            // set, through an arbitrary chain of aliases.
+            let lines: BTreeSet<u32> = tc
+                .vec_of(1..6, |t| t.int_in(1u32..50))
+                .into_iter()
+                .collect();
+            let mut s = Solver::new(vec![]);
+            let obj_cell = s.tmp();
+            let alias = s.tmp();
+            let src = s.tmp();
+            let dst = s.tmp();
+            let obj = s.token(TokenData::Obj(Loc::new(FileId(0), 999, 1)));
+            s.add_token(obj_cell, obj);
+            s.add_edge(obj_cell, alias);
+            let prop_sym = s.interner.intern("p");
+            for l in &lines {
+                let t = s.token(TokenData::Obj(Loc::new(FileId(0), *l, 1)));
+                s.add_token(src, t);
+            }
+            s.add_constraint(
+                obj_cell,
+                Constraint::Store {
+                    prop: prop_sym,
+                    src,
+                },
+            );
+            s.add_constraint(
+                alias,
+                Constraint::Load {
+                    prop: prop_sym,
+                    dst,
+                },
+            );
+            s.solve();
+            let got = token_lines(&s, dst);
+            prop_assert_eq!(got, lines);
+            Ok(())
+        });
 }
 
 #[test]

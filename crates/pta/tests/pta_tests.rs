@@ -47,10 +47,7 @@ fn edge_lines(a: &Analysis) -> Vec<(u32, u32)> {
 
 #[test]
 fn direct_call_edge() {
-    let p = project(&[(
-        "index.js",
-        "function f() { return 1; }\nf();",
-    )]);
+    let p = project(&[("index.js", "function f() { return 1; }\nf();")]);
     let a = baseline(&p);
     assert!(has_edge(&a, 2, 1), "edges: {:?}", edge_lines(&a));
     assert_eq!(CgMetrics::of(&a.call_graph).call_edges, 1);
@@ -186,20 +183,15 @@ fn method_table_loop_pattern() {
 #[test]
 fn require_resolves_exports() {
     let p = project(&[
-        (
-            "index.js",
-            "var lib = require('./lib');\nlib.go();",
-        ),
-        (
-            "lib.js",
-            "exports.go = function go() { return 1; };",
-        ),
+        ("index.js", "var lib = require('./lib');\nlib.go();"),
+        ("lib.js", "exports.go = function go() { return 1; };"),
     ]);
     let a = baseline(&p);
     // Edge from index.js line 2 to lib.js line 1.
-    let found = a.call_graph.edges.iter().any(|(cs, f)| {
-        cs.file.index() == 0 && cs.line == 2 && f.file.index() == 1 && f.line == 1
-    });
+    let found =
+        a.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 0 && cs.line == 2 && f.file.index() == 1 && f.line == 1
+        });
     assert!(found, "edges: {:?}", a.call_graph.edges);
 }
 
@@ -296,7 +288,10 @@ fn late_module_hint_is_wired_into_a_fired_require_site() {
         .any(|(cs, f)| cs.line == 3 && f.file.index() == 1));
     let scratch = analyze_parsed(&p, &parsed, Some(&hints), &modules_only);
     assert_eq!(late.call_graph, scratch.call_graph);
-    assert_eq!(late.solver_stats.propagations, scratch.solver_stats.propagations);
+    assert_eq!(
+        late.solver_stats.propagations,
+        scratch.solver_stats.propagations
+    );
 }
 
 // ----- prototypes, new, classes -----
@@ -312,7 +307,11 @@ fn prototype_method_resolution() {
     )]);
     let a = baseline(&p);
     assert!(has_edge(&a, 3, 1), "constructor call");
-    assert!(has_edge(&a, 4, 2), "prototype method, edges: {:?}", edge_lines(&a));
+    assert!(
+        has_edge(&a, 4, 2),
+        "prototype method, edges: {:?}",
+        edge_lines(&a)
+    );
 }
 
 #[test]
@@ -341,7 +340,11 @@ fn class_inheritance_method_lookup() {
          b.base();",
     )]);
     let a = baseline(&p);
-    assert!(has_edge(&a, 6, 2), "inherited method, edges: {:?}", edge_lines(&a));
+    assert!(
+        has_edge(&a, 6, 2),
+        "inherited method, edges: {:?}",
+        edge_lines(&a)
+    );
 }
 
 #[test]
@@ -393,10 +396,7 @@ fn bound_functions_keep_identity() {
 
 #[test]
 fn foreach_callback_edges() {
-    let p = project(&[(
-        "index.js",
-        "[1, 2].forEach(function cb(x) { use(x); });",
-    )]);
+    let p = project(&[("index.js", "[1, 2].forEach(function cb(x) { use(x); });")]);
     let a = baseline(&p);
     assert!(has_edge(&a, 1, 1), "forEach invokes its callback");
 }
@@ -469,7 +469,11 @@ fn reachability_from_main_package_only() {
     let m = CgMetrics::of(&a.call_graph);
     // used() is reachable; unused/helper are not (helper is only called
     // from unused, which nobody calls).
-    assert_eq!(m.reachable_functions, 1, "cg: {:?}", a.call_graph.reachable_functions);
+    assert_eq!(
+        m.reachable_functions, 1,
+        "cg: {:?}",
+        a.call_graph.reachable_functions
+    );
     assert_eq!(m.total_functions, 3);
 }
 
@@ -545,15 +549,17 @@ fn motivating_example_baseline_misses_api_calls() {
     let a = baseline(&p);
     // app.get (index.js line 3) must NOT resolve to the dynamic method
     // (application.js line 5).
-    let app_get_edge = a.call_graph.edges.iter().any(|(cs, f)| {
-        cs.file.index() == 0 && cs.line == 3 && f.file.index() == 3 && f.line == 5
-    });
+    let app_get_edge =
+        a.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 0 && cs.line == 3 && f.file.index() == 3 && f.line == 5
+        });
     assert!(!app_get_edge);
     // app.listen resolves even in the baseline? No: listen is installed
     // via Object.defineProperty inside merge, which the baseline ignores.
-    let app_listen_edge = a.call_graph.edges.iter().any(|(cs, f)| {
-        cs.file.index() == 0 && cs.line == 6 && f.file.index() == 3 && f.line == 10
-    });
+    let app_listen_edge =
+        a.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 0 && cs.line == 6 && f.file.index() == 3 && f.line == 10
+        });
     assert!(!app_listen_edge);
 }
 
@@ -564,18 +570,20 @@ fn motivating_example_extended_finds_api_calls() {
     assert!(!hints.writes.is_empty(), "expected write hints");
     // The famous edges: app.get → the dynamically installed method, and
     // app.listen → the listen function copied by the mixin.
-    let app_get_edge = a.call_graph.edges.iter().any(|(cs, f)| {
-        cs.file.index() == 0 && cs.line == 3 && f.file.index() == 3 && f.line == 5
-    });
+    let app_get_edge =
+        a.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 0 && cs.line == 3 && f.file.index() == 3 && f.line == 5
+        });
     assert!(
         app_get_edge,
         "app.get edge missing; hints: {} writes, edges: {:?}",
         hints.writes.len(),
         a.call_graph.edges
     );
-    let app_listen_edge = a.call_graph.edges.iter().any(|(cs, f)| {
-        cs.file.index() == 0 && cs.line == 6 && f.file.index() == 3 && f.line == 10
-    });
+    let app_listen_edge =
+        a.call_graph.edges.iter().any(|(cs, f)| {
+            cs.file.index() == 0 && cs.line == 6 && f.file.index() == 3 && f.line == 10
+        });
     assert!(app_listen_edge, "app.listen edge missing");
 }
 

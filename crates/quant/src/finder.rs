@@ -90,10 +90,7 @@ impl Tracer for PropObserver {
         if found {
             *self.present.entry((fp, prop.to_string())).or_insert(0) += 1;
         } else {
-            *self
-                .absent
-                .entry((fp, prop.to_string(), site))
-                .or_insert(0) += 1;
+            *self.absent.entry((fp, prop.to_string(), site)).or_insert(0) += 1;
         }
     }
 }
@@ -269,7 +266,11 @@ impl FinderReport {
 /// byte-identical to a serial run), then scores every missed access
 /// against the merged frequency model.
 #[must_use]
-pub fn find_anomalies(projects: Vec<Project>, opts: &FinderOptions, threads: usize) -> FinderReport {
+pub fn find_anomalies(
+    projects: Vec<Project>,
+    opts: &FinderOptions,
+    threads: usize,
+) -> FinderReport {
     let results = run_corpus_map(projects, threads, |p| {
         observe_project(p, &opts.interp).ok_or("project does not parse")
     });
@@ -300,8 +301,7 @@ pub fn find_anomalies(projects: Vec<Project>, opts: &FinderOptions, threads: usi
 
     let mut candidates = Vec::new();
     for o in &observations {
-        let known_good: BTreeSet<&str> =
-            o.present.keys().map(|(_, prop)| prop.as_str()).collect();
+        let known_good: BTreeSet<&str> = o.present.keys().map(|(_, prop)| prop.as_str()).collect();
         for ((fp, prop, site), count) in &o.absent {
             let keys = shapes.get(fp).map(Vec::as_slice).unwrap_or(&[]);
             let mut nearest: Option<(&String, usize)> = None;

@@ -50,6 +50,4 @@ pub use finder::{
     evaluate, find_anomalies, observe_project, Candidate, EvalReport, FinderOptions, FinderReport,
     ProjectObservations,
 };
-pub use rank::{
-    rank_corpus, rank_project, CauseImpact, CorpusRank, ProjectRank, SpuriousImpact,
-};
+pub use rank::{rank_corpus, rank_project, CauseImpact, CorpusRank, ProjectRank, SpuriousImpact};

@@ -105,7 +105,10 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
 fn typo_corpus(
     count: usize,
     base_seed: u64,
-) -> (Vec<aji_ast::Project>, Vec<(String, Vec<aji_corpus::InjectedTypo>)>) {
+) -> (
+    Vec<aji_ast::Project>,
+    Vec<(String, Vec<aji_corpus::InjectedTypo>)>,
+) {
     let mut projects = Vec::with_capacity(count);
     let mut manifests = Vec::with_capacity(count);
     for (i, mut cfg) in aji_corpus::population_configs(count, base_seed)

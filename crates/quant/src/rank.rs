@@ -89,10 +89,7 @@ impl SpuriousImpact {
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            (
-                "name",
-                Json::Str(format!("quant.spurious.{}", self.cause)),
-            ),
+            ("name", Json::Str(format!("quant.spurious.{}", self.cause))),
             ("spurious", Json::Num(self.spurious as f64)),
             ("precision_gain_pct", Json::Num(self.precision_gain_pct)),
         ])
@@ -156,10 +153,7 @@ fn rank_causes(
         .iter()
         .map(|(c, edges)| {
             let (recovered, strategy) = if *c == Cause::HigherOrderProxy {
-                (
-                    edges.intersection(resolve_recovered).count(),
-                    "resolve",
-                )
+                (edges.intersection(resolve_recovered).count(), "resolve")
             } else {
                 (edges.len(), "patch-edges")
             };
@@ -180,7 +174,11 @@ fn rank_causes(
     causes
 }
 
-fn rank_spurious(counts: &[(SpuriousCause, usize)], matched: usize, spurious: usize) -> Vec<SpuriousImpact> {
+fn rank_spurious(
+    counts: &[(SpuriousCause, usize)],
+    matched: usize,
+    spurious: usize,
+) -> Vec<SpuriousImpact> {
     let precision = |m: usize, s: usize| -> f64 {
         if m + s == 0 {
             100.0
@@ -197,11 +195,7 @@ fn rank_spurious(counts: &[(SpuriousCause, usize)], matched: usize, spurious: us
             precision_gain_pct: precision(matched, spurious - n) - base,
         })
         .collect();
-    out.sort_by(|a, b| {
-        b.spurious
-            .cmp(&a.spurious)
-            .then(a.cause.cmp(b.cause))
-    });
+    out.sort_by(|a, b| b.spurious.cmp(&a.spurious).then(a.cause.cmp(b.cause)));
     out
 }
 
@@ -227,9 +221,7 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
     // The one measured counterfactual: §6 proxy-read hints force-enabled
     // on top of the extended analysis. Only worth a re-solve when the
     // family is non-empty; the re-solve extends the extended fixpoint.
-    let proxy_missed = missed
-        .iter()
-        .any(|m| m.cause == Cause::HigherOrderProxy);
+    let proxy_missed = missed.iter().any(|m| m.cause == Cause::HigherOrderProxy);
     let resolve_recovered: BTreeSet<(Loc, Loc)> = if proxy_missed {
         let resolved = graph.extend(
             Some(&hints),
@@ -415,7 +407,11 @@ mod tests {
                 }
             }
             let missed_sum: usize = p.causes.iter().map(|c| c.missed).sum();
-            assert_eq!(missed_sum, p.missed, "{}: causes must partition misses", p.name);
+            assert_eq!(
+                missed_sum, p.missed,
+                "{}: causes must partition misses",
+                p.name
+            );
         }
     }
 

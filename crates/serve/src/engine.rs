@@ -52,7 +52,6 @@ pub struct EngineOptions {
     pub oracle: OracleOptions,
 }
 
-
 /// The daemon's brain: a [`HintStore`] plus request dispatch.
 pub struct Engine {
     opts: EngineOptions,
@@ -141,10 +140,7 @@ impl Engine {
                     true,
                 )
             }
-            other => (
-                err_frame(other, format!("unknown op '{other}'")),
-                false,
-            ),
+            other => (err_frame(other, format!("unknown op '{other}'")), false),
         }
     }
 
@@ -388,12 +384,18 @@ mod tests {
         let (second, _) = engine.handle(&dyn_req);
         assert_eq!(second.get("ok"), Some(&Json::Bool(true)), "{second}");
         assert!(
-            second.get("result").and_then(|r| r.get("accuracy")).is_some(),
+            second
+                .get("result")
+                .and_then(|r| r.get("accuracy"))
+                .is_some(),
             "dynamic run reports accuracy"
         );
         let s = engine.store().stats();
         assert_eq!(s.hint_hits, 1, "approx phase skipped on the dynamic run");
-        assert_eq!(s.response_hits, 0, "different fingerprint, so no response hit");
+        assert_eq!(
+            s.response_hits, 0,
+            "different fingerprint, so no response hit"
+        );
     }
 
     #[test]
@@ -421,7 +423,11 @@ mod tests {
         let (resp, _) = engine.handle(&Json::obj(vec![("op", Json::Str("fly".into()))]));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
         let (resp, _) = engine.handle(&Json::obj(vec![("op", Json::Str("save".into()))]));
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "save without store");
+        assert_eq!(
+            resp.get("ok"),
+            Some(&Json::Bool(false)),
+            "save without store"
+        );
         // A parse error is a request-level error, not a cached response.
         let broken = Project {
             name: "broken".into(),
@@ -482,7 +488,10 @@ mod tests {
         let result = resp.get("result").expect("result");
         assert_eq!(result.get("requests").and_then(Json::as_f64), Some(2.0));
         let store = result.get("store").expect("store counters");
-        assert_eq!(store.get("response_misses").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            store.get("response_misses").and_then(Json::as_f64),
+            Some(1.0)
+        );
         let sizes = result.get("sizes").expect("layer sizes");
         assert_eq!(sizes.get("projects").and_then(Json::as_f64), Some(1.0));
     }

@@ -67,10 +67,7 @@ use aji_support::{wire, Json};
 ///
 /// Only listener-level accept failures abort the loop.
 #[cfg(unix)]
-pub fn serve(
-    listener: &std::os::unix::net::UnixListener,
-    engine: &mut Engine,
-) -> io::Result<()> {
+pub fn serve(listener: &std::os::unix::net::UnixListener, engine: &mut Engine) -> io::Result<()> {
     for conn in listener.incoming() {
         let stream = conn?;
         match serve_connection(stream, engine) {
@@ -146,11 +143,8 @@ mod tests {
     fn stats_roundtrip_and_clean_shutdown() {
         let path = temp_socket("stats");
         let daemon = spawn_daemon(&path);
-        let resp = wire::request(
-            &path,
-            &Json::obj(vec![("op", Json::Str("stats".into()))]),
-        )
-        .unwrap();
+        let resp =
+            wire::request(&path, &Json::obj(vec![("op", Json::Str("stats".into()))])).unwrap();
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         let resp = wire::request(
             &path,

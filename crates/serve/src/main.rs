@@ -96,8 +96,7 @@ fn build_request(cli: &Cli) -> Result<Json, String> {
         pairs.push(("name".to_string(), Json::Str(name.clone())));
     }
     if let Some(file) = &cli.project_file {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {file}: {e}"))?;
+        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{file} is not valid JSON: {e}"))?;
         pairs.push(("project".to_string(), doc));
     }

@@ -244,7 +244,12 @@ impl HintStore {
     }
 
     /// Hint-layer lookup (counts a hit or a miss).
-    pub fn hints(&mut self, name: &str, digest: u64, approx_fp: u64) -> Option<(Hints, ApproxStats)> {
+    pub fn hints(
+        &mut self,
+        name: &str,
+        digest: u64,
+        approx_fp: u64,
+    ) -> Option<(Hints, ApproxStats)> {
         let found = self
             .projects
             .get(name)
@@ -544,10 +549,7 @@ impl HintStore {
                         store
                     }
                     Err(e) => {
-                        eprintln!(
-                            "aji-serve: ignoring snapshot {}: {e}",
-                            path.display()
-                        );
+                        eprintln!("aji-serve: ignoring snapshot {}: {e}", path.display());
                         HintStore::new(seed)
                     }
                 }
@@ -665,7 +667,10 @@ mod tests {
         let mut store = HintStore::new(0);
         assert_eq!(store.response("analyze", "p", 1, 2), None);
         store.put_response("analyze", "p", 1, 2, "{\"x\":1}".into());
-        assert_eq!(store.response("analyze", "p", 1, 2).as_deref(), Some("{\"x\":1}"));
+        assert_eq!(
+            store.response("analyze", "p", 1, 2).as_deref(),
+            Some("{\"x\":1}")
+        );
         // Different op, digest or fingerprint: distinct entries.
         assert_eq!(store.response("oracle", "p", 1, 2), None);
         assert_eq!(store.response("analyze", "p", 9, 2), None);
@@ -752,9 +757,7 @@ mod tests {
         assert_eq!(snap, store.snapshot().to_string(), "stable rendering");
 
         let mut back = HintStore::new(3);
-        let n = back
-            .load_snapshot(&Json::parse(&snap).unwrap())
-            .unwrap();
+        let n = back.load_snapshot(&Json::parse(&snap).unwrap()).unwrap();
         assert_eq!(n, 3);
         assert_eq!(back.snapshot().to_string(), snap, "lossless round trip");
         let (h, s) = back.hints("p", 10, 20).unwrap();

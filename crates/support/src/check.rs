@@ -446,10 +446,7 @@ impl Property {
         }
     }
 
-    fn execute(
-        f: &impl Fn(&mut TestCase) -> Result<(), String>,
-        prefix: Vec<u64>,
-    ) -> Run {
+    fn execute(f: &impl Fn(&mut TestCase) -> Result<(), String>, prefix: Vec<u64>) -> Run {
         let mut tc = TestCase::replaying(prefix);
         match f(&mut tc) {
             Ok(()) => Run::Pass,
@@ -459,7 +456,6 @@ impl Property {
             },
         }
     }
-
 }
 
 /// `proptest`-style assertion: fails the property (returns `Err`) instead
@@ -647,7 +643,11 @@ mod tests {
             shrink_choices(vec![31_337, 7], "v = 31337, w = 7".into(), 4096, f);
         // The property always draws twice, so the minimal sequence is the
         // boundary value followed by the minimal second draw.
-        assert_eq!(choices, vec![100, 0], "shrinks the value and zeroes the tail");
+        assert_eq!(
+            choices,
+            vec![100, 0],
+            "shrinks the value and zeroes the tail"
+        );
         assert!(message.starts_with("v = 100"), "message: {message}");
         assert!(runs > 0);
     }

@@ -127,7 +127,10 @@ impl Json {
 
     /// First value under `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
@@ -372,9 +375,7 @@ impl<'a> Parser<'a> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let cp = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + (lo - 0xDC00);
+                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(cp)
                                         .ok_or_else(|| self.err("invalid surrogate pair"))?
                                 } else {
@@ -383,15 +384,12 @@ impl<'a> Parser<'a> {
                             } else if (0xDC00..0xE000).contains(&hi) {
                                 return Err(self.err("lone low surrogate"));
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                         }
                         other => {
-                            return Err(
-                                self.err(format!("invalid escape '\\{}'", other as char))
-                            )
+                            return Err(self.err(format!("invalid escape '\\{}'", other as char)))
                         }
                     }
                 }
@@ -527,7 +525,8 @@ impl ToJson for f64 {
 
 impl FromJson for f64 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::shape("expected number"))
+        v.as_f64()
+            .ok_or_else(|| JsonError::shape("expected number"))
     }
 }
 
@@ -666,15 +665,9 @@ mod tests {
 
     #[test]
     fn parses_unicode_escapes_and_surrogates() {
-        assert_eq!(
-            Json::parse(r#""Aé""#).unwrap(),
-            Json::Str("Aé".into())
-        );
+        assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::Str("Aé".into()));
         // 😀 is U+1F600 = surrogate pair D83D DE00.
-        assert_eq!(
-            Json::parse(r#""😀""#).unwrap(),
-            Json::Str("😀".into())
-        );
+        assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err(), "lone high surrogate");
         assert!(Json::parse(r#""\ude00""#).is_err(), "lone low surrogate");
     }
@@ -706,9 +699,25 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "}", "[1,", "[1 2]", "{\"a\"}", "{\"a\":}", "{a:1}", "tru", "nul",
-            "1.2.3", "\"unterminated", "01x", "[1]]", "{} {}", "\"bad \\q escape\"",
-            "-", "1e", "\u{1}",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "[1 2]",
+            "{\"a\"}",
+            "{\"a\":}",
+            "{a:1}",
+            "tru",
+            "nul",
+            "1.2.3",
+            "\"unterminated",
+            "01x",
+            "[1]]",
+            "{} {}",
+            "\"bad \\q escape\"",
+            "-",
+            "1e",
+            "\u{1}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -65,8 +65,7 @@ where
     let threads = threads.min(n);
     // Work queue and an order-restoring result buffer.
     let work = Mutex::new(items.into_iter().enumerate().collect::<Vec<_>>());
-    let results: Mutex<Vec<Option<R>>> =
-        Mutex::new((0..n).map(|_| None).collect());
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {

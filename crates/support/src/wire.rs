@@ -97,9 +97,7 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Json>, WireError> {
         let trimmed = line.trim_end_matches(['\n', '\r']);
         // A blank line is a keep-alive no-op frame boundary; skip it.
         if !trimmed.is_empty() {
-            return Json::parse(trimmed)
-                .map(Some)
-                .map_err(WireError::Protocol);
+            return Json::parse(trimmed).map(Some).map_err(WireError::Protocol);
         }
     }
 }
@@ -175,10 +173,7 @@ mod tests {
     fn garbage_is_a_protocol_error() {
         let bytes = b"{not json}\n";
         let mut r = io::BufReader::new(&bytes[..]);
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(WireError::Protocol(_))
-        ));
+        assert!(matches!(read_frame(&mut r), Err(WireError::Protocol(_))));
     }
 
     #[cfg(unix)]

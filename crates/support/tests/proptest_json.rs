@@ -49,11 +49,11 @@ fn arbitrary_num(tc: &mut TestCase) -> f64 {
         -1.0,
         0.1,
         -2.5e3,
-        1e15,          // boundary of the integral fast path
+        1e15,                  // boundary of the integral fast path
         999_999_999_999_999.0, // just under it
         1e300,
         -1e300,
-        5e-324,        // smallest positive subnormal
+        5e-324, // smallest positive subnormal
         -2.2250738585072014e-308,
         9_007_199_254_740_993.0, // 2^53 + 1, not exactly representable
         f64::MAX,
@@ -87,7 +87,9 @@ fn arbitrary_json(tc: &mut TestCase, depth: u32) -> Json {
     if tc.bool() {
         Json::Arr(tc.vec_of(0..4, |t| arbitrary_json(t, depth - 1)))
     } else {
-        let pairs = tc.vec_of(0..4, |t| (arbitrary_string(t), arbitrary_json(t, depth - 1)));
+        let pairs = tc.vec_of(0..4, |t| {
+            (arbitrary_string(t), arbitrary_json(t, depth - 1))
+        });
         Json::Obj(pairs)
     }
 }
@@ -148,11 +150,11 @@ fn astral_plane_escapes_parse_to_the_character() {
 #[test]
 fn lone_surrogates_are_rejected() {
     for bad in [
-        r#""\ud834""#,          // lone high surrogate
-        r#""\udd1e""#,          // lone low surrogate
-        r#""\ud834x""#,         // high surrogate followed by a literal
-        r#""\ud834\n""#,        // high surrogate followed by a non-\u escape
-        r#""\ud834\ud834""#,    // two high surrogates
+        r#""\ud834""#,       // lone high surrogate
+        r#""\udd1e""#,       // lone low surrogate
+        r#""\ud834x""#,      // high surrogate followed by a literal
+        r#""\ud834\n""#,     // high surrogate followed by a non-\u escape
+        r#""\ud834\ud834""#, // two high surrogates
     ] {
         assert!(Json::parse(bad).is_err(), "accepted {bad}");
     }

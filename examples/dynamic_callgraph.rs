@@ -5,8 +5,8 @@
 //! Run with `cargo run --example dynamic_callgraph`.
 
 use aji::dynamic_call_graph;
-use aji_interp::InterpOptions;
 use aji_approx::{approximate_interpret, ApproxOptions};
+use aji_interp::InterpOptions;
 use aji_pta::{analyze, Accuracy, AnalysisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,8 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running test driver `{}` under the instrumented interpreter...",
         project.test_driver.clone().unwrap()
     );
-    let dyn_edges =
-        dynamic_call_graph(&project, &InterpOptions::default()).expect("interpreter");
+    let dyn_edges = dynamic_call_graph(&project, &InterpOptions::default()).expect("interpreter");
     println!("dynamic call graph: {} edges", dyn_edges.len());
     for (site, callee) in dyn_edges.iter().take(10) {
         println!(

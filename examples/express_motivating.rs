@@ -14,8 +14,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|p| p.name == "webframe-app")
         .expect("webframe pattern project");
 
-    println!("project `{}` — {} modules, {} packages", project.name,
-        project.module_count(), project.package_count());
+    println!(
+        "project `{}` — {} modules, {} packages",
+        project.name,
+        project.module_count(),
+        project.package_count()
+    );
     println!();
 
     let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg())?;

@@ -49,7 +49,10 @@ db.close();
     let mr = CgMetrics::of(&reused.call_graph);
     println!();
     println!("application analysis (no pre-analysis of the app itself):");
-    println!("  call edges        baseline {:>2}   with reused hints {:>2}", mb.call_edges, mr.call_edges);
+    println!(
+        "  call edges        baseline {:>2}   with reused hints {:>2}",
+        mb.call_edges, mr.call_edges
+    );
     println!(
         "  resolved sites    baseline {:>4.1}%  with reused hints {:>4.1}%",
         mb.resolved_pct(),
@@ -61,7 +64,10 @@ db.close();
         if site.file.0 == 0 && !targets.is_empty() {
             let lib_targets = targets.iter().filter(|t| t.file.0 == 1).count();
             if lib_targets > 0 {
-                println!("  index.js line {} -> {} library callee(s)", site.line, lib_targets);
+                println!(
+                    "  index.js line {} -> {} library callee(s)",
+                    site.line, lib_targets
+                );
             }
         }
     }

@@ -22,7 +22,10 @@ use std::sync::Arc;
 /// enough to exercise every pipeline phase (some projects carry
 /// vulnerability annotations and test drivers).
 fn corpus_slice() -> Vec<aji_ast::Project> {
-    aji_corpus::table1_benchmarks().into_iter().take(16).collect()
+    aji_corpus::table1_benchmarks()
+        .into_iter()
+        .take(16)
+        .collect()
 }
 
 /// Runs the slice through `run_corpus` under a scoped registry and
@@ -60,7 +63,11 @@ fn absorbed_obs_is_thread_count_invariant() {
     let shape = |r: &ObsReport| -> Vec<(String, u64)> {
         r.spans.iter().map(|s| (s.path.clone(), s.count)).collect()
     };
-    assert_eq!(shape(&serial), shape(&parallel), "span tree shape must agree");
+    assert_eq!(
+        shape(&serial),
+        shape(&parallel),
+        "span tree shape must agree"
+    );
     assert_eq!(
         serial.counter("corpus.projects"),
         Some(corpus_slice().len() as u64)

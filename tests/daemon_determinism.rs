@@ -143,12 +143,18 @@ mod socket {
         assert_eq!(modules, 1.0, "exactly the edited file's parse is evicted");
 
         let after = daemon_report(projects.clone(), &path, 4);
-        assert_eq!(after, local, "post-invalidate run must match the local batch");
+        assert_eq!(
+            after, local,
+            "post-invalidate run must match the local batch"
+        );
         let stats = request(&path, &Json::obj(vec![("op", Json::Str("stats".into()))]));
         assert_eq!(stat(&stats, "response_misses"), n + 1.0);
         assert_eq!(stat(&stats, "invalidations"), 1.0);
 
-        request(&path, &Json::obj(vec![("op", Json::Str("shutdown".into()))]));
+        request(
+            &path,
+            &Json::obj(vec![("op", Json::Str("shutdown".into()))]),
+        );
         daemon.join().unwrap();
         let _ = std::fs::remove_file(&path);
     }
@@ -156,10 +162,8 @@ mod socket {
 
 #[test]
 fn snapshot_reload_preserves_answers_byte_for_byte() {
-    let store = std::env::temp_dir().join(format!(
-        "aji-daemon-det-store-{}.json",
-        std::process::id()
-    ));
+    let store =
+        std::env::temp_dir().join(format!("aji-daemon-det-store-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&store);
     let opts = || EngineOptions {
         store_path: Some(store.clone()),
@@ -168,7 +172,10 @@ fn snapshot_reload_preserves_answers_byte_for_byte() {
     let projects = corpus();
 
     let mut first = Engine::new(opts());
-    let cold: Vec<String> = projects.iter().map(|p| engine_analyze(&mut first, p)).collect();
+    let cold: Vec<String> = projects
+        .iter()
+        .map(|p| engine_analyze(&mut first, p))
+        .collect();
     let (resp, _) = first.handle(&Json::obj(vec![("op", Json::Str("save".into()))]));
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
     drop(first);
@@ -176,7 +183,10 @@ fn snapshot_reload_preserves_answers_byte_for_byte() {
     // A fresh engine over the snapshot answers from the response layer,
     // byte-identically.
     let mut second = Engine::new(opts());
-    let warm: Vec<String> = projects.iter().map(|p| engine_analyze(&mut second, p)).collect();
+    let warm: Vec<String> = projects
+        .iter()
+        .map(|p| engine_analyze(&mut second, p))
+        .collect();
     assert_eq!(cold, warm);
     assert_eq!(second.store().stats().response_hits, projects.len() as u64);
     assert_eq!(second.store().stats().response_misses, 0);
@@ -199,7 +209,11 @@ fn oracle_op_matches_a_local_oracle_run_cold_and_warm() {
             let (resp, _) = engine.handle(&frame);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
             let result = resp.get("result").expect("result").to_string();
-            assert_eq!(result, local, "{} ({pass}): oracle op differs", project.name);
+            assert_eq!(
+                result, local,
+                "{} ({pass}): oracle op differs",
+                project.name
+            );
         }
     }
     let stats = engine.store().stats();
@@ -212,9 +226,18 @@ fn random_edit(tc: &mut TestCase, project: &mut Project, step: usize) {
     let file = &mut project.files[i];
     match tc.int_in(0u8..3) {
         // Append a new top-level binding (new nodes at the end).
-        0 => file.src.push_str(&format!("\nvar aji_edit_{step} = {};", tc.int_in(0u64..100))),
+        0 => file.src.push_str(&format!(
+            "\nvar aji_edit_{step} = {};",
+            tc.int_in(0u64..100)
+        )),
         // Prepend one (shifts every node id in the file).
-        1 => file.src = format!("var aji_pre_{step} = {};\n{}", tc.int_in(0u64..100), file.src),
+        1 => {
+            file.src = format!(
+                "var aji_pre_{step} = {};\n{}",
+                tc.int_in(0u64..100),
+                file.src
+            )
+        }
         // Rewrite the file wholesale.
         _ => file.src = format!("var aji_only_{step} = {};", tc.int_in(0u64..100)),
     }
@@ -222,41 +245,48 @@ fn random_edit(tc: &mut TestCase, project: &mut Project, step: usize) {
 
 #[test]
 fn random_edit_sequences_never_yield_stale_answers() {
-    property("daemon_random_edits_never_stale").cases(8).run(|tc| {
-        let projects = aji_corpus::pattern_projects();
-        let pick = tc.int_in(0usize..projects.len());
-        let mut project = projects[pick].clone();
-        let mut engine = Engine::new(EngineOptions::default());
+    property("daemon_random_edits_never_stale")
+        .cases(8)
+        .run(|tc| {
+            let projects = aji_corpus::pattern_projects();
+            let pick = tc.int_in(0usize..projects.len());
+            let mut project = projects[pick].clone();
+            let mut engine = Engine::new(EngineOptions::default());
 
-        // Cold answer for the pristine project.
-        prop_assert_eq!(engine_analyze(&mut engine, &project), scratch_answer(&project));
+            // Cold answer for the pristine project.
+            prop_assert_eq!(
+                engine_analyze(&mut engine, &project),
+                scratch_answer(&project)
+            );
 
-        let steps = tc.int_in(2usize..5);
-        for step in 0..steps {
-            random_edit(tc, &mut project, step);
-            // Sometimes also evict explicitly — eviction must never
-            // change an answer, only cache hit-rates.
-            if tc.bool() {
-                let path = project.files[tc.int_in(0usize..project.files.len())].path.clone();
-                let (resp, _) = engine.handle(&Json::obj(vec![
-                    ("op", Json::Str("invalidate".into())),
-                    ("name", Json::Str(project.name.clone())),
-                    ("path", Json::Str(path)),
-                ]));
-                assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+            let steps = tc.int_in(2usize..5);
+            for step in 0..steps {
+                random_edit(tc, &mut project, step);
+                // Sometimes also evict explicitly — eviction must never
+                // change an answer, only cache hit-rates.
+                if tc.bool() {
+                    let path = project.files[tc.int_in(0usize..project.files.len())]
+                        .path
+                        .clone();
+                    let (resp, _) = engine.handle(&Json::obj(vec![
+                        ("op", Json::Str("invalidate".into())),
+                        ("name", Json::Str(project.name.clone())),
+                        ("path", Json::Str(path)),
+                    ]));
+                    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+                }
+                prop_assert_eq!(
+                    engine_analyze(&mut engine, &project),
+                    scratch_answer(&project)
+                );
+                // And the immediate re-ask is warm yet identical.
+                let before = engine.store().stats().response_hits;
+                prop_assert_eq!(
+                    engine_analyze(&mut engine, &project),
+                    scratch_answer(&project)
+                );
+                prop_assert_eq!(engine.store().stats().response_hits, before + 1);
             }
-            prop_assert_eq!(
-                engine_analyze(&mut engine, &project),
-                scratch_answer(&project)
-            );
-            // And the immediate re-ask is warm yet identical.
-            let before = engine.store().stats().response_hits;
-            prop_assert_eq!(
-                engine_analyze(&mut engine, &project),
-                scratch_answer(&project)
-            );
-            prop_assert_eq!(engine.store().stats().response_hits, before + 1);
-        }
-        Ok(())
-    });
+            Ok(())
+        });
 }

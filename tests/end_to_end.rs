@@ -75,7 +75,10 @@ fn baseline_resolves_root_relative_requires_like_the_interpreter() {
     // the baseline finds every dynamic edge without any module hint.
     let mut project = aji_ast::Project::new("rooted-require");
     project.add_file("index.js", "require('./a/b').go();");
-    project.add_file("a/b.js", "exports.go = function() { require('/lib/x').run(); };");
+    project.add_file(
+        "a/b.js",
+        "exports.go = function() { require('/lib/x').run(); };",
+    );
     project.add_file("lib/x.js", "exports.run = function() { return 1; };");
     let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg()).unwrap();
     let dynamic = aji::dynamic_call_graph(&project, &aji_interp::InterpOptions::default()).unwrap();
@@ -176,11 +179,27 @@ fn ablation_write_hints_only() {
     let ar = analyze(&project, Some(&h), &r_only).unwrap();
     // Write-only recovers api.inner() (line 7 → line 6) but not f() (line
     // 4 → line 1's stored).
-    assert!(aw.call_graph.edges.iter().any(|(cs, f)| cs.line == 7 && f.line == 6));
-    assert!(!aw.call_graph.edges.iter().any(|(cs, f)| cs.line == 4 && f.line == 1));
+    assert!(aw
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, f)| cs.line == 7 && f.line == 6));
+    assert!(!aw
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, f)| cs.line == 4 && f.line == 1));
     // Read-only recovers f() but not api.inner().
-    assert!(ar.call_graph.edges.iter().any(|(cs, f)| cs.line == 4 && f.line == 1));
-    assert!(!ar.call_graph.edges.iter().any(|(cs, f)| cs.line == 7 && f.line == 6));
+    assert!(ar
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, f)| cs.line == 4 && f.line == 1));
+    assert!(!ar
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, f)| cs.line == 7 && f.line == 6));
 }
 
 #[test]
@@ -206,10 +225,7 @@ fn hint_reuse_across_applications() {
     // application of the same library. Simulate by merging hints from a
     // library-only project into an application analysis.
     let mut lib_only = aji_ast::Project::new("lib-only");
-    lib_only.add_file(
-        "index.js",
-        "module.exports = require('veneer');",
-    );
+    lib_only.add_file("index.js", "module.exports = require('veneer');");
     lib_only.add_file(
         "node_modules/veneer/index.js",
         "var api = {};\n\
@@ -228,18 +244,29 @@ fn hint_reuse_across_applications() {
     app.add_file("index.js", "var v = require('veneer');\nv.alpha();");
     app.add_file(
         "node_modules/veneer/index.js",
-        lib_only.file("node_modules/veneer/index.js").unwrap().src.clone(),
+        lib_only
+            .file("node_modules/veneer/index.js")
+            .unwrap()
+            .src
+            .clone(),
     );
     // Without hints the call is unresolved.
     let base = analyze(&app, None, &AnalysisOptions::baseline()).unwrap();
-    assert!(!base.call_graph.edges.iter().any(|(cs, _)| cs.line == 2 && cs.file.index() == 0));
+    assert!(!base
+        .call_graph
+        .edges
+        .iter()
+        .any(|(cs, _)| cs.line == 2 && cs.file.index() == 0));
     // With the *library's* hints, it resolves.
     let with = analyze(&app, Some(&lib_hints), &AnalysisOptions::extended()).unwrap();
     assert!(
         with.call_graph
             .edges
             .iter()
-            .any(|(cs, f)| cs.file.index() == 0 && cs.line == 2 && f.file.index() == 1 && f.line == 3),
+            .any(|(cs, f)| cs.file.index() == 0
+                && cs.line == 2
+                && f.file.index() == 1
+                && f.line == 3),
         "edges: {:?}",
         with.call_graph.edges
     );

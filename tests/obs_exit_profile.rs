@@ -29,7 +29,12 @@ fn obs_on_prints_the_absorbed_profile_and_keeps_the_report() {
     assert_eq!(on, off, "collection must not change the corpus report");
 
     let profile = exit_profile().expect("collection is on");
-    for needle in ["spans (wall clock):", "pipeline", "approx-interp", "interp.steps"] {
+    for needle in [
+        "spans (wall clock):",
+        "pipeline",
+        "approx-interp",
+        "interp.steps",
+    ] {
         assert!(profile.contains(needle), "missing {needle}:\n{profile}");
     }
 }

@@ -48,7 +48,9 @@ fn pipeline_obs_covers_all_phases() {
         "extract-cg",
         "worklist",
     ] {
-        let s = obs.span_named(name).unwrap_or_else(|| panic!("span {name} missing"));
+        let s = obs
+            .span_named(name)
+            .unwrap_or_else(|| panic!("span {name} missing"));
         assert!(s.count > 0, "span {name} never closed");
     }
     // Phase spans nest under the pipeline root.

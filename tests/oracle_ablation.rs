@@ -85,7 +85,10 @@ fn dpw_ablation_is_caught_triaged_and_shrunk() {
         shrunk.choices <= first.choices,
         "shrinking never increases the choice sequence"
     );
-    assert!(shrunk.source.contains("// ==== "), "reproducer carries source");
+    assert!(
+        shrunk.source.contains("// ==== "),
+        "reproducer carries source"
+    );
     assert!(shrunk.files > 0 && shrunk.shrink_runs > 0);
 
     // Phase 2: healthy. The same seeds come back clean — the findings

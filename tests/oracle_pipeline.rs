@@ -30,11 +30,7 @@ const DYNAMIC_IDIOM_PROJECTS: &[&str] = &[
 
 #[test]
 fn pattern_corpus_golden_report() {
-    let corpus = run_oracle_corpus(
-        aji_corpus::pattern_projects(),
-        &OracleOptions::default(),
-        2,
-    );
+    let corpus = run_oracle_corpus(aji_corpus::pattern_projects(), &OracleOptions::default(), 2);
     assert!(corpus.errors.is_empty(), "errors: {:?}", corpus.errors);
     assert_eq!(corpus.projects.len(), 14);
 

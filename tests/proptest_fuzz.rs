@@ -12,11 +12,51 @@ use aji_support::check::{property, TestCase};
 use aji_support::prop_assert;
 
 const KEYWORDS: &[&str] = &[
-    "var", "let", "const", "function", "return", "if", "else", "while", "do", "for", "in",
-    "new", "delete", "typeof", "void", "instanceof", "this", "null", "true", "false", "class",
-    "extends", "super", "try", "catch", "finally", "throw", "switch", "case", "default",
-    "break", "continue", "debugger", "of", "get", "set", "static", "async", "await", "yield",
-    "arguments", "eval", "undefined", "NaN", "Infinity",
+    "var",
+    "let",
+    "const",
+    "function",
+    "return",
+    "if",
+    "else",
+    "while",
+    "do",
+    "for",
+    "in",
+    "new",
+    "delete",
+    "typeof",
+    "void",
+    "instanceof",
+    "this",
+    "null",
+    "true",
+    "false",
+    "class",
+    "extends",
+    "super",
+    "try",
+    "catch",
+    "finally",
+    "throw",
+    "switch",
+    "case",
+    "default",
+    "break",
+    "continue",
+    "debugger",
+    "of",
+    "get",
+    "set",
+    "static",
+    "async",
+    "await",
+    "yield",
+    "arguments",
+    "eval",
+    "undefined",
+    "NaN",
+    "Infinity",
 ];
 
 fn ident(tc: &mut TestCase) -> String {
@@ -77,7 +117,10 @@ fn stmt(tc: &mut TestCase) -> String {
         ),
         _ => {
             let x = ident(tc);
-            format!("for (var {x} = 0; {x} < 2; {x}++) {{ sink({}); }}", expr(tc, 3))
+            format!(
+                "for (var {x} = 0; {x} < 2; {x}++) {{ sink({}); }}",
+                expr(tc, 3)
+            )
         }
     }
 }
@@ -161,8 +204,7 @@ fn full_pipeline_never_panics_and_is_monotone() {
                 );
             }
             // The non-relational mode must also be a superset of baseline.
-            let non =
-                analyze(&p, Some(&hints), &AnalysisOptions::nonrelational()).expect("nonrel");
+            let non = analyze(&p, Some(&hints), &AnalysisOptions::nonrelational()).expect("nonrel");
             for e in &base.call_graph.edges {
                 prop_assert!(non.call_graph.edges.contains(e));
             }

@@ -36,28 +36,32 @@ fn config(tc: &mut TestCase) -> GenConfig {
 
 #[test]
 fn hints_are_monotone_improvements() {
-    property("hints_are_monotone_improvements").cases(24).run(|tc| {
-        let cfg = config(tc);
-        let project = aji_corpus::generate(&cfg);
-        let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg())
-            .unwrap_or_else(|e| panic!("{}: {e}", cfg.name));
-        prop_assert!(report.extended.call_edges >= report.baseline.call_edges);
-        prop_assert!(report.extended.reachable_functions >= report.baseline.reachable_functions);
-        prop_assert!(report.extended.resolved_sites >= report.baseline.resolved_sites);
-        if let Some(acc) = report.accuracy {
+    property("hints_are_monotone_improvements")
+        .cases(24)
+        .run(|tc| {
+            let cfg = config(tc);
+            let project = aji_corpus::generate(&cfg);
+            let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg())
+                .unwrap_or_else(|e| panic!("{}: {e}", cfg.name));
+            prop_assert!(report.extended.call_edges >= report.baseline.call_edges);
             prop_assert!(
-                acc.extended.recall_pct() + 1e-9 >= acc.baseline.recall_pct(),
-                "recall fell: {} -> {}",
-                acc.baseline.recall_pct(),
-                acc.extended.recall_pct()
+                report.extended.reachable_functions >= report.baseline.reachable_functions
             );
-        }
-        if let Some(v) = report.vulns {
-            prop_assert!(v.reachable_extended >= v.reachable_baseline);
-            prop_assert!(v.reachable_extended <= v.total);
-        }
-        Ok(())
-    });
+            prop_assert!(report.extended.resolved_sites >= report.baseline.resolved_sites);
+            if let Some(acc) = report.accuracy {
+                prop_assert!(
+                    acc.extended.recall_pct() + 1e-9 >= acc.baseline.recall_pct(),
+                    "recall fell: {} -> {}",
+                    acc.baseline.recall_pct(),
+                    acc.extended.recall_pct()
+                );
+            }
+            if let Some(v) = report.vulns {
+                prop_assert!(v.reachable_extended >= v.reachable_baseline);
+                prop_assert!(v.reachable_extended <= v.total);
+            }
+            Ok(())
+        });
 }
 
 #[test]
@@ -81,12 +85,20 @@ fn hint_merge_is_idempotent_and_monotone() {
         .cases(128)
         .run(|tc| {
             let writes = tc.vec_of(0..12, |t| {
-                (t.int_in(1u32..30), t.string_of(LOWER, 1..5), t.int_in(1u32..30))
+                (
+                    t.int_in(1u32..30),
+                    t.string_of(LOWER, 1..5),
+                    t.int_in(1u32..30),
+                )
             });
             let reads = tc.vec_of(0..12, |t| (t.int_in(1u32..30), t.int_in(1u32..30)));
             let mut a = Hints::new();
             for (l, p, v) in &writes {
-                a.add_write(Loc::new(FileId(0), *l, 1), p.clone(), Loc::new(FileId(0), *v, 1));
+                a.add_write(
+                    Loc::new(FileId(0), *l, 1),
+                    p.clone(),
+                    Loc::new(FileId(0), *v, 1),
+                );
             }
             for (op, r) in &reads {
                 a.add_read(Loc::new(FileId(0), *op, 1), Loc::new(FileId(0), *r, 1));

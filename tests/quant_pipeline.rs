@@ -19,10 +19,7 @@ fn mixed_corpus(
     typo_count: usize,
     base_seed: u64,
 ) -> (Vec<aji_ast::Project>, Vec<(String, Vec<InjectedTypo>)>) {
-    let mut projects: Vec<_> = aji_corpus::pattern_projects()
-        .into_iter()
-        .take(6)
-        .collect();
+    let mut projects: Vec<_> = aji_corpus::pattern_projects().into_iter().take(6).collect();
     let mut manifests = Vec::new();
     for (i, mut cfg) in aji_corpus::population_configs(typo_count, base_seed)
         .into_iter()
@@ -41,7 +38,11 @@ fn mixed_corpus(
 fn ranking_json_is_thread_invariant_and_repeatable() {
     let (projects, _) = mixed_corpus(3, 41);
     let opts = OracleOptions::default();
-    let mk = |threads: usize| rank_corpus(projects.clone(), &opts, threads).to_json().to_string();
+    let mk = |threads: usize| {
+        rank_corpus(projects.clone(), &opts, threads)
+            .to_json()
+            .to_string()
+    };
     let serial = mk(1);
     let parallel = mk(4);
     assert_eq!(

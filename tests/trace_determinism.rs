@@ -64,7 +64,10 @@ fn deterministic_traces_are_byte_identical_across_thread_counts() {
     // The step-attributed profile rides the same guarantee: profiler
     // counters are summed per project and absorbed in corpus order.
     assert_eq!(serial.counters, parallel.counters);
-    assert_eq!(serial.gauges_deterministic(), parallel.gauges_deterministic());
+    assert_eq!(
+        serial.gauges_deterministic(),
+        parallel.gauges_deterministic()
+    );
 }
 
 #[test]
