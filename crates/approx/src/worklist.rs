@@ -5,8 +5,9 @@ use crate::hints::Hints;
 use aji_ast::{Loc, NodeId, Project};
 use aji_interp::tracer::Tracer;
 use aji_interp::{Interp, InterpOptions, JsError, Value};
+use aji_support::hash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// Options for approximate interpretation.
@@ -85,7 +86,7 @@ struct ApproxState {
     discovered: Vec<(NodeId, Value)>,
     /// The paper's `this` map: function object → receiver observed at a
     /// static property write.
-    this_map: HashMap<aji_interp::ObjId, Value>,
+    this_map: FxHashMap<aji_interp::ObjId, Value>,
 }
 
 impl Tracer for ApproxState {
@@ -312,7 +313,7 @@ pub fn approximate_interpret_parsed(
                 visited: borrowed.visited.clone(),
                 queued: BTreeSet::new(),
                 discovered: Vec::new(),
-                this_map: HashMap::new(),
+                this_map: FxHashMap::default(),
             }
         });
     stats.functions_visited = st

@@ -9,108 +9,152 @@
 //! functions that interact with the outside world are replaced by mocks
 //! that invoke any callback arguments and return the unknown-value proxy.
 
+use crate::env::{Scope, ScopeKind};
 use crate::error::JsError;
-use crate::heap::{ObjKind, Prop, PropValue};
-use crate::machine::Interp;
+use crate::heap::{Heap, ObjKind, Prop, PropValue};
+use crate::machine::{Interp, Protos};
 use crate::value::{ObjId, Value};
+use aji_support::hash::FxHashMap;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Signature of a native function: `(interp, self-object, this, args)`.
 pub type NativeFn = fn(&mut Interp, ObjId, Value, &[Value]) -> Result<Value, JsError>;
 
-/// An entry in the native registry.
-#[derive(Clone, Copy)]
-pub struct NativeEntry {
-    /// Diagnostic name.
-    pub name: &'static str,
-    /// Implementation.
-    pub f: NativeFn,
-}
-
-impl std::fmt::Debug for NativeEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NativeEntry({})", self.name)
-    }
-}
-
-/// Index of the native named `name` in the registry, registering it on
-/// first use.
+/// Id of the native named `name`: its index in the static native table,
+/// which is what [`ObjKind::Native`] holds.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a known native.
-pub fn native_id(interp: &mut Interp, name: &str) -> u32 {
-    if let Some(i) = interp.natives.iter().position(|e| e.name == name) {
-        return i as u32;
-    }
-    let entry = NATIVE_TABLE
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("unknown native `{name}`"));
-    interp.natives.push(NativeEntry {
-        name: entry.0,
-        f: entry.1,
+pub fn native_id(name: &str) -> u32 {
+    static IDS: OnceLock<FxHashMap<&'static str, u32>> = OnceLock::new();
+    let ids = IDS.get_or_init(|| {
+        (0u32..)
+            .zip(NATIVE_TABLE)
+            .map(|(id, (name, _))| (*name, id))
+            .collect()
     });
-    (interp.natives.len() - 1) as u32
+    *ids.get(name)
+        .unwrap_or_else(|| panic!("unknown native `{name}`"))
 }
 
-/// Creates a function object for the named native.
-pub fn make_native(interp: &mut Interp, name: &str) -> Value {
-    let id = native_id(interp, name);
-    let obj = interp.heap.alloc(ObjKind::Native(id));
-    let fproto = interp.protos.function;
-    interp.heap.get_mut(obj).proto = Some(fproto);
-    interp
-        .heap
-        .get_mut(obj)
-        .props
-        .insert(Rc::from("name"), Prop::hidden(Value::str(name)));
+/// The name and implementation of the native with id `id`.
+pub(crate) fn native(id: u32) -> (&'static str, NativeFn) {
+    NATIVE_TABLE[id as usize]
+}
+
+/// Creates a function object for the named native; `fproto` is the
+/// realm's `Function.prototype`.
+pub(crate) fn make_native(heap: &mut Heap, fproto: ObjId, name: &str) -> Value {
+    let obj = heap.alloc(ObjKind::Native(native_id(name)));
+    heap.get_mut(obj).proto = Some(fproto);
+    set_hidden(heap, obj, "name", Value::str(name));
     Value::Obj(obj)
 }
 
-fn set_method(interp: &mut Interp, target: ObjId, prop: &str, native: &'static str) {
-    let f = make_native(interp, native);
-    interp
-        .heap
-        .get_mut(target)
-        .props
-        .insert(Rc::from(prop), Prop::hidden(f));
+fn set_method(realm: &mut Realm, target: ObjId, prop: &str, native: &'static str) {
+    let f = make_native(&mut realm.heap, realm.protos.function, native);
+    set_hidden(&mut realm.heap, target, prop, f);
 }
 
-fn set_hidden(interp: &mut Interp, target: ObjId, prop: &str, v: Value) {
-    interp
-        .heap
-        .get_mut(target)
+fn set_hidden(heap: &mut Heap, target: ObjId, prop: &str, v: Value) {
+    heap.get_mut(target)
         .props
         .insert(Rc::from(prop), Prop::hidden(v));
 }
 
-fn bind_global(interp: &mut Interp, name: &str, v: Value) {
-    interp.global_scope.borrow_mut().declare(name, v.clone());
-    set_hidden(interp, interp.global_obj, name, v);
+fn bind_global(realm: &mut Realm, name: &str, v: Value) {
+    realm.globals.declare(name, v.clone());
+    set_hidden(&mut realm.heap, realm.global_obj, name, v);
 }
 
-/// Installs all globals into a freshly created interpreter.
-pub fn install(interp: &mut Interp) {
+/// The builtin realm every interpreter starts from: the heap holding the
+/// builtin objects, the global bindings, and handles to the prototypes,
+/// the global object and the unknown-value proxy `p*`.
+///
+/// Installing it is pure (no tracer events, no allocation sites), so each
+/// thread installs it once as a template and every interpreter on that
+/// thread starts from a clone. A clone shares nothing mutable with the
+/// template: the heap and the bindings are copied, and what stays shared
+/// is immutable (`Rc<str>` keys and string values). The template holds no
+/// closures — a closure's captured scope would be shared between clones.
+#[derive(Debug, Clone)]
+pub(crate) struct Realm {
+    pub(crate) heap: Heap,
+    /// The global scope's bindings (the global scope has no parent).
+    pub(crate) globals: Scope,
+    pub(crate) protos: Protos,
+    pub(crate) global_obj: ObjId,
+    pub(crate) proxy: ObjId,
+}
+
+thread_local! {
+    static TEMPLATE: Realm = Realm::install();
+}
+
+impl Realm {
+    /// A clone of this thread's template realm.
+    pub(crate) fn fresh() -> Realm {
+        TEMPLATE.with(Realm::clone)
+    }
+
+    fn install() -> Realm {
+        let mut heap = Heap::new();
+        let global_obj = heap.alloc(ObjKind::Plain);
+        let proxy = heap.alloc(ObjKind::Proxy);
+        let mut globals = Scope::detached(ScopeKind::Global);
+        globals.this_val = Some(Value::Obj(global_obj));
+        let mut realm = Realm {
+            heap,
+            globals,
+            // Placeholders; `install` allocates the prototypes.
+            protos: Protos {
+                object: global_obj,
+                function: global_obj,
+                array: global_obj,
+                string: global_obj,
+                number: global_obj,
+                boolean: global_obj,
+                error: global_obj,
+                regexp: global_obj,
+                promise: global_obj,
+            },
+            global_obj,
+            proxy,
+        };
+        install(&mut realm);
+        debug_assert!(
+            (0..realm.heap.len() as u32)
+                .all(|i| !matches!(realm.heap.get(ObjId(i)).kind, ObjKind::Function(_))),
+            "the builtin realm template must hold no closures"
+        );
+        realm
+    }
+}
+
+/// Installs all globals into a realm holding only the global object
+/// and the proxy.
+fn install(realm: &mut Realm) {
     // Prototypes first (everything links to them).
-    let object_proto = interp.heap.alloc(ObjKind::Plain);
-    let function_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(function_proto).proto = Some(object_proto);
-    let array_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(array_proto).proto = Some(object_proto);
-    let string_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(string_proto).proto = Some(object_proto);
-    let number_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(number_proto).proto = Some(object_proto);
-    let boolean_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(boolean_proto).proto = Some(object_proto);
-    let error_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(error_proto).proto = Some(object_proto);
-    let regexp_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(regexp_proto).proto = Some(object_proto);
-    let promise_proto = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(promise_proto).proto = Some(object_proto);
-    interp.protos = crate::machine::Protos {
+    let object_proto = realm.heap.alloc(ObjKind::Plain);
+    let function_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(function_proto).proto = Some(object_proto);
+    let array_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(array_proto).proto = Some(object_proto);
+    let string_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(string_proto).proto = Some(object_proto);
+    let number_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(number_proto).proto = Some(object_proto);
+    let boolean_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(boolean_proto).proto = Some(object_proto);
+    let error_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(error_proto).proto = Some(object_proto);
+    let regexp_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(regexp_proto).proto = Some(object_proto);
+    let promise_proto = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(promise_proto).proto = Some(object_proto);
+    realm.protos = crate::machine::Protos {
         object: object_proto,
         function: function_proto,
         array: array_proto,
@@ -121,30 +165,30 @@ pub fn install(interp: &mut Interp) {
         regexp: regexp_proto,
         promise: promise_proto,
     };
-    interp.heap.get_mut(interp.global_obj).proto = Some(object_proto);
+    realm.heap.get_mut(realm.global_obj).proto = Some(object_proto);
 
     // Object.prototype.
-    set_method(interp, object_proto, "hasOwnProperty", "object_has_own");
-    set_method(interp, object_proto, "toString", "object_to_string");
-    set_method(interp, object_proto, "valueOf", "identity_this");
+    set_method(realm, object_proto, "hasOwnProperty", "object_has_own");
+    set_method(realm, object_proto, "toString", "object_to_string");
+    set_method(realm, object_proto, "valueOf", "identity_this");
     set_method(
-        interp,
+        realm,
         object_proto,
         "isPrototypeOf",
         "object_is_prototype_of",
     );
     set_method(
-        interp,
+        realm,
         object_proto,
         "propertyIsEnumerable",
         "object_prop_is_enumerable",
     );
 
     // Function.prototype.
-    set_method(interp, function_proto, "call", "function_call");
-    set_method(interp, function_proto, "apply", "function_apply");
-    set_method(interp, function_proto, "bind", "function_bind");
-    set_method(interp, function_proto, "toString", "function_to_string");
+    set_method(realm, function_proto, "call", "function_call");
+    set_method(realm, function_proto, "apply", "function_apply");
+    set_method(realm, function_proto, "bind", "function_bind");
+    set_method(realm, function_proto, "toString", "function_to_string");
 
     // Array.prototype.
     for (prop, native) in [
@@ -174,7 +218,7 @@ pub fn install(interp: &mut Interp) {
         ("flat", "array_flat"),
         ("toString", "array_to_string"),
     ] {
-        set_method(interp, array_proto, prop, native);
+        set_method(realm, array_proto, prop, native);
     }
 
     // String.prototype.
@@ -204,36 +248,41 @@ pub fn install(interp: &mut Interp) {
         ("toString", "identity_this"),
         ("valueOf", "identity_this"),
     ] {
-        set_method(interp, string_proto, prop, native);
+        set_method(realm, string_proto, prop, native);
     }
 
     // Number.prototype / Boolean.prototype.
-    set_method(interp, number_proto, "toString", "number_to_string");
-    set_method(interp, number_proto, "toFixed", "number_to_fixed");
-    set_method(interp, number_proto, "valueOf", "identity_this");
-    set_method(interp, boolean_proto, "toString", "object_to_string");
-    set_method(interp, boolean_proto, "valueOf", "identity_this");
+    set_method(realm, number_proto, "toString", "number_to_string");
+    set_method(realm, number_proto, "toFixed", "number_to_fixed");
+    set_method(realm, number_proto, "valueOf", "identity_this");
+    set_method(realm, boolean_proto, "toString", "object_to_string");
+    set_method(realm, boolean_proto, "valueOf", "identity_this");
 
     // Error.prototype.
-    set_method(interp, error_proto, "toString", "error_to_string");
-    set_hidden(interp, error_proto, "name", Value::str("Error"));
-    set_hidden(interp, error_proto, "message", Value::str(""));
+    set_method(realm, error_proto, "toString", "error_to_string");
+    set_hidden(&mut realm.heap, error_proto, "name", Value::str("Error"));
+    set_hidden(&mut realm.heap, error_proto, "message", Value::str(""));
 
     // RegExp.prototype.
-    set_method(interp, regexp_proto, "test", "regexp_test");
-    set_method(interp, regexp_proto, "exec", "regexp_exec");
-    set_method(interp, regexp_proto, "toString", "object_to_string");
+    set_method(realm, regexp_proto, "test", "regexp_test");
+    set_method(realm, regexp_proto, "exec", "regexp_exec");
+    set_method(realm, regexp_proto, "toString", "object_to_string");
 
     // Promise.prototype.
-    set_method(interp, promise_proto, "then", "promise_then");
-    set_method(interp, promise_proto, "catch", "promise_catch");
-    set_method(interp, promise_proto, "finally", "promise_finally");
+    set_method(realm, promise_proto, "then", "promise_then");
+    set_method(realm, promise_proto, "catch", "promise_catch");
+    set_method(realm, promise_proto, "finally", "promise_finally");
 
     // Object constructor and statics.
-    let object_ctor = make_native(interp, "object_ctor");
+    let object_ctor = make_native(&mut realm.heap, function_proto, "object_ctor");
     if let Some(oc) = object_ctor.as_obj() {
-        set_hidden(interp, oc, "prototype", Value::Obj(object_proto));
-        set_hidden(interp, object_proto, "constructor", object_ctor.clone());
+        set_hidden(&mut realm.heap, oc, "prototype", Value::Obj(object_proto));
+        set_hidden(
+            &mut realm.heap,
+            object_proto,
+            "constructor",
+            object_ctor.clone(),
+        );
         for (prop, native) in [
             ("keys", "object_keys"),
             ("values", "object_values"),
@@ -254,65 +303,70 @@ pub fn install(interp: &mut Interp) {
             ("preventExtensions", "identity_first_arg"),
             ("isFrozen", "return_false"),
         ] {
-            set_method(interp, oc, prop, native);
+            set_method(realm, oc, prop, native);
         }
     }
-    bind_global(interp, "Object", object_ctor);
+    bind_global(realm, "Object", object_ctor);
 
     // Array constructor and statics.
-    let array_ctor = make_native(interp, "array_ctor");
+    let array_ctor = make_native(&mut realm.heap, function_proto, "array_ctor");
     if let Some(ac) = array_ctor.as_obj() {
-        set_hidden(interp, ac, "prototype", Value::Obj(array_proto));
-        set_hidden(interp, array_proto, "constructor", array_ctor.clone());
-        set_method(interp, ac, "isArray", "array_is_array");
-        set_method(interp, ac, "from", "array_from");
-        set_method(interp, ac, "of", "array_of");
+        set_hidden(&mut realm.heap, ac, "prototype", Value::Obj(array_proto));
+        set_hidden(
+            &mut realm.heap,
+            array_proto,
+            "constructor",
+            array_ctor.clone(),
+        );
+        set_method(realm, ac, "isArray", "array_is_array");
+        set_method(realm, ac, "from", "array_from");
+        set_method(realm, ac, "of", "array_of");
     }
-    bind_global(interp, "Array", array_ctor);
+    bind_global(realm, "Array", array_ctor);
 
     // Function constructor (dynamic code generation).
-    let function_ctor = make_native(interp, "function_ctor");
+    let function_ctor = make_native(&mut realm.heap, function_proto, "function_ctor");
     if let Some(fc) = function_ctor.as_obj() {
-        set_hidden(interp, fc, "prototype", Value::Obj(function_proto));
+        set_hidden(&mut realm.heap, fc, "prototype", Value::Obj(function_proto));
     }
-    bind_global(interp, "Function", function_ctor);
+    bind_global(realm, "Function", function_ctor);
 
     // String / Number / Boolean constructors.
-    let string_ctor = make_native(interp, "string_ctor");
+    let string_ctor = make_native(&mut realm.heap, function_proto, "string_ctor");
     if let Some(sc) = string_ctor.as_obj() {
-        set_hidden(interp, sc, "prototype", Value::Obj(string_proto));
-        set_method(interp, sc, "fromCharCode", "string_from_char_code");
+        set_hidden(&mut realm.heap, sc, "prototype", Value::Obj(string_proto));
+        set_method(realm, sc, "fromCharCode", "string_from_char_code");
     }
-    bind_global(interp, "String", string_ctor);
-    let number_ctor = make_native(interp, "number_ctor");
+    bind_global(realm, "String", string_ctor);
+    let number_ctor = make_native(&mut realm.heap, function_proto, "number_ctor");
     if let Some(nc) = number_ctor.as_obj() {
-        set_hidden(interp, nc, "prototype", Value::Obj(number_proto));
-        set_method(interp, nc, "isInteger", "number_is_integer");
-        set_method(interp, nc, "isFinite", "global_is_finite");
-        set_method(interp, nc, "isNaN", "global_is_nan");
-        set_method(interp, nc, "parseInt", "global_parse_int");
-        set_method(interp, nc, "parseFloat", "global_parse_float");
+        set_hidden(&mut realm.heap, nc, "prototype", Value::Obj(number_proto));
+        set_method(realm, nc, "isInteger", "number_is_integer");
+        set_method(realm, nc, "isFinite", "global_is_finite");
+        set_method(realm, nc, "isNaN", "global_is_nan");
+        set_method(realm, nc, "parseInt", "global_parse_int");
+        set_method(realm, nc, "parseFloat", "global_parse_float");
         set_hidden(
-            interp,
+            &mut realm.heap,
             nc,
             "MAX_SAFE_INTEGER",
             Value::Num(9007199254740991.0),
         );
         set_hidden(
-            interp,
+            &mut realm.heap,
             nc,
             "MIN_SAFE_INTEGER",
             Value::Num(-9007199254740991.0),
         );
-        set_hidden(interp, nc, "EPSILON", Value::Num(f64::EPSILON));
-        set_hidden(interp, nc, "NaN", Value::Num(f64::NAN));
+        set_hidden(&mut realm.heap, nc, "EPSILON", Value::Num(f64::EPSILON));
+        set_hidden(&mut realm.heap, nc, "NaN", Value::Num(f64::NAN));
     }
-    bind_global(interp, "Number", number_ctor);
-    let boolean_ctor = make_native(interp, "boolean_ctor");
+    bind_global(realm, "Number", number_ctor);
+    let boolean_ctor = make_native(&mut realm.heap, function_proto, "boolean_ctor");
     if let Some(bc) = boolean_ctor.as_obj() {
-        set_hidden(interp, bc, "prototype", Value::Obj(boolean_proto));
+        set_hidden(&mut realm.heap, bc, "prototype", Value::Obj(boolean_proto));
     }
-    bind_global(interp, "Boolean", boolean_ctor);
+    bind_global(realm, "Boolean", boolean_ctor);
 
     // Errors.
     for name in [
@@ -323,44 +377,44 @@ pub fn install(interp: &mut Interp) {
         "EvalError",
         "ReferenceError",
     ] {
-        let ctor = make_native(interp, "error_ctor");
+        let ctor = make_native(&mut realm.heap, function_proto, "error_ctor");
         if let Some(ec) = ctor.as_obj() {
             // Per-type prototype chained to Error.prototype.
             let proto = if name == "Error" {
                 error_proto
             } else {
-                let p = interp.heap.alloc(ObjKind::Plain);
-                interp.heap.get_mut(p).proto = Some(error_proto);
-                set_hidden(interp, p, "name", Value::str(name));
+                let p = realm.heap.alloc(ObjKind::Plain);
+                realm.heap.get_mut(p).proto = Some(error_proto);
+                set_hidden(&mut realm.heap, p, "name", Value::str(name));
                 p
             };
-            set_hidden(interp, ec, "prototype", Value::Obj(proto));
-            set_hidden(interp, proto, "constructor", ctor.clone());
-            set_hidden(interp, ec, "name", Value::str(name));
+            set_hidden(&mut realm.heap, ec, "prototype", Value::Obj(proto));
+            set_hidden(&mut realm.heap, proto, "constructor", ctor.clone());
+            set_hidden(&mut realm.heap, ec, "name", Value::str(name));
         }
-        bind_global(interp, name, ctor);
+        bind_global(realm, name, ctor);
     }
 
     // RegExp constructor.
-    let regexp_ctor = make_native(interp, "regexp_ctor");
+    let regexp_ctor = make_native(&mut realm.heap, function_proto, "regexp_ctor");
     if let Some(rc) = regexp_ctor.as_obj() {
-        set_hidden(interp, rc, "prototype", Value::Obj(regexp_proto));
+        set_hidden(&mut realm.heap, rc, "prototype", Value::Obj(regexp_proto));
     }
-    bind_global(interp, "RegExp", regexp_ctor);
+    bind_global(realm, "RegExp", regexp_ctor);
 
     // Promise.
-    let promise_ctor = make_native(interp, "promise_ctor");
+    let promise_ctor = make_native(&mut realm.heap, function_proto, "promise_ctor");
     if let Some(pc) = promise_ctor.as_obj() {
-        set_hidden(interp, pc, "prototype", Value::Obj(promise_proto));
-        set_method(interp, pc, "resolve", "promise_resolve_static");
-        set_method(interp, pc, "reject", "promise_reject_static");
-        set_method(interp, pc, "all", "promise_all");
+        set_hidden(&mut realm.heap, pc, "prototype", Value::Obj(promise_proto));
+        set_method(realm, pc, "resolve", "promise_resolve_static");
+        set_method(realm, pc, "reject", "promise_reject_static");
+        set_method(realm, pc, "all", "promise_all");
     }
-    bind_global(interp, "Promise", promise_ctor);
+    bind_global(realm, "Promise", promise_ctor);
 
     // Math.
-    let math = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(math).proto = Some(object_proto);
+    let math = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(math).proto = Some(object_proto);
     for (prop, native) in [
         ("floor", "math_floor"),
         ("ceil", "math_ceil"),
@@ -376,26 +430,31 @@ pub fn install(interp: &mut Interp) {
         ("exp", "math_exp"),
         ("sign", "math_sign"),
     ] {
-        set_method(interp, math, prop, native);
+        set_method(realm, math, prop, native);
     }
-    set_hidden(interp, math, "PI", Value::Num(std::f64::consts::PI));
-    set_hidden(interp, math, "E", Value::Num(std::f64::consts::E));
-    bind_global(interp, "Math", Value::Obj(math));
+    set_hidden(
+        &mut realm.heap,
+        math,
+        "PI",
+        Value::Num(std::f64::consts::PI),
+    );
+    set_hidden(&mut realm.heap, math, "E", Value::Num(std::f64::consts::E));
+    bind_global(realm, "Math", Value::Obj(math));
 
     // JSON.
-    let json = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(json).proto = Some(object_proto);
-    set_method(interp, json, "stringify", "json_stringify");
-    set_method(interp, json, "parse", "json_parse");
-    bind_global(interp, "JSON", Value::Obj(json));
+    let json = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(json).proto = Some(object_proto);
+    set_method(realm, json, "stringify", "json_stringify");
+    set_method(realm, json, "parse", "json_parse");
+    bind_global(realm, "JSON", Value::Obj(json));
 
     // console.
-    let console = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(console).proto = Some(object_proto);
+    let console = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(console).proto = Some(object_proto);
     for m in ["log", "warn", "error", "info", "debug", "trace"] {
-        set_method(interp, console, m, "console_log");
+        set_method(realm, console, m, "console_log");
     }
-    bind_global(interp, "console", Value::Obj(console));
+    bind_global(realm, "console", Value::Obj(console));
 
     // Global functions.
     for (name, native) in [
@@ -418,19 +477,19 @@ pub fn install(interp: &mut Interp) {
         ("decodeURI", "identity_first_arg_str"),
         ("structuredClone", "identity_first_arg"),
     ] {
-        let f = make_native(interp, native);
-        bind_global(interp, name, f);
+        let f = make_native(&mut realm.heap, function_proto, native);
+        bind_global(realm, name, f);
     }
     // Symbol.iterator marker used by some libraries.
-    if let Some(Value::Obj(sym)) = crate::env::lookup(&interp.global_scope, "Symbol").as_ref() {
+    if let Some(Value::Obj(sym)) = realm.globals.get_own("Symbol").as_ref() {
         set_hidden(
-            interp,
+            &mut realm.heap,
             *sym,
             "iterator",
             Value::str("Symbol(Symbol.iterator)"),
         );
         set_hidden(
-            interp,
+            &mut realm.heap,
             *sym,
             "asyncIterator",
             Value::str("Symbol(Symbol.asyncIterator)"),
@@ -438,11 +497,11 @@ pub fn install(interp: &mut Interp) {
     }
 
     // Date (deterministic).
-    let date_ctor = make_native(interp, "date_ctor");
+    let date_ctor = make_native(&mut realm.heap, function_proto, "date_ctor");
     if let Some(dc) = date_ctor.as_obj() {
-        set_method(interp, dc, "now", "date_now");
-        let date_proto = interp.heap.alloc(ObjKind::Plain);
-        interp.heap.get_mut(date_proto).proto = Some(object_proto);
+        set_method(realm, dc, "now", "date_now");
+        let date_proto = realm.heap.alloc(ObjKind::Plain);
+        realm.heap.get_mut(date_proto).proto = Some(object_proto);
         for m in [
             "getTime",
             "valueOf",
@@ -455,54 +514,52 @@ pub fn install(interp: &mut Interp) {
             "getMilliseconds",
             "getDay",
         ] {
-            set_method(interp, date_proto, m, "date_get_time");
+            set_method(realm, date_proto, m, "date_get_time");
         }
-        set_method(interp, date_proto, "toISOString", "date_to_iso");
-        set_method(interp, date_proto, "toString", "date_to_iso");
-        set_hidden(interp, dc, "prototype", Value::Obj(date_proto));
+        set_method(realm, date_proto, "toISOString", "date_to_iso");
+        set_method(realm, date_proto, "toString", "date_to_iso");
+        set_hidden(&mut realm.heap, dc, "prototype", Value::Obj(date_proto));
     }
-    bind_global(interp, "Date", date_ctor);
+    bind_global(realm, "Date", date_ctor);
 
     // process.
-    let process = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(process).proto = Some(object_proto);
-    let envv = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(envv).proto = Some(object_proto);
-    set_hidden(interp, process, "env", Value::Obj(envv));
-    let argv = interp
+    let process = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(process).proto = Some(object_proto);
+    let envv = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(envv).proto = Some(object_proto);
+    set_hidden(&mut realm.heap, process, "env", Value::Obj(envv));
+    let argv = realm
         .heap
         .alloc(ObjKind::Array(vec![Value::str("node"), Value::str("main")]));
-    interp.heap.get_mut(argv).proto = Some(array_proto);
-    set_hidden(interp, process, "argv", Value::Obj(argv));
-    set_hidden(interp, process, "platform", Value::str("linux"));
-    set_hidden(interp, process, "version", Value::str("v18.0.0"));
-    set_method(interp, process, "exit", "noop");
-    set_method(interp, process, "cwd", "process_cwd");
-    set_method(interp, process, "nextTick", "timer_immediate");
-    set_method(interp, process, "on", "noop");
-    set_method(interp, process, "emit", "noop");
-    let stdout = interp.heap.alloc(ObjKind::Plain);
-    interp.heap.get_mut(stdout).proto = Some(object_proto);
-    set_method(interp, stdout, "write", "console_log");
-    set_hidden(interp, process, "stdout", Value::Obj(stdout));
-    set_hidden(interp, process, "stderr", Value::Obj(stdout));
-    bind_global(interp, "process", Value::Obj(process));
+    realm.heap.get_mut(argv).proto = Some(array_proto);
+    set_hidden(&mut realm.heap, process, "argv", Value::Obj(argv));
+    set_hidden(&mut realm.heap, process, "platform", Value::str("linux"));
+    set_hidden(&mut realm.heap, process, "version", Value::str("v18.0.0"));
+    set_method(realm, process, "exit", "noop");
+    set_method(realm, process, "cwd", "process_cwd");
+    set_method(realm, process, "nextTick", "timer_immediate");
+    set_method(realm, process, "on", "noop");
+    set_method(realm, process, "emit", "noop");
+    let stdout = realm.heap.alloc(ObjKind::Plain);
+    realm.heap.get_mut(stdout).proto = Some(object_proto);
+    set_method(realm, stdout, "write", "console_log");
+    set_hidden(&mut realm.heap, process, "stdout", Value::Obj(stdout));
+    set_hidden(&mut realm.heap, process, "stderr", Value::Obj(stdout));
+    bind_global(realm, "process", Value::Obj(process));
 
     // Buffer mock.
-    let buffer = make_mock(interp, "Buffer");
-    bind_global(interp, "Buffer", buffer);
+    let buffer = make_mock(&mut realm.heap, function_proto, "Buffer");
+    bind_global(realm, "Buffer", buffer);
 }
 
 /// Creates a sandbox mock object: property reads fall back to the object
 /// itself, and calling it invokes callback arguments (see
-/// `mock_io` below).
-pub fn make_mock(interp: &mut Interp, name: &str) -> Value {
-    let id = native_id(interp, "mock_io");
-    let obj = interp.heap.alloc(ObjKind::Native(id));
-    let fproto = interp.protos.function;
-    interp.heap.get_mut(obj).proto = Some(fproto);
-    set_hidden(interp, obj, "__mock__", Value::Bool(true));
-    set_hidden(interp, obj, "name", Value::str(name));
+/// `mock_io` below). `fproto` is the realm's `Function.prototype`.
+pub(crate) fn make_mock(heap: &mut Heap, fproto: ObjId, name: &str) -> Value {
+    let obj = heap.alloc(ObjKind::Native(native_id("mock_io")));
+    heap.get_mut(obj).proto = Some(fproto);
+    set_hidden(heap, obj, "__mock__", Value::Bool(true));
+    set_hidden(heap, obj, "name", Value::str(name));
     Value::Obj(obj)
 }
 
@@ -545,12 +602,27 @@ fn this_elems(i: &mut Interp, this: &Value) -> Result<Vec<Value>, JsError> {
     }
 }
 
-fn store_elems(i: &mut Interp, this: &Value, elems: Vec<Value>) {
-    if let Some(id) = this.as_obj() {
-        if let ObjKind::Array(e) = &mut i.heap.get_mut(id).kind {
-            *e = elems;
-        }
+/// The element vector of an array `this`, for mutators that edit it in
+/// place.
+fn this_array<'a>(i: &'a mut Interp, this: &Value) -> Option<&'a mut Vec<Value>> {
+    match &mut i.heap.get_mut(this.as_obj()?).kind {
+        ObjKind::Array(elems) => Some(elems),
+        _ => None,
     }
+}
+
+/// Runs a mutator's `edit` on the elements of `this`: in place for an
+/// array; for an array-like, on a materialized copy that is then dropped.
+fn edit_elems<T>(
+    i: &mut Interp,
+    this: &Value,
+    edit: impl FnOnce(&mut Vec<Value>) -> T,
+) -> Result<T, JsError> {
+    if let Some(elems) = this_array(i, this) {
+        return Ok(edit(elems));
+    }
+    let mut copy = i.iterate_values(this)?;
+    Ok(edit(&mut copy))
 }
 
 // ----- generic -----
@@ -1066,38 +1138,32 @@ fn array_of(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
 }
 
 fn array_push(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    elems.extend(args.iter().cloned());
-    let n = elems.len();
-    store_elems(i, &this, elems);
+    let n = edit_elems(i, &this, |elems| {
+        elems.extend_from_slice(args);
+        elems.len()
+    })?;
     Ok(Value::Num(n as f64))
 }
 
 fn array_pop(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    let v = elems.pop().unwrap_or(Value::Undefined);
-    store_elems(i, &this, elems);
-    Ok(v)
+    edit_elems(i, &this, |elems| elems.pop().unwrap_or(Value::Undefined))
 }
 
 fn array_shift(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    let v = if elems.is_empty() {
-        Value::Undefined
-    } else {
-        elems.remove(0)
-    };
-    store_elems(i, &this, elems);
-    Ok(v)
+    edit_elems(i, &this, |elems| {
+        if elems.is_empty() {
+            Value::Undefined
+        } else {
+            elems.remove(0)
+        }
+    })
 }
 
 fn array_unshift(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    for (k, a) in args.iter().enumerate() {
-        elems.insert(k, a.clone());
-    }
-    let n = elems.len();
-    store_elems(i, &this, elems);
+    let n = edit_elems(i, &this, |elems| {
+        elems.splice(0..0, args.iter().cloned());
+        elems.len()
+    })?;
     Ok(Value::Num(n as f64))
 }
 
@@ -1129,8 +1195,13 @@ fn array_slice(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
 }
 
 fn array_splice(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    let len = elems.len();
+    // An array is edited in place; an array-like is materialized once and
+    // left unchanged.
+    let mut copy = Vec::new();
+    if this_array(i, &this).is_none() {
+        copy = i.iterate_values(&this)?;
+    }
+    let len = this_array(i, &this).map_or(copy.len(), |elems| elems.len());
     let start = match args.first() {
         Some(v) => norm_index(i.to_number_value(v)?, len),
         None => 0,
@@ -1139,10 +1210,13 @@ fn array_splice(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         Some(v) => (i.to_number_value(v)?.max(0.0) as usize).min(len - start),
         None => len - start,
     };
+    let elems = this_array(i, &this).unwrap_or(&mut copy);
+    // A `valueOf` run by the conversions above may have shortened it.
+    let start = start.min(elems.len());
+    let end = (start + delete_count).min(elems.len());
     let removed: Vec<Value> = elems
-        .splice(start..start + delete_count, args.iter().skip(2).cloned())
+        .splice(start..end, args.iter().skip(2).cloned())
         .collect();
-    store_elems(i, &this, elems);
     Ok(new_array(i, removed))
 }
 
@@ -1384,24 +1458,21 @@ fn array_sort(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         elems = keyed.into_iter().map(|(_, e)| e).collect();
     }
-    store_elems(i, &this, elems);
+    // The comparator may have edited the array; the sorted snapshot wins.
+    if let Some(e) = this_array(i, &this) {
+        *e = elems;
+    }
     Ok(this)
 }
 
 fn array_reverse(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
-    elems.reverse();
-    store_elems(i, &this, elems);
+    edit_elems(i, &this, |elems| elems.reverse())?;
     Ok(this)
 }
 
 fn array_fill(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let mut elems = this_elems(i, &this)?;
     let v = arg(args, 0);
-    for e in elems.iter_mut() {
-        *e = v.clone();
-    }
-    store_elems(i, &this, elems);
+    edit_elems(i, &this, |elems| elems.fill(v))?;
     Ok(this)
 }
 
@@ -1989,11 +2060,12 @@ fn promise_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let p = promise_new(i, "pending", Value::Undefined);
     let executor = arg(args, 0);
     if i.heap.is_callable(&executor) {
-        let resolve = make_native(i, "promise_resolve_fn");
-        let reject = make_native(i, "promise_reject_fn");
+        let fproto = i.protos.function;
+        let resolve = make_native(&mut i.heap, fproto, "promise_resolve_fn");
+        let reject = make_native(&mut i.heap, fproto, "promise_reject_fn");
         for f in [&resolve, &reject] {
             if let Some(fid) = f.as_obj() {
-                set_hidden(i, fid, "__promise__", p.clone());
+                set_hidden(&mut i.heap, fid, "__promise__", p.clone());
             }
         }
         // Executors run synchronously here.
@@ -2350,7 +2422,7 @@ impl<'a> JsonParser<'a> {
     }
 }
 
-/// Table of every native, used by [`native_id`].
+/// Table of every native; a native's id is its index here.
 static NATIVE_TABLE: &[(&str, NativeFn)] = &[
     ("noop", noop),
     ("identity_this", identity_this),

@@ -5,9 +5,9 @@
 //! `arguments` object; arrow functions simply do not create those slots, so
 //! lookup finds the enclosing function's.
 
+use crate::heap::OrderedMap;
 use crate::value::Value;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Shared, mutable scope handle.
@@ -29,14 +29,14 @@ pub enum ScopeKind {
 }
 
 /// One scope in the chain.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Scope {
     /// What kind of scope this is.
     pub kind: ScopeKind,
     /// Enclosing scope.
     pub parent: Option<ScopeRef>,
     /// Variable bindings.
-    vars: HashMap<Rc<str>, Value>,
+    vars: OrderedMap<Value>,
     /// `this` binding, present on function/module/global scopes.
     pub this_val: Option<Value>,
 }
@@ -44,12 +44,19 @@ pub struct Scope {
 impl Scope {
     /// Creates a new scope with the given parent.
     pub fn new(kind: ScopeKind, parent: Option<ScopeRef>) -> ScopeRef {
-        Rc::new(RefCell::new(Scope {
+        let mut scope = Scope::detached(kind);
+        scope.parent = parent;
+        Rc::new(RefCell::new(scope))
+    }
+
+    /// Creates an empty, unshared scope with no parent.
+    pub(crate) fn detached(kind: ScopeKind) -> Scope {
+        Scope {
             kind,
-            parent,
-            vars: HashMap::new(),
+            parent: None,
+            vars: OrderedMap::new(),
             this_val: None,
-        }))
+        }
     }
 
     /// Declares (or redeclares) a variable directly in this scope.
@@ -59,7 +66,7 @@ impl Scope {
 
     /// Whether this scope directly binds `name`.
     pub fn has_own(&self, name: &str) -> bool {
-        self.vars.contains_key(name)
+        self.vars.contains(name)
     }
 
     /// Reads an own binding.

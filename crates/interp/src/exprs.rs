@@ -194,7 +194,7 @@ impl Interp {
     fn resolves_to_global_eval(&self, scope: &ScopeRef) -> bool {
         match env::lookup(scope, "eval") {
             Some(Value::Obj(id)) => match &self.heap.get(id).kind {
-                crate::heap::ObjKind::Native(n) => self.natives[*n as usize].name == "global_eval",
+                crate::heap::ObjKind::Native(n) => crate::builtins::native(*n).0 == "global_eval",
                 _ => false,
             },
             _ => false,

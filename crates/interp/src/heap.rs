@@ -6,7 +6,7 @@ use crate::env::ScopeRef;
 use crate::value::{ObjId, Value};
 use aji_ast::ast::Function;
 use aji_ast::{Loc, NodeId};
-use std::collections::HashMap;
+use aji_support::hash::FxHashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -52,19 +52,40 @@ pub enum PropValue {
     },
 }
 
-/// Insertion-ordered string-keyed map used for object properties.
+/// Entry count up to which [`OrderedMap`] scans its entries instead of
+/// keeping a hash index: most objects and scopes hold a handful of
+/// entries, and comparing a few short keys costs less than hashing one.
+const SMALL_MAP: usize = 8;
+
+/// Insertion-ordered string-keyed map used for object properties (and,
+/// with `V = Value`, for scope bindings).
 ///
 /// JavaScript enumeration order matters to the analyses (e.g. the order in
 /// which `Object.getOwnPropertyNames` yields methods drives the order of
 /// recorded hints), so a plain `HashMap` is not enough.
-#[derive(Debug, Clone, Default)]
-pub struct OrderedMap {
-    index: HashMap<Rc<str>, usize>,
-    entries: Vec<(Rc<str>, Option<Prop>)>,
+///
+/// Deleting a key leaves a tombstone in `entries`, so a re-inserted key
+/// moves to the end. Up to eight entries (tombstones included),
+/// lookups scan `entries`; past that, `index` maps every live key to its
+/// position.
+#[derive(Debug, Clone)]
+pub struct OrderedMap<V = Prop> {
+    index: FxHashMap<Rc<str>, usize>,
+    entries: Vec<(Rc<str>, Option<V>)>,
     live: usize,
 }
 
-impl OrderedMap {
+impl<V> Default for OrderedMap<V> {
+    fn default() -> Self {
+        OrderedMap {
+            index: FxHashMap::default(),
+            entries: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<V> OrderedMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         OrderedMap::default()
@@ -80,53 +101,78 @@ impl OrderedMap {
         self.live == 0
     }
 
-    /// Looks up a property.
-    pub fn get(&self, key: &str) -> Option<&Prop> {
-        let i = *self.index.get(key)?;
+    fn indexed(&self) -> bool {
+        self.entries.len() > SMALL_MAP
+    }
+
+    /// Position of the live entry for `key`.
+    fn position(&self, key: &str) -> Option<usize> {
+        if self.indexed() {
+            self.index.get(key).copied()
+        } else {
+            self.entries
+                .iter()
+                .position(|(k, p)| p.is_some() && &**k == key)
+        }
+    }
+
+    /// Looks up the value of `key`.
+    pub fn get(&self, key: &str) -> Option<&V> {
+        let i = self.position(key)?;
         self.entries[i].1.as_ref()
     }
 
-    /// Looks up a property mutably.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Prop> {
-        let i = *self.index.get(key)?;
+    /// Looks up the value of `key` mutably.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut V> {
+        let i = self.position(key)?;
         self.entries[i].1.as_mut()
     }
 
-    /// Inserts or replaces a property, preserving the original insertion
-    /// position on replacement (as JavaScript does).
-    pub fn insert(&mut self, key: Rc<str>, prop: Prop) {
-        if let Some(&i) = self.index.get(&*key) {
-            if self.entries[i].1.is_none() {
-                self.live += 1;
-            }
-            self.entries[i].1 = Some(prop);
-        } else {
+    /// Inserts or replaces the value of `key`, preserving the original
+    /// insertion position on replacement (as JavaScript does).
+    pub fn insert(&mut self, key: Rc<str>, value: V) {
+        if let Some(i) = self.position(&key) {
+            self.entries[i].1 = Some(value);
+            return;
+        }
+        self.live += 1;
+        if self.indexed() {
             self.index.insert(key.clone(), self.entries.len());
-            self.entries.push((key, Some(prop)));
-            self.live += 1;
+            self.entries.push((key, Some(value)));
+            return;
+        }
+        self.entries.push((key, Some(value)));
+        if self.indexed() {
+            self.index = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, p))| p.is_some())
+                .map(|(i, (k, _))| (k.clone(), i))
+                .collect();
         }
     }
 
-    /// Deletes a property. Returns whether it existed.
+    /// Deletes `key`. Returns whether it existed.
     pub fn remove(&mut self, key: &str) -> bool {
-        if let Some(&i) = self.index.get(key) {
-            if self.entries[i].1.is_some() {
-                self.entries[i].1 = None;
-                self.index.remove(key);
-                self.live -= 1;
-                return true;
-            }
+        let Some(i) = self.position(key) else {
+            return false;
+        };
+        self.entries[i].1 = None;
+        if self.indexed() {
+            self.index.remove(key);
         }
-        false
+        self.live -= 1;
+        true
     }
 
-    /// Whether a live property with this key exists.
+    /// Whether `key` has a live entry.
     pub fn contains(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 
-    /// Iterates live `(key, prop)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Rc<str>, &Prop)> {
+    /// Iterates live `(key, value)` pairs in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Rc<str>, &V)> {
         self.entries
             .iter()
             .filter_map(|(k, p)| p.as_ref().map(|p| (k, p)))
@@ -212,7 +258,7 @@ impl Object {
 
 /// The garbage-free object heap (objects live for the whole analysis run,
 /// which is what the analyses want: allocation sites must stay addressable).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Heap {
     objects: Vec<Object>,
 }

@@ -4,7 +4,7 @@
 //! `exprs.rs` and property access / conversions in `props.rs`; they are all
 //! `impl Interp` blocks over the state defined here.
 
-use crate::builtins::{self, NativeEntry};
+use crate::builtins::{self, Realm};
 use crate::env::{Scope, ScopeKind, ScopeRef};
 use crate::error::{BudgetKind, Flow, JsError};
 use crate::heap::{FuncData, Heap, ObjKind, Prop};
@@ -15,7 +15,8 @@ use crate::tracer::{NoopTracer, Tracer};
 use crate::value::{ObjId, Value};
 use aji_ast::ast::{Function, Module};
 use aji_ast::{Loc, NodeIdGen, Project, SourceMap, Span};
-use std::collections::HashMap;
+use aji_support::hash::FxHashMap;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -135,9 +136,8 @@ pub struct Interp {
     pub(crate) global_obj: ObjId,
     pub(crate) protos: Protos,
     pub(crate) proxy: ObjId,
-    pub(crate) natives: Vec<NativeEntry>,
-    pub(crate) module_cache: HashMap<usize, ObjId>,
-    pub(crate) builtin_cache: HashMap<String, Value>,
+    pub(crate) module_cache: FxHashMap<usize, ObjId>,
+    pub(crate) builtin_cache: FxHashMap<String, Value>,
     pub(crate) ids: NodeIdGen,
     pub(crate) steps: u64,
     /// Steps already folded into the `interp.steps` counter; the
@@ -195,6 +195,10 @@ impl Interp {
     /// can extend them with prelude/`eval` files without touching the
     /// caller's copy).
     ///
+    /// The builtins are a clone of this thread's builtin realm, which is
+    /// installed once per thread; nothing an earlier interpreter did to
+    /// its own builtins is visible here.
+    ///
     /// `parsed` must be the parse of `project` (paths and the test driver
     /// come from `project`).
     pub fn with_parsed(
@@ -209,23 +213,15 @@ impl Interp {
             registry.add_module(m, &parsed.source_map);
         }
         let project_file_count = parsed.source_map.len();
-        let mut heap = Heap::new();
-
-        // Placeholder prototype ids; builtins::install fills them in.
-        let global_obj = heap.alloc(ObjKind::Plain);
-        let proxy = heap.alloc(ObjKind::Proxy);
-
-        let global_scope = Scope::new(ScopeKind::Global, None);
-        global_scope.borrow_mut().this_val = Some(Value::Obj(global_obj));
-
+        let realm = Realm::fresh();
         let obs = InterpObs::bind();
         let profiler = obs
             .recorder
             .as_ref()
             .filter(|r| r.config().profile)
             .map(|_| Box::new(Profiler::new()));
-        let mut interp = Interp {
-            heap,
+        Interp {
+            heap: realm.heap,
             opts,
             tracer,
             registry,
@@ -235,23 +231,12 @@ impl Interp {
             modules: parsed.modules,
             paths: project.files.iter().map(|f| f.path.clone()).collect(),
             project_file_count,
-            global_scope,
-            global_obj,
-            protos: Protos {
-                object: ObjId(0),
-                function: ObjId(0),
-                array: ObjId(0),
-                string: ObjId(0),
-                number: ObjId(0),
-                boolean: ObjId(0),
-                error: ObjId(0),
-                regexp: ObjId(0),
-                promise: ObjId(0),
-            },
-            proxy,
-            natives: Vec::new(),
-            module_cache: HashMap::new(),
-            builtin_cache: HashMap::new(),
+            global_scope: Rc::new(RefCell::new(realm.globals)),
+            global_obj: realm.global_obj,
+            protos: realm.protos,
+            proxy: realm.proxy,
+            module_cache: FxHashMap::default(),
+            builtin_cache: FxHashMap::default(),
             ids: parsed.ids,
             steps: 0,
             steps_reported: 0,
@@ -263,9 +248,7 @@ impl Interp {
             pending_label: None,
             budget_tripped: false,
             profiler,
-        };
-        builtins::install(&mut interp);
-        interp
+        }
     }
 
     /// The singleton unknown-value proxy `p*`.
@@ -526,13 +509,15 @@ impl Interp {
 
     /// Creates the `require` function for the module at file index `idx`.
     pub(crate) fn make_require(&mut self, idx: usize) -> Value {
-        let nid = builtins::native_id(self, "require");
-        let f = self.heap.alloc(ObjKind::Native(nid));
+        let f = self
+            .heap
+            .alloc(ObjKind::Native(builtins::native_id("require")));
         self.heap.get_mut(f).proto = Some(self.protos.function);
         self.heap
             .set_prop(f, "__module_index__", Value::Num(idx as f64));
         // `require.cache`, `require.resolve` are occasionally touched.
-        let resolve = builtins::make_native(self, "require_resolve");
+        let resolve =
+            builtins::make_native(&mut self.heap, self.protos.function, "require_resolve");
         self.heap.set_prop(f, "resolve", resolve);
         Value::Obj(f)
     }
@@ -563,7 +548,7 @@ impl Interp {
                 return Ok(v);
             }
             if crate::prelude::is_mocked(name) {
-                let v = builtins::make_mock(self, name);
+                let v = builtins::make_mock(&mut self.heap, self.protos.function, name);
                 self.builtin_cache.insert(name.to_string(), v.clone());
                 if let Some(s) = site {
                     self.tracer.on_require(s, name, None);
@@ -634,7 +619,7 @@ impl Interp {
             .file(aji_ast::FileId(idx as u32))
             .src
             .clone();
-        let json = builtins::make_native(self, "json_parse");
+        let json = builtins::make_native(&mut self.heap, self.protos.function, "json_parse");
         let v = self.call_value(json, Value::Undefined, &[Value::from(text)], None)?;
         let mobj = self.heap.alloc_plain(Some(self.protos.object), None);
         self.heap.set_prop(mobj, "exports", v.clone());
@@ -692,8 +677,8 @@ impl Interp {
                 }
                 let saved_site = self.current_call_site;
                 self.current_call_site = call_site;
-                let entry = self.natives[n as usize];
-                let r = (entry.f)(self, id, this, args);
+                let (_, f) = builtins::native(n);
+                let r = f(self, id, this, args);
                 self.current_call_site = saved_site;
                 self.depth -= 1;
                 r

@@ -20,10 +20,9 @@
 //! [`Registry::absorb`](aji_obs::Registry::absorb), so per-worker profiles
 //! fold into corpus totals that are invariant to thread count.
 
-use std::collections::HashMap;
-
 use aji_ast::NodeId;
 use aji_obs::Registry;
+use aji_support::hash::FxHashMap;
 
 /// Per-function tallies. Index 0 is the synthetic `<toplevel>` frame that
 /// charges module bodies, prelude code and anything outside a profiled
@@ -51,7 +50,7 @@ impl FnStat {
 #[derive(Debug)]
 pub(crate) struct Profiler {
     stats: Vec<FnStat>,
-    index: HashMap<NodeId, usize>,
+    index: FxHashMap<NodeId, usize>,
     stack: Vec<usize>,
     cur: usize,
     /// Interpreter step count at the last frame transition; the delta
@@ -63,7 +62,7 @@ impl Profiler {
     pub(crate) fn new() -> Profiler {
         Profiler {
             stats: vec![FnStat::new("<toplevel>".to_string())],
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             stack: Vec::new(),
             cur: 0,
             last_mark: 0,

@@ -6,15 +6,15 @@
 use aji_ast::ast::{Function, Module};
 use aji_ast::visit::{self, Visit};
 use aji_ast::{Loc, NodeId, SourceMap};
-use std::collections::HashMap;
+use aji_support::hash::FxHashMap;
 use std::sync::Arc;
 
 /// Registry of all function definitions in a project (plus any functions
 /// appearing in `eval`'d code, which are registered on the fly).
 #[derive(Debug, Default)]
 pub struct FuncRegistry {
-    map: HashMap<NodeId, Arc<Function>>,
-    locs: HashMap<NodeId, Loc>,
+    map: FxHashMap<NodeId, Arc<Function>>,
+    locs: FxHashMap<NodeId, Loc>,
 }
 
 impl FuncRegistry {

@@ -412,13 +412,13 @@ impl Interp {
         if matches!(self.heap.get(id).kind, ObjKind::Proxy) {
             return Vec::new();
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = aji_support::hash::FxHashSet::default();
         let mut out = Vec::new();
         let mut cur = Some(id);
         let mut hops = 0;
         while let Some(o) = cur {
             for k in self.heap.own_enumerable_keys(o) {
-                if seen.insert(k.to_string()) {
+                if seen.insert(k.clone()) {
                     out.push(k);
                 }
             }

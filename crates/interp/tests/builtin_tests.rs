@@ -159,6 +159,41 @@ fn array_shift_unshift() {
 }
 
 #[test]
+fn array_mutators_edit_the_shared_array() {
+    assert_eq!(
+        run(
+            "var a = [3]; var b = a; b.push(4, 5); b.unshift(1, 2); a.pop(); b.shift();\n\
+             a.splice(1, 1, 'x'); b.reverse(); a.fill(a.length);\n\
+             exports.result = b.join('') + ':' + (a === b);"
+        ),
+        "333:true"
+    );
+}
+
+#[test]
+fn array_mutators_leave_array_likes_unchanged() {
+    assert_eq!(
+        run("var o = { length: 2, 0: 'a', 1: 'b' };\n\
+             var n = Array.prototype.push.call(o, 'c');\n\
+             var last = Array.prototype.pop.call(o);\n\
+             var cut = Array.prototype.splice.call(o, 0, 1);\n\
+             exports.result = [n, last, cut.join(''), o.length, o[0], o[1]].join(',');"),
+        "3,b,a,2,a,b"
+    );
+}
+
+#[test]
+fn splice_survives_a_count_that_shrinks_the_array() {
+    assert_eq!(
+        run("var a = [1, 2, 3, 4];\n\
+             var n = { valueOf: function () { a.length = 1; return 3; } };\n\
+             var cut = a.splice(0, n);\n\
+             exports.result = a.length <= 1 && cut.length <= 3;"),
+        "true"
+    );
+}
+
+#[test]
 fn array_reverse_and_fill() {
     assert_eq!(run("exports.result = [1,2,3].reverse().join('');"), "321");
     assert_eq!(run("exports.result = [1,2,3].fill(0).join('');"), "000");

@@ -4,10 +4,12 @@
 //! round-trips.
 
 use aji_ast::Project;
+use aji_interp::heap::{OrderedMap, Prop, PropValue};
 use aji_interp::{Interp, Value};
 use aji_support::check::{property, TestCase};
 use aji_support::{prop_assert, prop_assert_eq};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// An arithmetic expression with both its JS source and its expected
 /// value, generated together so the test needs no separate JS oracle.
@@ -219,6 +221,69 @@ fn object_keys_preserve_insertion_order() {
             match v {
                 Value::Str(s) => prop_assert_eq!(&*s, keys.join(",")),
                 _ => prop_assert!(false),
+            }
+            Ok(())
+        });
+}
+
+/// One edit of an `OrderedMap` under test.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(usize, i64),
+    Remove(usize),
+}
+
+/// `OrderedMap` agrees with a plain insertion-ordered `Vec` on both sides
+/// of its scan/index threshold (8 entries, deleted slots included): order
+/// of first insertion, replacement in place, deleted keys re-inserted at
+/// the end, `len`, and lookups.
+#[test]
+fn ordered_map_matches_a_vec_model() {
+    property("ordered_map_matches_a_vec_model")
+        .cases(256)
+        .run(|tc| {
+            let pool = tc.int_in(1usize..17);
+            let keys: Vec<String> = (0..pool).map(|k| format!("k{k}")).collect();
+            let ops = tc.vec_of(0..64, |t| {
+                let k = t.int_in(0..pool);
+                if t.ratio(1, 4) {
+                    MapOp::Remove(k)
+                } else {
+                    MapOp::Insert(k, t.int_in(0i64..100))
+                }
+            });
+            let mut map = OrderedMap::new();
+            let mut model: Vec<(String, i64)> = Vec::new();
+            for op in &ops {
+                match *op {
+                    MapOp::Insert(k, v) => {
+                        map.insert(Rc::from(keys[k].as_str()), Prop::data(Value::Num(v as f64)));
+                        match model.iter_mut().find(|(key, _)| *key == keys[k]) {
+                            Some(slot) => slot.1 = v,
+                            None => model.push((keys[k].clone(), v)),
+                        }
+                    }
+                    MapOp::Remove(k) => {
+                        let had = model.iter().position(|(key, _)| *key == keys[k]);
+                        if let Some(at) = had {
+                            model.remove(at);
+                        }
+                        prop_assert_eq!(map.remove(&keys[k]), had.is_some(), "{ops:?}");
+                    }
+                }
+                prop_assert_eq!(map.len(), model.len(), "{ops:?}");
+                let order: Vec<String> = map.keys().iter().map(|k| k.to_string()).collect();
+                let expected: Vec<String> = model.iter().map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(order, expected, "{ops:?}");
+                for key in &keys {
+                    let got = map.get(key).map(|p| match p.value {
+                        PropValue::Data(Value::Num(n)) => n as i64,
+                        _ => -1,
+                    });
+                    let want = model.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+                    prop_assert_eq!(got, want, "{key} after {ops:?}");
+                    prop_assert_eq!(map.contains(key), want.is_some());
+                }
             }
             Ok(())
         });

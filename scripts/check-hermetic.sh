@@ -7,6 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
