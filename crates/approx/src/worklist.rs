@@ -5,7 +5,7 @@ use crate::hints::Hints;
 use aji_ast::{Loc, NodeId, Project};
 use aji_interp::tracer::Tracer;
 use aji_interp::{Interp, InterpOptions, JsError, Value};
-use aji_support::hash::FxHashMap;
+use aji_support::hash::{FxHashMap, FxHashSet};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -236,7 +236,8 @@ pub fn approximate_interpret_parsed(
     interp_opts.approx = true;
     let mut interp = Interp::with_parsed(project, parsed, interp_opts, Box::new(state.clone()));
 
-    let functions_total = count_parsed_functions(parsed);
+    let project_functions = parsed_function_ids(parsed);
+    let functions_total = project_functions.len();
 
     // Seed the worklist with every module of the main package (the
     // paper's "each application-code module"), main module first. The
@@ -316,12 +317,13 @@ pub fn approximate_interpret_parsed(
                 this_map: FxHashMap::default(),
             }
         });
+    // `visited` also holds prelude, `eval` and `Function` code; coverage
+    // counts only the project's own definitions.
     stats.functions_visited = st
         .visited
         .iter()
-        .filter(|_| true)
-        .count()
-        .min(functions_total.max(st.visited.len()));
+        .filter(|id| project_functions.contains(id))
+        .count();
     ApproxResult {
         hints: st.hints,
         visited: st.visited,
@@ -353,15 +355,15 @@ fn run_function_item(
     interp.call_function(value, this, &args).map(|_| ())
 }
 
-/// Counts function definitions across a parsed project's modules (for
-/// the coverage statistic).
-fn count_parsed_functions(parsed: &aji_parser::ParsedProject) -> usize {
+/// The function definitions across a parsed project's modules (the
+/// universe of the coverage statistic).
+fn parsed_function_ids(parsed: &aji_parser::ParsedProject) -> FxHashSet<NodeId> {
     use aji_ast::visit::{FunctionCollector, Visit};
     let mut c = FunctionCollector::default();
     for m in &parsed.modules {
         c.visit_module(m);
     }
-    c.functions.len()
+    c.functions.into_iter().map(|(id, _, _)| id).collect()
 }
 
 #[cfg(test)]
@@ -484,10 +486,22 @@ mod tests {
 
     #[test]
     fn stats_coverage() {
-        let p = project_with("function a() {} function b() {} a();");
+        // Prelude (`events`) and `eval` functions run too, but coverage
+        // counts only the project's own definitions.
+        let p = project_with(
+            "var EventEmitter = require('events');\n\
+             var e = new EventEmitter();\n\
+             e.on('x', function a() {});\n\
+             e.emit('x');\n\
+             eval('(function c() {})')();\n\
+             function b() {}",
+        );
         let r = approximate_interpret(&p, &ApproxOptions::default()).unwrap();
         assert_eq!(r.stats.functions_total, 2);
-        assert!(r.stats.coverage() > 0.9);
+        assert!(r.visited.len() > 2, "prelude and eval code ran too");
+        assert!(r.stats.functions_visited <= r.stats.functions_total);
+        assert_eq!(r.stats.functions_visited, 2);
+        assert_eq!(r.stats.coverage(), 1.0);
     }
 
     #[test]

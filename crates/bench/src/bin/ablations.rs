@@ -6,10 +6,13 @@
 //!   precision it loses;
 //! * the §6 proxy-read extension.
 //!
-//! Each project is parsed **once** and approximately interpreted **once**;
-//! all six analysis modes share that parse and hint set (they differ only
-//! in [`AnalysisOptions`]), so the study costs one pre-analysis per
-//! project instead of six.
+//! Each project is parsed **once**, approximately interpreted **once**
+//! and its baseline solved **once**: all six analysis modes share that
+//! parse and hint set (they differ only in [`AnalysisOptions`]), and each
+//! hinted mode extends its own clone of the solved baseline
+//! [`ConstraintGraph`]. The hinted modes cannot share one graph: they do
+//! not form a chain (`dpw-only` and `dpr-only` diverge, and
+//! `nonrelational` drops \[DPW\]).
 //!
 //! Run with `cargo run --release -p aji-bench --bin ablations`.
 //! Accepts the shared corpus flags (`--threads N`, `AJI_THREADS`); see
@@ -17,7 +20,7 @@
 
 use aji_approx::{approximate_interpret_parsed, ApproxOptions};
 use aji_bench::{collect_reports, exit_code, run_corpus_map, CorpusCli};
-use aji_pta::{analyze_parsed, AnalysisOptions, CgMetrics};
+use aji_pta::{AnalysisOptions, CgMetrics, ConstraintGraph};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,8 +28,7 @@ fn main() -> ExitCode {
     let projects = aji_corpus::table1_benchmarks();
     let n = projects.len();
 
-    let modes: Vec<(&str, AnalysisOptions)> = vec![
-        ("baseline", AnalysisOptions::baseline()),
+    let hinted: Vec<(&str, AnalysisOptions)> = vec![
         (
             "dpw-only",
             AnalysisOptions {
@@ -48,18 +50,23 @@ fn main() -> ExitCode {
         ("with-proxy-reads", AnalysisOptions::with_proxy_reads()),
     ];
 
-    // Per project: one parse, one approximate interpretation, six analyses.
+    let names: Vec<&str> = std::iter::once("baseline")
+        .chain(hinted.iter().map(|(name, _)| *name))
+        .collect();
+
+    // Per project: one parse, one approximate interpretation, one baseline
+    // solve, then one clone of the solved graph per hinted mode.
     let results = run_corpus_map(projects, cli.threads, |p| {
         let parsed = aji_parser::parse_project(p).map_err(|e| format!("parse error: {e}"))?;
         let approx = approximate_interpret_parsed(p, &parsed, &ApproxOptions::default());
-        Ok::<_, String>(
-            modes
-                .iter()
-                .map(|(_, opts)| {
-                    CgMetrics::of(&analyze_parsed(p, &parsed, Some(&approx.hints), opts).call_graph)
-                })
-                .collect::<Vec<_>>(),
-        )
+        let mut graph = ConstraintGraph::build(p, &parsed);
+        let baseline = graph.extend(None, &AnalysisOptions::baseline());
+        let mut metrics = vec![CgMetrics::of(&baseline.call_graph)];
+        for (_, opts) in &hinted {
+            let analysis = graph.clone().extend(Some(&approx.hints), opts);
+            metrics.push(CgMetrics::of(&analysis.call_graph));
+        }
+        Ok::<_, String>(metrics)
     });
     let (per_project, failures) = collect_reports(results);
 
@@ -68,7 +75,7 @@ fn main() -> ExitCode {
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "mode", "edges", "reach", "resolved%", "mono%", "targets/site"
     );
-    for (i, (name, _)) in modes.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         let mut edges = 0usize;
         let mut reach = 0usize;
         let mut resolved = 0usize;

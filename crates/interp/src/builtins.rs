@@ -1053,13 +1053,13 @@ fn function_bind(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
             data.bound_this = Some(Box::new(arg(args, 0)));
             data.bound_args.extend(args.iter().skip(1).cloned());
             let b = i.heap.alloc(ObjKind::Function(data));
-            let src = i.heap.get(fid).clone();
+            let src = i.heap.get(fid);
+            let (proto, born_at) = (src.proto, src.born_at);
             let dst = i.heap.get_mut(b);
-            dst.proto = src.proto;
+            dst.proto = proto;
             // Bound functions keep the original's allocation-site identity
             // so analysis hints still refer to the definition.
-            dst.born_at = src.born_at;
-            dst.func_def = src.func_def;
+            dst.born_at = born_at;
             Ok(Value::Obj(b))
         }
         _ => Ok(this), // binding natives/proxies: approximate with the original

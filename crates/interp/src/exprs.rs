@@ -827,8 +827,8 @@ impl Interp {
         });
 
         // Build the constructor function object.
-        let ctor_def: Arc<Function> = match &ctor_func {
-            Some(f) => self.registry.get(f.id).unwrap_or_else(|| f.clone()),
+        let (ctor_def, ctor_loc) = match &ctor_func {
+            Some(f) => (f.clone(), self.def_loc(f.span)),
             None => {
                 // Synthesize an empty constructor attributed to the class.
                 let f = Function {
@@ -842,16 +842,14 @@ impl Interp {
                     is_async: false,
                     is_generator: false,
                 };
-                let rc = Arc::new(f);
-                self.registry
-                    .add_dynamic(rc.clone(), self.static_loc(c.span));
-                rc
+                (Arc::new(f), self.static_loc(c.span))
             }
         };
         let born_at = self.static_loc(c.span);
         let is_default_ctor = ctor_func.is_none();
         let fid = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
             def: ctor_def.clone(),
+            def_loc: ctor_loc,
             env: scope.clone(),
             bound_this: None,
             bound_args: Vec::new(),
@@ -862,7 +860,6 @@ impl Interp {
             let obj = self.heap.get_mut(fid);
             obj.proto = Some(self.protos.function);
             obj.born_at = born_at;
-            obj.func_def = Some(ctor_def.id);
         }
         self.tracer
             .on_function_def(ctor_def.id, born_at, &Value::Obj(fid));
@@ -988,10 +985,9 @@ impl Interp {
                             is_async: false,
                             is_generator: false,
                         };
-                        let rc = Arc::new(f);
-                        self.registry.add_dynamic(rc.clone(), None);
                         let thunk = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
-                            def: rc,
+                            def: Arc::new(f),
+                            def_loc: None,
                             env: scope.clone(),
                             bound_this: None,
                             bound_args: Vec::new(),

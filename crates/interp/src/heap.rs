@@ -5,7 +5,7 @@
 use crate::env::ScopeRef;
 use crate::value::{ObjId, Value};
 use aji_ast::ast::Function;
-use aji_ast::{Loc, NodeId};
+use aji_ast::Loc;
 use aji_support::hash::FxHashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -187,8 +187,18 @@ impl<V> OrderedMap<V> {
 /// Closure data of a user-defined function object.
 #[derive(Debug, Clone)]
 pub struct FuncData {
-    /// The function definition (shared with the registry).
+    /// The function definition: the parse's own node for parsed code,
+    /// shared by every closure of that definition (its `id` is the
+    /// definition's identity for tracers and the approximate
+    /// interpreter's `Visited` set).
     pub def: Arc<Function>,
+    /// The definition's source location, reported to tracers on every
+    /// call. A parsed definition has one exactly when it lies in a
+    /// project file, so prelude, `eval` and `Function` code has none. Of
+    /// the synthesized definitions, a default class constructor takes the
+    /// class's allocation site and a class-field initializer thunk has
+    /// none.
+    pub def_loc: Option<Loc>,
     /// Captured defining scope.
     pub env: ScopeRef,
     /// Bound `this` (from `Function.prototype.bind` or class semantics).
@@ -211,7 +221,8 @@ pub enum ObjKind {
     Array(Vec<Value>),
     /// User-defined function (closure).
     Function(Box<FuncData>),
-    /// Built-in function, identified by an index into the native registry.
+    /// Built-in function, identified by its index in the static native
+    /// table (`builtins::NATIVE_TABLE`).
     Native(u32),
     /// The approximate-interpretation proxy `p*` (or a wrapper delegating
     /// to it): all operations succeed and yield the proxy again.
@@ -240,8 +251,6 @@ pub struct Object {
     /// Allocation site, if the object was created by statically known code
     /// (the paper's `loc` map; `None` inside `eval`'d code).
     pub born_at: Option<Loc>,
-    /// For function objects: the `NodeId` of the function definition.
-    pub func_def: Option<NodeId>,
 }
 
 impl Object {
@@ -251,7 +260,6 @@ impl Object {
             props: OrderedMap::new(),
             proto: None,
             born_at: None,
-            func_def: None,
         }
     }
 }

@@ -43,14 +43,12 @@ pub mod obs;
 mod prelude;
 mod profile;
 mod props;
-mod registry;
 mod stmts;
 pub mod tracer;
 pub mod value;
 
 pub use error::{BudgetKind, Flow, JsError};
 pub use machine::{Interp, InterpOptions, Protos};
-pub use registry::FuncRegistry;
 pub use tracer::{DynCallEdge, DynCallGraph, NoopTracer, Tracer};
 pub use value::{ObjId, Value};
 

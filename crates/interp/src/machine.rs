@@ -10,7 +10,6 @@ use crate::error::{BudgetKind, Flow, JsError};
 use crate::heap::{FuncData, Heap, ObjKind, Prop};
 use crate::obs::InterpObs;
 use crate::profile::Profiler;
-use crate::registry::FuncRegistry;
 use crate::tracer::{NoopTracer, Tracer};
 use crate::value::{ObjId, Value};
 use aji_ast::ast::{Function, Module};
@@ -120,8 +119,6 @@ pub struct Interp {
     pub opts: InterpOptions,
     /// Instrumentation sink.
     pub tracer: Box<dyn Tracer>,
-    /// Function-definition registry.
-    pub registry: FuncRegistry,
     /// Source map: project files first, then prelude/eval files.
     pub source_map: SourceMap,
     /// Console output captured from `console.log` and friends.
@@ -208,10 +205,6 @@ impl Interp {
         tracer: Box<dyn Tracer>,
     ) -> Interp {
         let parsed = parsed.clone();
-        let mut registry = FuncRegistry::new();
-        for m in &parsed.modules {
-            registry.add_module(m, &parsed.source_map);
-        }
         let project_file_count = parsed.source_map.len();
         let realm = Realm::fresh();
         let obs = InterpObs::bind();
@@ -224,7 +217,6 @@ impl Interp {
             heap: realm.heap,
             opts,
             tracer,
-            registry,
             source_map: parsed.source_map,
             console: Vec::new(),
             obs,
@@ -402,6 +394,14 @@ impl Interp {
         } else {
             Some(self.source_map.loc(span))
         }
+    }
+
+    /// The location of a parsed function definition: its span's, exactly
+    /// when the span lies in a project file. Unlike [`Interp::static_loc`]
+    /// this ignores `eval_depth`: a project function keeps its location
+    /// even when its closure is created while `eval` code runs.
+    pub(crate) fn def_loc(&self, span: Span) -> Option<Loc> {
+        (span.file.index() < self.project_file_count).then(|| self.source_map.loc(span))
     }
 
     #[inline]
@@ -585,10 +585,6 @@ impl Interp {
         let file = self.source_map.add_file(format!("<builtin:{name}>"), src);
         let module = aji_parser::parse_module(src, file, &mut self.ids)
             .map_err(|e| JsError::Internal(format!("prelude `{name}` failed to parse: {e}")))?;
-        // Register functions without locations: prelude code is not part
-        // of the analyzed program, so its definitions must not become
-        // allocation sites.
-        self.registry.add_module_defs_only(&module);
         let module = Rc::new(module);
 
         let exports = self.heap.alloc_plain(Some(self.protos.object), None);
@@ -729,8 +725,7 @@ impl Interp {
         call_site: Option<Loc>,
     ) -> Result<Value, JsError> {
         let def = data.def.clone();
-        let def_loc = self.registry.loc(def.id);
-        self.tracer.on_call(call_site, def.id, def_loc);
+        self.tracer.on_call(call_site, def.id, data.def_loc);
 
         // Assemble the full argument list (bound args from `bind` first).
         let mut all_args: Vec<Value>;
@@ -813,18 +808,10 @@ impl Interp {
     /// Creates a closure value for a function definition evaluated in
     /// `scope`.
     pub(crate) fn make_closure(&mut self, def: &Arc<Function>, scope: &ScopeRef) -> Value {
-        let shared = match self.registry.get(def.id) {
-            Some(rc) => rc,
-            None => {
-                // Function from dynamically generated code.
-                self.registry
-                    .add_dynamic(def.clone(), self.static_loc(def.span));
-                def.clone()
-            }
-        };
         let born_at = self.static_loc(def.span);
         let id = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
-            def: shared,
+            def: def.clone(),
+            def_loc: self.def_loc(def.span),
             env: scope.clone(),
             bound_this: None,
             bound_args: Vec::new(),
@@ -835,7 +822,6 @@ impl Interp {
             let obj = self.heap.get_mut(id);
             obj.proto = Some(self.protos.function);
             obj.born_at = born_at;
-            obj.func_def = Some(def.id);
         }
         if let Some(name) = &def.name {
             self.heap

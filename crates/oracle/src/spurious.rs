@@ -217,6 +217,9 @@ pub fn triage_spurious(
     spurious: &BTreeSet<(Loc, Loc)>,
 ) -> Vec<SpuriousEdge> {
     let _span = aji_obs::span("oracle-triage-spurious");
+    if spurious.is_empty() {
+        return Vec::new();
+    }
     let calls = build_call_index(parsed);
     let sm = &parsed.source_map;
 

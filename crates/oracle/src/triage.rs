@@ -306,6 +306,9 @@ pub fn triage(
     missed: &BTreeSet<(Loc, Loc)>,
 ) -> Vec<MissedEdge> {
     let _span = aji_obs::span("oracle-triage");
+    if missed.is_empty() {
+        return Vec::new();
+    }
     let idx = build_index(parsed);
     let sm = &parsed.source_map;
 

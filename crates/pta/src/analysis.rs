@@ -189,6 +189,11 @@ pub fn analyze_parsed(
 /// let extended = graph.extend(Some(&hints), &AnalysisOptions::extended());
 /// assert!(extended.call_graph.edge_count() > baseline.call_graph.edge_count());
 /// ```
+///
+/// Configurations that do not form one chain (say, read hints alone and
+/// write hints alone) each extend their own clone of the solved
+/// baseline.
+#[derive(Clone)]
 pub struct ConstraintGraph<'p> {
     project: &'p Project,
     solver: Solver,

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 pub struct Sym(pub u32);
 
 /// Simple string interner.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
     map: FxHashMap<String, Sym>,
     names: Vec<String>,
@@ -158,7 +158,7 @@ pub enum Constraint {
 }
 
 /// Metadata of one function definition.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FuncInfo {
     /// Definition node.
     pub node: NodeId,
@@ -177,7 +177,7 @@ pub struct FuncInfo {
 }
 
 /// One call or `new` site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CallSite {
     /// The call expression node.
     pub node: NodeId,
@@ -204,7 +204,7 @@ pub struct CallSite {
     pub lit_arg0: Option<String>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Cell {
     tokens: FxHashSet<Token>,
     succs: Vec<CellId>,
@@ -225,6 +225,7 @@ pub struct SolverStats {
 }
 
 /// The constraint solver.
+#[derive(Clone)]
 pub struct Solver {
     /// String interner for properties and builtin paths.
     pub interner: Interner,

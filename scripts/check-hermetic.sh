@@ -38,6 +38,11 @@ cmp target/oracle-t1.json target/oracle-t4.json
 ./target/release/aji-oracle --seed 1 --cases 50 --json --threads 1 > target/oracle-rerun.json
 cmp target/oracle-t1.json target/oracle-rerun.json
 
+echo "==> ablations determinism (threads 1 vs 2, byte-identical)"
+./target/release/ablations --threads 1 > target/ablations-t1.txt
+./target/release/ablations --threads 2 > target/ablations-t2.txt
+cmp target/ablations-t1.txt target/ablations-t2.txt
+
 echo "==> flight-recorder trace determinism (two deterministic runs, byte-identical)"
 ./target/release/aji-report --project webframe-app --dynamic --deterministic \
     --chrome-trace target/trace-1.json > /dev/null

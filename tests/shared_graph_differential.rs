@@ -91,6 +91,51 @@ fn a_three_step_chain_matches_a_from_scratch_solve() {
 }
 
 #[test]
+fn every_ablation_mode_on_a_clone_matches_a_from_scratch_solve() {
+    // `ablations`' hinted modes do not form one chain, so each extends
+    // its own clone of the solved baseline.
+    let modes = [
+        (
+            "dpw-only",
+            AnalysisOptions {
+                use_read_hints: false,
+                use_module_hints: false,
+                ..AnalysisOptions::extended()
+            },
+        ),
+        (
+            "dpr-only",
+            AnalysisOptions {
+                use_write_hints: false,
+                use_module_hints: false,
+                ..AnalysisOptions::extended()
+            },
+        ),
+        ("extended", AnalysisOptions::extended()),
+        ("nonrelational", AnalysisOptions::nonrelational()),
+        ("proxy-reads", AnalysisOptions::with_proxy_reads()),
+    ];
+    for project in corpus() {
+        let (parsed, hints) = prepare(&project);
+        let mut graph = ConstraintGraph::build(&project, &parsed);
+        let base = graph.extend(None, &AnalysisOptions::baseline());
+        for (what, opts) in &modes {
+            let on_clone = graph.clone().extend(Some(&hints), opts);
+            let scratch = analyze_parsed(&project, &parsed, Some(&hints), opts);
+            assert_same(&project.name, what, &on_clone, &scratch);
+        }
+        // Extending the clones left the source graph at the baseline: it
+        // re-solves to the same fixpoint and still takes any mode.
+        let again = graph.extend(None, &AnalysisOptions::baseline());
+        assert_same(&project.name, "source baseline", &again, &base);
+        let (what, opts) = &modes[1];
+        let source = graph.extend(Some(&hints), opts);
+        let scratch = analyze_parsed(&project, &parsed, Some(&hints), opts);
+        assert_same(&project.name, what, &source, &scratch);
+    }
+}
+
+#[test]
 #[should_panic(expected = "write hints are already applied")]
 fn a_graph_cannot_be_narrowed() {
     let project = aji_corpus::pattern_projects().remove(0);
