@@ -4,6 +4,23 @@
 //! unique within one parsed project — the static analysis uses them as
 //! constraint-variable keys) and a [`Span`] (from which allocation-site
 //! [`crate::Loc`]s are derived).
+//!
+//! # Layout
+//!
+//! A long-lived process (the `aji serve` daemon) keeps every parsed
+//! project in memory, so the tree is laid out for size:
+//!
+//! * every list is a `Box<[T]>` built once at its exact length, never a
+//!   `Vec<T>` with spare capacity;
+//! * every name or string is a `Box<str>`;
+//! * the payloads of rare, large nodes — [`StmtKind::For`],
+//!   [`StmtKind::ForIn`], [`StmtKind::ForOf`], [`StmtKind::Try`],
+//!   [`ExprKind::Template`], [`ExprKind::Regex`] and the
+//!   [`ExprKind::Assign`] target — are boxed, so they do not widen every
+//!   statement or expression.
+//!
+//! The unit tests pin the sizes of [`Stmt`], [`Expr`], [`ExprKind`] and
+//! [`Function`]; a new variant that re-inflates them fails there.
 
 use crate::source::Span;
 use std::fmt;
@@ -82,7 +99,7 @@ pub struct Module {
     /// Span covering the whole file.
     pub span: Span,
     /// Top-level statements.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
 }
 
 /// A statement.
@@ -133,46 +150,23 @@ pub enum StmtKind {
         test: Expr,
     },
     /// C-style `for`.
-    For {
-        /// Optional initializer.
-        init: Option<ForInit>,
-        /// Optional condition.
-        test: Option<Expr>,
-        /// Optional update expression.
-        update: Option<Expr>,
-        /// Loop body.
-        body: Box<Stmt>,
-    },
+    For(Box<ForStmt>),
     /// `for (head in obj) body`
-    ForIn {
-        /// Loop variable.
-        head: ForHead,
-        /// Object whose enumerable property names are iterated.
-        obj: Expr,
-        /// Loop body.
-        body: Box<Stmt>,
-    },
+    ForIn(Box<ForEachStmt>),
     /// `for (head of iter) body`
-    ForOf {
-        /// Loop variable.
-        head: ForHead,
-        /// Iterable.
-        iter: Expr,
-        /// Loop body.
-        body: Box<Stmt>,
-    },
+    ForOf(Box<ForEachStmt>),
     /// Block `{ ... }`.
-    Block(Vec<Stmt>),
+    Block(Box<[Stmt]>),
     /// Empty statement `;`.
     Empty,
     /// `break label?;`
-    Break(Option<String>),
+    Break(Option<Box<str>>),
     /// `continue label?;`
-    Continue(Option<String>),
+    Continue(Option<Box<str>>),
     /// `label: stmt`
     Labeled {
         /// Label name.
-        label: String,
+        label: Box<str>,
         /// Labeled statement.
         body: Box<Stmt>,
     },
@@ -181,21 +175,51 @@ pub enum StmtKind {
         /// Discriminant.
         disc: Expr,
         /// Cases in source order.
-        cases: Vec<SwitchCase>,
+        cases: Box<[SwitchCase]>,
     },
     /// `throw E;`
     Throw(Expr),
     /// `try { .. } catch (p)? { .. } finally { .. }?`
-    Try {
-        /// Protected block.
-        block: Vec<Stmt>,
-        /// Optional catch clause.
-        catch: Option<CatchClause>,
-        /// Optional finally block.
-        finally: Option<Vec<Stmt>>,
-    },
+    Try(Box<TryStmt>),
     /// `debugger;` — a no-op.
     Debugger,
+}
+
+/// Payload of [`StmtKind::For`], boxed because C-style loops are rare and
+/// large.
+#[derive(Debug, Clone)]
+pub struct ForStmt {
+    /// Optional initializer.
+    pub init: Option<ForInit>,
+    /// Optional condition.
+    pub test: Option<Expr>,
+    /// Optional update expression.
+    pub update: Option<Expr>,
+    /// Loop body.
+    pub body: Stmt,
+}
+
+/// Payload of [`StmtKind::ForIn`] and [`StmtKind::ForOf`].
+#[derive(Debug, Clone)]
+pub struct ForEachStmt {
+    /// Loop variable.
+    pub head: ForHead,
+    /// For `for-in`, the object whose enumerable property names are
+    /// iterated; for `for-of`, the iterable.
+    pub right: Expr,
+    /// Loop body.
+    pub body: Stmt,
+}
+
+/// Payload of [`StmtKind::Try`].
+#[derive(Debug, Clone)]
+pub struct TryStmt {
+    /// Protected block.
+    pub block: Box<[Stmt]>,
+    /// Optional catch clause.
+    pub catch: Option<CatchClause>,
+    /// Optional finally block.
+    pub finally: Option<Box<[Stmt]>>,
 }
 
 /// One `case`/`default` arm of a `switch`.
@@ -206,7 +230,7 @@ pub struct SwitchCase {
     /// `None` for `default:`.
     pub test: Option<Expr>,
     /// Statements in the arm.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
 }
 
 /// A `catch` clause.
@@ -215,7 +239,7 @@ pub struct CatchClause {
     /// Bound exception pattern, absent for `catch { ... }`.
     pub param: Option<Pattern>,
     /// Handler body.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
 }
 
 /// Initializer of a C-style `for`.
@@ -268,7 +292,7 @@ pub struct VarDecl {
     /// Declaration kind.
     pub kind: VarKind,
     /// Individual declarators.
-    pub decls: Vec<VarDeclarator>,
+    pub decls: Box<[VarDeclarator]>,
 }
 
 /// A single declarator within a [`VarDecl`].
@@ -299,33 +323,23 @@ pub enum ExprKind {
     /// Numeric literal.
     Num(f64),
     /// String literal.
-    Str(String),
+    Str(Box<str>),
     /// Boolean literal.
     Bool(bool),
     /// `null`.
     Null,
-    /// Template literal `` `a${b}c` ``: `quasis.len() == exprs.len() + 1`.
-    Template {
-        /// Literal chunks.
-        quasis: Vec<String>,
-        /// Interpolated expressions.
-        exprs: Vec<Expr>,
-    },
+    /// Template literal `` `a${b}c` ``.
+    Template(Box<Template>),
     /// Regular expression literal, kept opaque.
-    Regex {
-        /// Pattern source between the slashes.
-        pattern: String,
-        /// Flags.
-        flags: String,
-    },
+    Regex(Box<Regex>),
     /// Variable reference.
-    Ident(String),
+    Ident(Box<str>),
     /// `this`.
     This,
     /// Array literal; `None` elements are holes.
-    Array(Vec<Option<ExprOrSpread>>),
+    Array(Box<[Option<ExprOrSpread>]>),
     /// Object literal.
-    Object(Vec<Property>),
+    Object(Box<[Property]>),
     /// Function expression (`function (..) {..}` or named).
     Function(Arc<Function>),
     /// Arrow function.
@@ -370,8 +384,9 @@ pub enum ExprKind {
     Assign {
         /// Operator (`=`, `+=`, ...).
         op: AssignOp,
-        /// Assignment target.
-        target: AssignTarget,
+        /// Assignment target, boxed: most targets are identifiers or
+        /// members, yet the identifier form is as large as an [`Expr`].
+        target: Box<AssignTarget>,
         /// Right-hand side.
         value: Box<Expr>,
     },
@@ -389,7 +404,7 @@ pub enum ExprKind {
         /// Callee expression.
         callee: Box<Expr>,
         /// Arguments.
-        args: Vec<ExprOrSpread>,
+        args: Box<[ExprOrSpread]>,
         /// Optional-chaining call `f?.()`.
         optional: bool,
     },
@@ -398,7 +413,7 @@ pub enum ExprKind {
         /// Constructor expression.
         callee: Box<Expr>,
         /// Arguments.
-        args: Vec<ExprOrSpread>,
+        args: Box<[ExprOrSpread]>,
     },
     /// Property access, static (`o.p`) or computed (`o[e]`).
     Member {
@@ -410,16 +425,34 @@ pub enum ExprKind {
         optional: bool,
     },
     /// Comma sequence `(a, b, c)`.
-    Seq(Vec<Expr>),
+    Seq(Box<[Expr]>),
     /// Parenthesized expression (kept so the printer can round-trip).
     Paren(Box<Expr>),
+}
+
+/// Payload of [`ExprKind::Template`]: `quasis.len() == exprs.len() + 1`.
+#[derive(Debug, Clone)]
+pub struct Template {
+    /// Literal chunks.
+    pub quasis: Box<[Box<str>]>,
+    /// Interpolated expressions.
+    pub exprs: Box<[Expr]>,
+}
+
+/// Payload of [`ExprKind::Regex`].
+#[derive(Debug, Clone)]
+pub struct Regex {
+    /// Pattern source between the slashes.
+    pub pattern: Box<str>,
+    /// Flags.
+    pub flags: Box<str>,
 }
 
 /// Property selector of a member expression.
 #[derive(Debug, Clone)]
 pub enum MemberProp {
     /// Fixed property name `o.p`.
-    Static(String),
+    Static(Box<str>),
     /// Dynamically computed name `o[e]` — the construct the paper targets.
     Computed(Box<Expr>),
 }
@@ -471,9 +504,9 @@ pub enum MethodKind {
 #[derive(Debug, Clone)]
 pub enum PropName {
     /// Identifier key `foo:`.
-    Ident(String),
+    Ident(Box<str>),
     /// String key `"foo":`.
-    Str(String),
+    Str(Box<str>),
     /// Numeric key `42:`.
     Num(f64),
     /// Computed key `[e]:` — also a dynamic property write site.
@@ -484,7 +517,7 @@ impl PropName {
     /// The statically known name, if any.
     pub fn static_name(&self) -> Option<String> {
         match self {
-            PropName::Ident(s) | PropName::Str(s) => Some(s.clone()),
+            PropName::Ident(s) | PropName::Str(s) => Some(s.to_string()),
             PropName::Num(n) => Some(crate::num_to_prop_name(*n)),
             PropName::Computed(_) => None,
         }
@@ -499,9 +532,9 @@ pub struct Function {
     /// Span of the whole function.
     pub span: Span,
     /// Name, if any (declaration or named expression).
-    pub name: Option<String>,
+    pub name: Option<Box<str>>,
     /// Declared parameters in order.
-    pub params: Vec<Param>,
+    pub params: Box<[Param]>,
     /// Rest parameter, if any.
     pub rest: Option<Pattern>,
     /// Function body.
@@ -527,7 +560,7 @@ pub struct Param {
 #[derive(Debug, Clone)]
 pub enum FuncBody {
     /// Block body.
-    Block(Vec<Stmt>),
+    Block(Box<[Stmt]>),
     /// Arrow-function expression body.
     Expr(Box<Expr>),
 }
@@ -540,11 +573,11 @@ pub struct Class {
     /// Span of the whole class.
     pub span: Span,
     /// Name, if any.
-    pub name: Option<String>,
+    pub name: Option<Box<str>>,
     /// `extends` clause.
     pub super_class: Option<Box<Expr>>,
     /// Members in source order.
-    pub members: Vec<ClassMember>,
+    pub members: Box<[ClassMember]>,
 }
 
 /// A member of a class body.
@@ -587,7 +620,7 @@ pub enum AssignTarget {
         /// Span of the identifier.
         span: Span,
         /// Variable name.
-        name: String,
+        name: Box<str>,
     },
     /// `o.p = ..` / `o[e] = ..` — the latter is the paper's dynamic write.
     Member(Box<Expr>),
@@ -610,18 +643,18 @@ pub struct Pattern {
 #[derive(Debug, Clone)]
 pub enum PatternKind {
     /// Simple identifier binding.
-    Ident(String),
+    Ident(Box<str>),
     /// Array pattern; `None` elements are holes.
     Array {
         /// Element patterns.
-        elems: Vec<Option<Pattern>>,
+        elems: Box<[Option<Pattern>]>,
         /// Trailing rest element.
         rest: Option<Box<Pattern>>,
     },
     /// Object pattern.
     Object {
         /// Destructured properties.
-        props: Vec<ObjectPatProp>,
+        props: Box<[ObjectPatProp]>,
         /// Trailing rest element.
         rest: Option<Box<Pattern>>,
     },
@@ -915,6 +948,23 @@ mod tests {
             Some("y z")
         );
         assert_eq!(PropName::Num(3.0).static_name().as_deref(), Some("3"));
+    }
+
+    #[test]
+    fn node_layouts_stay_lean() {
+        use std::mem::size_of;
+        assert!(size_of::<Stmt>() <= 88, "Stmt is {} B", size_of::<Stmt>());
+        assert!(size_of::<Expr>() <= 48, "Expr is {} B", size_of::<Expr>());
+        assert!(
+            size_of::<ExprKind>() <= 32,
+            "ExprKind is {} B",
+            size_of::<ExprKind>()
+        );
+        assert!(
+            size_of::<Function>() <= 120,
+            "Function is {} B",
+            size_of::<Function>()
+        );
     }
 
     #[test]

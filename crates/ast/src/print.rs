@@ -218,12 +218,13 @@ impl Printer {
                 self.word(");");
                 self.nl();
             }
-            StmtKind::For {
-                init,
-                test,
-                update,
-                body,
-            } => {
+            StmtKind::For(f) => {
+                let ForStmt {
+                    init,
+                    test,
+                    update,
+                    body,
+                } = &**f;
                 self.word("for (");
                 match init {
                     Some(ForInit::VarDecl(d)) => self.var_decl(d),
@@ -242,7 +243,12 @@ impl Printer {
                 self.stmt_as_block(body);
                 self.nl();
             }
-            StmtKind::ForIn { head, obj, body } => {
+            StmtKind::ForIn(f) => {
+                let ForEachStmt {
+                    head,
+                    right: obj,
+                    body,
+                } = &**f;
                 self.word("for (");
                 self.for_head(head);
                 self.word(" in ");
@@ -251,7 +257,12 @@ impl Printer {
                 self.stmt_as_block(body);
                 self.nl();
             }
-            StmtKind::ForOf { head, iter, body } => {
+            StmtKind::ForOf(f) => {
+                let ForEachStmt {
+                    head,
+                    right: iter,
+                    body,
+                } = &**f;
                 self.word("for (");
                 self.for_head(head);
                 self.word(" of ");
@@ -324,11 +335,12 @@ impl Printer {
                 self.word(";");
                 self.nl();
             }
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => {
+            StmtKind::Try(t) => {
+                let TryStmt {
+                    block,
+                    catch,
+                    finally,
+                } = &**t;
                 self.word("try ");
                 self.block(block);
                 if let Some(c) = catch {
@@ -639,7 +651,8 @@ impl Printer {
             ExprKind::Str(s) => self.word(&quote_str(s)),
             ExprKind::Bool(b) => self.word(if *b { "true" } else { "false" }),
             ExprKind::Null => self.word("null"),
-            ExprKind::Template { quasis, exprs } => {
+            ExprKind::Template(t) => {
+                let Template { quasis, exprs } = &**t;
                 self.word("`");
                 for (i, q) in quasis.iter().enumerate() {
                     for c in q.chars() {
@@ -658,7 +671,8 @@ impl Printer {
                 }
                 self.word("`");
             }
-            ExprKind::Regex { pattern, flags } => {
+            ExprKind::Regex(re) => {
+                let Regex { pattern, flags } = &**re;
                 self.word("/");
                 self.word(pattern);
                 self.word("/");
@@ -789,7 +803,7 @@ impl Printer {
                 );
             }
             ExprKind::Assign { op, target, value } => {
-                match target {
+                match &**target {
                     AssignTarget::Ident { name, .. } => self.word(name),
                     AssignTarget::Member(m) => self.expr(m, PREC_CALL),
                     AssignTarget::Pattern(p) => self.pattern(p),
@@ -894,7 +908,7 @@ impl Printer {
 fn starts_ambiguously(e: &Expr) -> bool {
     match &e.kind {
         ExprKind::Object(_) | ExprKind::Function(_) | ExprKind::Class(_) => true,
-        ExprKind::Assign { target, .. } => match target {
+        ExprKind::Assign { target, .. } => match &**target {
             AssignTarget::Member(m) => starts_ambiguously(m),
             AssignTarget::Pattern(p) => matches!(p.kind, PatternKind::Object { .. }),
             AssignTarget::Ident { .. } => false,
@@ -983,7 +997,7 @@ mod tests {
             &mut g,
             ExprKind::Call {
                 callee: Box::new(f),
-                args: vec![],
+                args: Box::default(),
                 optional: false,
             },
         );
@@ -1001,7 +1015,7 @@ mod tests {
     #[test]
     fn print_object_statement_parenthesized() {
         let mut g = NodeIdGen::new();
-        let obj = expr(&mut g, ExprKind::Object(vec![]));
+        let obj = expr(&mut g, ExprKind::Object(Box::default()));
         let s = Stmt {
             id: g.fresh(),
             span: sp(),

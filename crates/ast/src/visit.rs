@@ -83,12 +83,13 @@ pub fn walk_stmt<V: Visit>(v: &mut V, s: &Stmt) {
             v.visit_stmt(body);
             v.visit_expr(test);
         }
-        StmtKind::For {
-            init,
-            test,
-            update,
-            body,
-        } => {
+        StmtKind::For(f) => {
+            let ForStmt {
+                init,
+                test,
+                update,
+                body,
+            } = &**f;
             match init {
                 Some(ForInit::VarDecl(d)) => v.visit_var_decl(d),
                 Some(ForInit::Expr(e)) => v.visit_expr(e),
@@ -102,15 +103,10 @@ pub fn walk_stmt<V: Visit>(v: &mut V, s: &Stmt) {
             }
             v.visit_stmt(body);
         }
-        StmtKind::ForIn { head, obj, body } => {
-            walk_for_head(v, head);
-            v.visit_expr(obj);
-            v.visit_stmt(body);
-        }
-        StmtKind::ForOf { head, iter, body } => {
-            walk_for_head(v, head);
-            v.visit_expr(iter);
-            v.visit_stmt(body);
+        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
+            walk_for_head(v, &f.head);
+            v.visit_expr(&f.right);
+            v.visit_stmt(&f.body);
         }
         StmtKind::Block(body) => {
             for s in body {
@@ -131,11 +127,12 @@ pub fn walk_stmt<V: Visit>(v: &mut V, s: &Stmt) {
             }
         }
         StmtKind::Throw(e) => v.visit_expr(e),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
+        StmtKind::Try(t) => {
+            let TryStmt {
+                block,
+                catch,
+                finally,
+            } = &**t;
             for s in block {
                 v.visit_stmt(s);
             }
@@ -170,11 +167,11 @@ pub fn walk_expr<V: Visit>(v: &mut V, e: &Expr) {
         | ExprKind::Str(_)
         | ExprKind::Bool(_)
         | ExprKind::Null
-        | ExprKind::Regex { .. }
+        | ExprKind::Regex(_)
         | ExprKind::Ident(_)
         | ExprKind::This => {}
-        ExprKind::Template { exprs, .. } => {
-            for x in exprs {
+        ExprKind::Template(t) => {
+            for x in &t.exprs {
                 v.visit_expr(x);
             }
         }
@@ -207,7 +204,7 @@ pub fn walk_expr<V: Visit>(v: &mut V, e: &Expr) {
             v.visit_expr(right);
         }
         ExprKind::Assign { target, value, .. } => {
-            match target {
+            match &**target {
                 AssignTarget::Ident { .. } => {}
                 AssignTarget::Member(m) => v.visit_expr(m),
                 AssignTarget::Pattern(p) => v.visit_pattern(p),
@@ -338,7 +335,7 @@ pub fn walk_prop_name<V: Visit>(v: &mut V, p: &PropName) {
 #[derive(Debug, Default)]
 pub struct FunctionCollector {
     /// Collected `(id, span, name)` triples.
-    pub functions: Vec<(NodeId, crate::Span, Option<String>)>,
+    pub functions: Vec<(NodeId, crate::Span, Option<Box<str>>)>,
 }
 
 impl Visit for FunctionCollector {
@@ -373,9 +370,9 @@ mod tests {
             id: g.fresh(),
             span: dummy_span(),
             name: Some("inner".into()),
-            params: vec![],
+            params: Box::default(),
             rest: None,
-            body: FuncBody::Block(vec![]),
+            body: FuncBody::Block(Box::default()),
             is_arrow: false,
             is_async: false,
             is_generator: false,
@@ -385,7 +382,7 @@ mod tests {
             span: dummy_span(),
             kind: StmtKind::VarDecl(VarDecl {
                 kind: VarKind::Var,
-                decls: vec![VarDeclarator {
+                decls: Box::new([VarDeclarator {
                     span: dummy_span(),
                     name: Pattern {
                         id: g.fresh(),
@@ -397,16 +394,16 @@ mod tests {
                         span: dummy_span(),
                         kind: ExprKind::Function(Arc::new(inner)),
                     }),
-                }],
+                }]),
             }),
         };
         let outer = Function {
             id: g.fresh(),
             span: dummy_span(),
             name: Some("outer".into()),
-            params: vec![],
+            params: Box::default(),
             rest: None,
-            body: FuncBody::Block(vec![decl]),
+            body: FuncBody::Block(Box::new([decl])),
             is_arrow: false,
             is_async: false,
             is_generator: false,
@@ -414,19 +411,16 @@ mod tests {
         let module = Module {
             id: g.fresh(),
             span: dummy_span(),
-            body: vec![Stmt {
+            body: Box::new([Stmt {
                 id: g.fresh(),
                 span: dummy_span(),
                 kind: StmtKind::FuncDecl(Arc::new(outer)),
-            }],
+            }]),
         };
         let mut c = FunctionCollector::default();
         c.visit_module(&module);
         let names: Vec<_> = c.functions.iter().map(|(_, _, n)| n.clone()).collect();
-        assert_eq!(
-            names,
-            vec![Some("outer".to_string()), Some("inner".to_string())]
-        );
+        assert_eq!(names, vec![Some("outer".into()), Some("inner".into())]);
     }
 
     #[test]
@@ -439,10 +433,10 @@ mod tests {
             span: dummy_span(),
             kind: ExprKind::Call {
                 callee: Box::new(callee),
-                args: vec![ExprOrSpread {
+                args: Box::new([ExprOrSpread {
                     spread: false,
                     expr: arg,
-                }],
+                }]),
                 optional: false,
             },
         };

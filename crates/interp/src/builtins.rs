@@ -1237,17 +1237,19 @@ fn array_join(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         Some(Value::Undefined) | None => ",".to_string(),
         Some(v) => i.to_string_value(v),
     };
-    let parts: Vec<String> = elems
-        .iter()
-        .map(|e| {
-            if e.is_nullish() {
-                String::new()
-            } else {
-                i.to_string_value(e)
-            }
-        })
-        .collect();
-    Ok(Value::from(parts.join(&sep)))
+    let mut out = String::new();
+    for (k, e) in elems.iter().enumerate() {
+        let part = if e.is_nullish() {
+            String::new()
+        } else {
+            i.to_string_value(e)
+        };
+        let sep = if k == 0 { "" } else { sep.as_str() };
+        i.check_string_len(out.len() + sep.len() + part.len())?;
+        out.push_str(sep);
+        out.push_str(&part);
+    }
+    Ok(Value::from(out))
 }
 
 fn array_index_of(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1684,15 +1686,18 @@ fn string_replace_all(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) ->
 fn string_concat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let mut s = this_string(i, &this);
     for a in args {
-        s.push_str(&i.to_string_value(a));
+        let part = i.to_string_value(a);
+        i.check_string_len(s.len() + part.len())?;
+        s.push_str(&part);
     }
     Ok(Value::from(s))
 }
 
 fn string_repeat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let s = this_string(i, &this);
-    let n = i.to_number_value(&arg(args, 0))?.max(0.0) as usize;
-    Ok(Value::from(s.repeat(n.min(10_000))))
+    let n = (i.to_number_value(&arg(args, 0))?.max(0.0) as usize).min(10_000);
+    i.check_string_len(s.len().saturating_mul(n))?;
+    Ok(Value::from(s.repeat(n)))
 }
 
 fn string_pad_start(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1702,13 +1707,8 @@ fn string_pad_start(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R
         Some(Value::Undefined) | None => " ".to_string(),
         Some(v) => i.to_string_value(v),
     };
-    let mut out = String::new();
-    while out.chars().count() + s.chars().count() < target && !pad.is_empty() {
-        out.push_str(&pad);
-    }
-    let needed = target.saturating_sub(s.chars().count());
-    let out: String = out.chars().take(needed).collect();
-    Ok(Value::from(format!("{out}{s}")))
+    let fill = pad_fill(i, &s, target, &pad)?;
+    Ok(Value::from(fill + &s))
 }
 
 fn string_pad_end(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1718,12 +1718,27 @@ fn string_pad_end(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         Some(Value::Undefined) | None => " ".to_string(),
         Some(v) => i.to_string_value(v),
     };
-    let mut out = s.clone();
-    while out.chars().count() < target && !pad.is_empty() {
-        out.push_str(&pad);
+    let fill = pad_fill(i, &s, target, &pad)?;
+    Ok(Value::from(s + &fill))
+}
+
+/// The fill `padStart`/`padEnd` add to `s` to reach `target` chars:
+/// `pad` repeated and cut to length, empty when `pad` is. The padded
+/// string's length is checked against the string budget before the fill
+/// is built.
+fn pad_fill(i: &mut Interp, s: &str, target: usize, pad: &str) -> Result<String, JsError> {
+    let needed = target.saturating_sub(s.chars().count());
+    let pad_chars = pad.chars().count();
+    if needed == 0 || pad_chars == 0 {
+        return Ok(String::new());
     }
-    let out: String = out.chars().take(target.max(s.chars().count())).collect();
-    Ok(Value::from(out))
+    let rest = needed % pad_chars;
+    let rest_bytes = pad.char_indices().nth(rest).map_or(pad.len(), |(b, _)| b);
+    let fill_bytes = (needed / pad_chars)
+        .saturating_mul(pad.len())
+        .saturating_add(rest_bytes);
+    i.check_string_len(s.len().saturating_add(fill_bytes))?;
+    Ok(pad.chars().cycle().take(needed).collect())
 }
 
 fn string_match(_i: &mut Interp, _s: ObjId, _t: Value, _a: &[Value]) -> R {

@@ -26,6 +26,8 @@ pub enum BudgetKind {
     Stack,
     /// Iterations of a single loop.
     Loop,
+    /// Length of a string being built.
+    StringLength,
 }
 
 impl JsError {
@@ -62,9 +64,9 @@ pub enum Flow {
     /// `return v` unwinding to the nearest call.
     Return(Value),
     /// `break [label]` unwinding to the matching loop/switch.
-    Break(Option<String>),
+    Break(Option<Box<str>>),
     /// `continue [label]` unwinding to the matching loop.
-    Continue(Option<String>),
+    Continue(Option<Box<str>>),
 }
 
 impl Flow {

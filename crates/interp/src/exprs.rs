@@ -20,18 +20,23 @@ impl Interp {
             ExprKind::Str(s) => Ok(Value::str(s)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Null => Ok(Value::Null),
-            ExprKind::Template { quasis, exprs } => {
+            ExprKind::Template(t) => {
+                let Template { quasis, exprs } = &**t;
                 let mut out = String::new();
                 for (i, q) in quasis.iter().enumerate() {
+                    self.check_string_len(out.len() + q.len())?;
                     out.push_str(q);
                     if i < exprs.len() {
                         let v = self.eval_expr(&exprs[i], scope)?;
-                        out.push_str(&self.to_string_value(&v));
+                        let part = self.to_string_value(&v);
+                        self.check_string_len(out.len() + part.len())?;
+                        out.push_str(&part);
                     }
                 }
                 Ok(Value::from(out))
             }
-            ExprKind::Regex { pattern, flags } => {
+            ExprKind::Regex(re) => {
+                let Regex { pattern, flags } = &**re;
                 let loc = self.static_loc(e.span);
                 let obj = self.heap.alloc_plain(Some(self.protos.regexp), loc);
                 self.tracer.on_alloc(loc);
@@ -103,13 +108,17 @@ impl Interp {
                     return Ok(v);
                 }
                 // Compound assignment: read-modify-write.
-                let target_expr = match target {
-                    AssignTarget::Ident { name, span, id } => Expr {
-                        id: *id,
-                        span: *span,
-                        kind: ExprKind::Ident(name.clone()),
-                    },
-                    AssignTarget::Member(m) => (**m).clone(),
+                let ident;
+                let target_expr: &Expr = match &**target {
+                    AssignTarget::Ident { name, span, id } => {
+                        ident = Expr {
+                            id: *id,
+                            span: *span,
+                            kind: ExprKind::Ident(name.clone()),
+                        };
+                        &ident
+                    }
+                    AssignTarget::Member(m) => m,
                     AssignTarget::Pattern(p) => {
                         return Err(JsError::Internal(format!(
                             "compound assignment to pattern at {:?}",
@@ -117,7 +126,7 @@ impl Interp {
                         )))
                     }
                 };
-                let old = self.eval_expr(&target_expr, scope)?;
+                let old = self.eval_expr(target_expr, scope)?;
                 let new = match op {
                     AssignOp::And => {
                         if self.truthy(&old) {
@@ -146,7 +155,7 @@ impl Interp {
                         self.eval_binary(bop, old, r)?
                     }
                 };
-                self.assign_to_expr(&target_expr, new.clone(), scope)?;
+                self.assign_to_expr(target_expr, new.clone(), scope)?;
                 Ok(new)
             }
             ExprKind::Cond { test, cons, alt } => {
@@ -329,7 +338,7 @@ impl Interp {
                 if env::lookup(scope, name).is_none()
                     && self.heap.own_prop(self.global_obj, name).is_none()
                     && !matches!(
-                        name.as_str(),
+                        &**name,
                         "undefined" | "NaN" | "Infinity" | "globalThis" | "global"
                     )
                 {
@@ -343,7 +352,7 @@ impl Interp {
             if let ExprKind::Member { obj, prop, .. } = &expr.unparen().kind {
                 let base = self.eval_expr(obj, scope)?;
                 let key = match prop {
-                    MemberProp::Static(n) => Some(n.clone()),
+                    MemberProp::Static(n) => Some(n.to_string()),
                     MemberProp::Computed(k) => {
                         let kv = self.eval_expr(k, scope)?;
                         if self.heap.is_proxy(&kv) {
@@ -392,7 +401,9 @@ impl Interp {
                 let rp = self.to_primitive(&r)?;
                 if matches!(lp, Value::Str(_)) || matches!(rp, Value::Str(_)) {
                     let mut s = self.to_string_value(&lp);
-                    s.push_str(&self.to_string_value(&rp));
+                    let r = self.to_string_value(&rp);
+                    self.check_string_len(s.len() + r.len())?;
+                    s.push_str(&r);
                     Ok(Value::from(s))
                 } else {
                     Ok(Value::Num(prim_to_number(&lp) + prim_to_number(&rp)))
@@ -533,13 +544,13 @@ impl Interp {
 
         // `super(...)` — constructor chaining.
         if let ExprKind::Ident(name) = &callee_u.kind {
-            if name == "super" {
+            if &**name == "super" {
                 let sc = env::lookup(scope, "%superctor%").unwrap_or(Value::Undefined);
                 let this = env::this_value(scope);
                 let argv = self.eval_args(args, scope)?;
                 return self.call_value(sc, this, &argv, call_site);
             }
-            if name == "eval" && self.resolves_to_global_eval(scope) {
+            if &**name == "eval" && self.resolves_to_global_eval(scope) {
                 // Direct eval: run in the caller's scope.
                 let argv = self.eval_args(args, scope)?;
                 let code = match argv.first() {
@@ -559,7 +570,7 @@ impl Interp {
         } = &callee_u.kind
         {
             // `super.m(...)`.
-            if matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") {
+            if matches!(&obj.unparen().kind, ExprKind::Ident(n) if &**n == "super") {
                 let sp = env::lookup(scope, "%superproto%").unwrap_or(Value::Undefined);
                 let this = env::this_value(scope);
                 let m = match prop {
@@ -740,7 +751,7 @@ impl Interp {
         match &pat.kind {
             PatternKind::Ident(name) => {
                 if declare {
-                    scope.borrow_mut().declare(name.as_str(), v);
+                    scope.borrow_mut().declare(&**name, v);
                 } else {
                     env::assign(scope, name, v);
                 }
@@ -835,9 +846,9 @@ impl Interp {
                     id: self.ids.fresh(),
                     span: c.span,
                     name: c.name.clone(),
-                    params: Vec::new(),
+                    params: Box::default(),
                     rest: None,
-                    body: FuncBody::Block(Vec::new()),
+                    body: FuncBody::Block(Box::default()),
                     is_arrow: false,
                     is_async: false,
                     is_generator: false,
@@ -978,7 +989,7 @@ impl Interp {
                             id: self.ids.fresh(),
                             span: m.span,
                             name: None,
-                            params: Vec::new(),
+                            params: Box::default(),
                             rest: None,
                             body: FuncBody::Expr(Box::new(e.clone())),
                             is_arrow: false,

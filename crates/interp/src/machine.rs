@@ -35,6 +35,12 @@ pub struct InterpOptions {
     /// Maximum iterations of any single loop execution (the paper's
     /// long-running-loop abort).
     pub max_loop_iters: u64,
+    /// Maximum length, in UTF-8 bytes, of a string built by `+`/`+=`, a
+    /// template literal, `concat`, `repeat`, `padStart`, `padEnd` or
+    /// `join`. The length is checked before the string is allocated;
+    /// past it the run stops with a [`crate::BudgetKind::StringLength`]
+    /// budget error. The default is V8's maximum string length.
+    pub max_string_len: usize,
     /// Emit [`crate::Tracer::on_prop_access`] events for *static* member
     /// reads (and string-keyed computed reads) on plain objects — the feed
     /// of the `aji-quant` statistical property-access finder. Off by
@@ -43,6 +49,9 @@ pub struct InterpOptions {
     pub observe_props: bool,
 }
 
+/// V8's maximum string length on 64-bit hosts, `2^29 - 24`.
+const V8_MAX_STRING_LEN: usize = (1 << 29) - 24;
+
 impl Default for InterpOptions {
     fn default() -> Self {
         InterpOptions {
@@ -50,6 +59,7 @@ impl Default for InterpOptions {
             max_steps: 20_000_000,
             max_stack: 64,
             max_loop_iters: 500_000,
+            max_string_len: V8_MAX_STRING_LEN,
             observe_props: false,
         }
     }
@@ -64,6 +74,7 @@ impl InterpOptions {
             max_steps: 5_000_000,
             max_stack: 48,
             max_loop_iters: 10_000,
+            max_string_len: V8_MAX_STRING_LEN,
             observe_props: false,
         }
     }
@@ -80,6 +91,7 @@ impl InterpOptions {
         h.write_u64(self.max_steps);
         h.write_u64(u64::from(self.max_stack));
         h.write_u64(self.max_loop_iters);
+        h.write_u64(self.max_string_len as u64);
     }
 }
 
@@ -304,10 +316,21 @@ impl Interp {
                 BudgetKind::Steps => "steps",
                 BudgetKind::Stack => "stack",
                 BudgetKind::Loop => "loop",
+                BudgetKind::StringLength => "string_length",
             };
             self.trace(aji_obs::TraceKind::BudgetTrip, name, "");
         }
         JsError::Budget(kind)
+    }
+
+    /// Fails with a [`BudgetKind::StringLength`] budget error when a
+    /// string of `len` bytes would exceed [`InterpOptions::max_string_len`].
+    /// Call it before allocating the string.
+    pub(crate) fn check_string_len(&mut self, len: usize) -> Result<(), JsError> {
+        if len > self.opts.max_string_len {
+            return Err(self.trip_budget(BudgetKind::StringLength));
+        }
+        Ok(())
     }
 
     /// Records a flight-recorder event stamped with the current step
@@ -758,7 +781,7 @@ impl Interp {
         }
         // Named function expressions can refer to themselves.
         if let Some(name) = &def.name {
-            scope.borrow_mut().declare(name.as_str(), Value::Obj(fobj));
+            scope.borrow_mut().declare(&**name, Value::Obj(fobj));
         }
         // Class plumbing for `super`.
         if let Some(home) = data.home_proto {

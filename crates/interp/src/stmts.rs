@@ -20,8 +20,8 @@ impl Interp {
         {
             let mut t = target.borrow_mut();
             for name in var_names {
-                if !t.has_own(&name) {
-                    t.declare(name.as_str(), Value::Undefined);
+                if !t.has_own(name) {
+                    t.declare(name, Value::Undefined);
                 }
             }
         }
@@ -30,7 +30,7 @@ impl Interp {
             if let StmtKind::FuncDecl(f) = &s.kind {
                 let v = self.make_closure(f, scope);
                 if let Some(name) = &f.name {
-                    scope.borrow_mut().declare(name.as_str(), v);
+                    scope.borrow_mut().declare(&**name, v);
                 }
             }
         }
@@ -45,12 +45,12 @@ impl Interp {
                     }
                     let mut b = scope.borrow_mut();
                     for n in names {
-                        b.declare(n.as_str(), Value::Undefined);
+                        b.declare(n, Value::Undefined);
                     }
                 }
                 StmtKind::ClassDecl(c) => {
                     if let Some(n) = &c.name {
-                        scope.borrow_mut().declare(n.as_str(), Value::Undefined);
+                        scope.borrow_mut().declare(&**n, Value::Undefined);
                     }
                 }
                 _ => {}
@@ -116,12 +116,13 @@ impl Interp {
                     Ok(LoopStep::Body(body))
                 })
             }
-            StmtKind::For {
-                init,
-                test,
-                update,
-                body,
-            } => {
+            StmtKind::For(f) => {
+                let ForStmt {
+                    init,
+                    test,
+                    update,
+                    body,
+                } = &**f;
                 let loop_scope = Scope::new(ScopeKind::Block, Some(scope.clone()));
                 match init {
                     Some(ForInit::VarDecl(d)) => {
@@ -132,7 +133,7 @@ impl Interp {
                             }
                             let mut b = loop_scope.borrow_mut();
                             for n in names {
-                                b.declare(n.as_str(), Value::Undefined);
+                                b.declare(n, Value::Undefined);
                             }
                         }
                         self.exec_var_decl(d, &loop_scope)?;
@@ -159,7 +160,12 @@ impl Interp {
                     Ok(LoopStep::Body(body))
                 })
             }
-            StmtKind::ForIn { head, obj, body } => {
+            StmtKind::ForIn(f) => {
+                let ForEachStmt {
+                    head,
+                    right: obj,
+                    body,
+                } = &**f;
                 let o = self.eval_expr(obj, scope)?;
                 let keys = self.enumerate_keys(&o);
                 let mut iter = keys.into_iter();
@@ -172,7 +178,12 @@ impl Interp {
                     Ok(LoopStep::BodyIn(body, iter_scope))
                 })
             }
-            StmtKind::ForOf { head, iter, body } => {
+            StmtKind::ForOf(f) => {
+                let ForEachStmt {
+                    head,
+                    right: iter,
+                    body,
+                } = &**f;
                 let o = self.eval_expr(iter, scope)?;
                 let values = self.iterate_values(&o)?;
                 let mut iter_vals = values.into_iter();
@@ -208,11 +219,12 @@ impl Interp {
                 let v = self.eval_expr(e, scope)?;
                 Err(JsError::Thrown(v))
             }
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => {
+            StmtKind::Try(t) => {
+                let TryStmt {
+                    block,
+                    catch,
+                    finally,
+                } = &**t;
                 let mut outcome = (|| -> Result<Flow, JsError> {
                     let try_scope = Scope::new(ScopeKind::Block, Some(scope.clone()));
                     self.hoist(block, &try_scope)?;
@@ -298,8 +310,8 @@ impl Interp {
         let flow = self.exec_stmt(body, scope);
         self.pending_label = None;
         match flow? {
-            Flow::Break(Some(l)) if l == label => Ok(Flow::Normal),
-            Flow::Continue(Some(l)) if l == label => Ok(Flow::Normal),
+            Flow::Break(Some(l)) if &*l == label => Ok(Flow::Normal),
+            Flow::Continue(Some(l)) if &*l == label => Ok(Flow::Normal),
             other => Ok(other),
         }
     }
@@ -368,14 +380,14 @@ impl Interp {
                 Flow::Normal => {}
                 Flow::Break(None) => return Ok(Flow::Normal),
                 Flow::Break(Some(l)) => {
-                    if label.as_deref() == Some(l.as_str()) {
+                    if label.as_deref() == Some(&*l) {
                         return Ok(Flow::Normal);
                     }
                     return Ok(Flow::Break(Some(l)));
                 }
                 Flow::Continue(None) => {}
                 Flow::Continue(Some(l)) => {
-                    if label.as_deref() == Some(l.as_str()) {
+                    if label.as_deref() == Some(&*l) {
                         continue;
                     }
                     return Ok(Flow::Continue(Some(l)));
@@ -477,13 +489,13 @@ enum LoopStep<'a> {
 }
 
 /// Collects `var`-declared names without entering nested functions.
-fn collect_var_names(stmts: &[Stmt], out: &mut Vec<String>) {
+fn collect_var_names<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
     for s in stmts {
         collect_var_names_stmt(s, out);
     }
 }
 
-fn collect_var_names_stmt(s: &Stmt, out: &mut Vec<String>) {
+fn collect_var_names_stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
     match &s.kind {
         StmtKind::VarDecl(d) if d.kind == VarKind::Var => {
             for decl in &d.decls {
@@ -500,25 +512,25 @@ fn collect_var_names_stmt(s: &Stmt, out: &mut Vec<String>) {
         StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
             collect_var_names_stmt(body, out)
         }
-        StmtKind::For { init, body, .. } => {
-            if let Some(ForInit::VarDecl(d)) = init {
+        StmtKind::For(f) => {
+            if let Some(ForInit::VarDecl(d)) = &f.init {
                 if d.kind == VarKind::Var {
                     for decl in &d.decls {
                         collect_pattern_names(&decl.name, out);
                     }
                 }
             }
-            collect_var_names_stmt(body, out);
+            collect_var_names_stmt(&f.body, out);
         }
-        StmtKind::ForIn { head, body, .. } | StmtKind::ForOf { head, body, .. } => {
+        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
             if let ForHead::VarDecl {
                 kind: VarKind::Var,
                 pat,
-            } = head
+            } = &f.head
             {
                 collect_pattern_names(pat, out);
             }
-            collect_var_names_stmt(body, out);
+            collect_var_names_stmt(&f.body, out);
         }
         StmtKind::Block(body) => collect_var_names(body, out),
         StmtKind::Labeled { body, .. } => collect_var_names_stmt(body, out),
@@ -527,16 +539,12 @@ fn collect_var_names_stmt(s: &Stmt, out: &mut Vec<String>) {
                 collect_var_names(&c.body, out);
             }
         }
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            collect_var_names(block, out);
-            if let Some(c) = catch {
+        StmtKind::Try(t) => {
+            collect_var_names(&t.block, out);
+            if let Some(c) = &t.catch {
                 collect_var_names(&c.body, out);
             }
-            if let Some(f) = finally {
+            if let Some(f) = &t.finally {
                 collect_var_names(f, out);
             }
         }
@@ -545,9 +553,9 @@ fn collect_var_names_stmt(s: &Stmt, out: &mut Vec<String>) {
 }
 
 /// Collects the identifiers bound by a pattern.
-pub(crate) fn collect_pattern_names(p: &Pattern, out: &mut Vec<String>) {
+pub(crate) fn collect_pattern_names<'a>(p: &'a Pattern, out: &mut Vec<&'a str>) {
     match &p.kind {
-        PatternKind::Ident(n) => out.push(n.clone()),
+        PatternKind::Ident(n) => out.push(n),
         PatternKind::Array { elems, rest } => {
             for e in elems.iter().flatten() {
                 collect_pattern_names(e, out);

@@ -265,6 +265,39 @@ fn unicode_string_handling() {
     assert_eq!(run("exports.result = '😀x'.charAt(1);"), "x");
 }
 
+#[test]
+fn string_padding_cuts_the_pad_to_length() {
+    assert_eq!(
+        run("exports.result = 'abc'.padStart(10, '123');"),
+        "1231231abc"
+    );
+    assert_eq!(run("exports.result = 'abc'.padEnd(6, '😀é');"), "abc😀é😀");
+    assert_eq!(run("exports.result = 'abc'.padStart(2, '-');"), "abc");
+    assert_eq!(run("exports.result = 'x'.padEnd(3, '') + '|';"), "x|");
+    assert_eq!(run("exports.result = 'é'.padStart(3) + '|';"), "  é|");
+}
+
+#[test]
+fn string_padding_runs_in_linear_time() {
+    // Padding used to re-count the whole output after every appended
+    // pad, so a one-char pad to 200 000 chars counted 2 * 10^10 chars.
+    const N: usize = 200_000;
+    let start = std::time::Instant::now();
+    for pad in [" ", "-"] {
+        let padded = run(&format!("exports.result = 'x'.padStart({N}, '{pad}');"));
+        assert_eq!(padded.len(), N);
+        assert_eq!(padded, format!("{}x", pad.repeat(N - 1)));
+        let padded = run(&format!("exports.result = 'x'.padEnd({N}, '{pad}');"));
+        assert_eq!(padded.len(), N);
+        assert_eq!(padded, format!("x{}", pad.repeat(N - 1)));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "four 200 000-char pads took {elapsed:?}"
+    );
+}
+
 // ----- numbers -----
 
 #[test]

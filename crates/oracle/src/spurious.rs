@@ -178,7 +178,7 @@ impl Visit for CallIndexBuilder<'_> {
                 ExprKind::Member {
                     prop: MemberProp::Static(name),
                     ..
-                } => Some(name.clone()),
+                } => Some(name.to_string()),
                 _ => None,
             };
             let mut fn_args = BTreeSet::new();

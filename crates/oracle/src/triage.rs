@@ -168,7 +168,7 @@ struct SiteIndex {
 fn pattern_names(p: &Pattern, out: &mut BTreeSet<String>) {
     match &p.kind {
         PatternKind::Ident(n) => {
-            out.insert(n.clone());
+            out.insert(n.to_string());
         }
         PatternKind::Array { elems, rest } => {
             for el in elems.iter().flatten() {
@@ -196,7 +196,7 @@ struct IdentCollector(BTreeSet<String>);
 impl Visit for IdentCollector {
     fn visit_expr(&mut self, e: &Expr) {
         if let ExprKind::Ident(n) = &e.kind {
-            self.0.insert(n.clone());
+            self.0.insert(n.to_string());
         }
         walk_expr(self, e);
     }
@@ -253,12 +253,12 @@ impl Visit for IndexBuilder<'_> {
                 } => {
                     self.out
                         .static_member
-                        .insert(self.sm.loc(e.span), name.clone());
+                        .insert(self.sm.loc(e.span), name.to_string());
                 }
-                ExprKind::Ident(n) if n == "eval" => {
+                ExprKind::Ident(n) if &**n == "eval" => {
                     self.out.eval_files.insert(self.file);
                 }
-                ExprKind::Ident(n) if n == "require" => {
+                ExprKind::Ident(n) if &**n == "require" => {
                     let literal = args
                         .first()
                         .filter(|a| !a.spread)

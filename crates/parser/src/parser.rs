@@ -43,7 +43,7 @@ pub fn parse_module(src: &str, file: FileId, ids: &mut NodeIdGen) -> Result<Modu
     Ok(Module {
         id: p.ids.fresh(),
         span: Span::new(file, lo, hi),
-        body,
+        body: body.into_boxed_slice(),
     })
 }
 
@@ -155,15 +155,16 @@ impl<'a> Parser<'a> {
     }
 
     /// Consumes the current token, which must carry a string (identifier,
-    /// string literal or template chunk), and returns that string.
-    fn bump_str(&mut self) -> String {
+    /// string literal or template chunk), and returns that string at its
+    /// exact length.
+    fn bump_str(&mut self) -> Box<str> {
         match self.bump().kind {
             Tok::Ident(s)
             | Tok::Str(s)
             | Tok::TemplateNoSub(s)
             | Tok::TemplateHead(s)
             | Tok::TemplateMiddle(s)
-            | Tok::TemplateTail(s) => s,
+            | Tok::TemplateTail(s) => s.into_boxed_str(),
             other => unreachable!("bump_str on {other}"),
         }
     }
@@ -255,7 +256,7 @@ impl<'a> Parser<'a> {
         self.ids.fresh()
     }
 
-    fn ident_name(&mut self) -> Result<String, ParseError> {
+    fn ident_name(&mut self) -> Result<Box<str>, ParseError> {
         match *self.cur() {
             Tok::Ident(_) => Ok(self.bump_str()),
             // Keywords usable as plain identifiers in limited positions
@@ -266,12 +267,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Accepts identifiers *and* keywords as property names after `.`.
-    fn prop_ident(&mut self) -> Result<String, ParseError> {
+    fn prop_ident(&mut self) -> Result<Box<str>, ParseError> {
         match *self.cur() {
             Tok::Ident(_) => Ok(self.bump_str()),
             Tok::Kw(k) => {
                 self.bump();
-                Ok(k.as_str().to_string())
+                Ok(k.as_str().into())
             }
             _ => Err(self.unexpected("property name")),
         }
@@ -302,11 +303,7 @@ impl<'a> Parser<'a> {
         match *self.cur() {
             Tok::P(P::LBrace) => {
                 self.bump();
-                let mut body = Vec::new();
-                while !self.at(P::RBrace) && !self.at_eof() {
-                    body.push(self.stmt()?);
-                }
-                self.expect(P::RBrace)?;
+                let body = self.block_body()?;
                 Ok(self.mk_stmt(lo, StmtKind::Block(body)))
             }
             Tok::P(P::Semi) => {
@@ -426,10 +423,11 @@ impl<'a> Parser<'a> {
                     cases.push(SwitchCase {
                         span: self.span_from(clo),
                         test,
-                        body,
+                        body: body.into_boxed_slice(),
                     });
                 }
                 self.expect(P::RBrace)?;
+                let cases = cases.into_boxed_slice();
                 Ok(self.mk_stmt(lo, StmtKind::Switch { disc, cases }))
             }
             Tok::Kw(Kw::Throw) => {
@@ -444,11 +442,7 @@ impl<'a> Parser<'a> {
             Tok::Kw(Kw::Try) => {
                 self.bump();
                 self.expect(P::LBrace)?;
-                let mut block = Vec::new();
-                while !self.at(P::RBrace) && !self.at_eof() {
-                    block.push(self.stmt()?);
-                }
-                self.expect(P::RBrace)?;
+                let block = self.block_body()?;
                 let catch = if self.eat_kw(Kw::Catch) {
                     let param = if self.eat(P::LParen) {
                         let p = self.pattern()?;
@@ -458,23 +452,14 @@ impl<'a> Parser<'a> {
                         None
                     };
                     self.expect(P::LBrace)?;
-                    let mut body = Vec::new();
-                    while !self.at(P::RBrace) && !self.at_eof() {
-                        body.push(self.stmt()?);
-                    }
-                    self.expect(P::RBrace)?;
+                    let body = self.block_body()?;
                     Some(CatchClause { param, body })
                 } else {
                     None
                 };
                 let finally = if self.eat_kw(Kw::Finally) {
                     self.expect(P::LBrace)?;
-                    let mut body = Vec::new();
-                    while !self.at(P::RBrace) && !self.at_eof() {
-                        body.push(self.stmt()?);
-                    }
-                    self.expect(P::RBrace)?;
-                    Some(body)
+                    Some(self.block_body()?)
                 } else {
                     None
                 };
@@ -483,11 +468,11 @@ impl<'a> Parser<'a> {
                 }
                 Ok(self.mk_stmt(
                     lo,
-                    StmtKind::Try {
+                    StmtKind::Try(Box::new(TryStmt {
                         block,
                         catch,
                         finally,
-                    },
+                    })),
                 ))
             }
             Tok::Kw(Kw::Debugger) => {
@@ -510,7 +495,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn optional_label(&mut self) -> Option<String> {
+    fn optional_label(&mut self) -> Option<Box<str>> {
         if self.cur_token().newline_before {
             return None;
         }
@@ -519,6 +504,17 @@ impl<'a> Parser<'a> {
         } else {
             None
         }
+    }
+
+    /// Parses statements up to and including the closing `}` of a block
+    /// whose `{` is consumed.
+    fn block_body(&mut self) -> Result<Box<[Stmt]>, ParseError> {
+        let mut body = Vec::new();
+        while !self.at(P::RBrace) && !self.at_eof() {
+            body.push(self.stmt()?);
+        }
+        self.expect(P::RBrace)?;
+        Ok(body.into_boxed_slice())
     }
 
     fn mk_stmt(&mut self, lo: u32, kind: StmtKind) -> Stmt {
@@ -555,7 +551,10 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(VarDecl { kind, decls })
+        Ok(VarDecl {
+            kind,
+            decls: decls.into_boxed_slice(),
+        })
     }
 
     fn for_stmt(&mut self, lo: u32) -> Result<Stmt, ParseError> {
@@ -578,28 +577,28 @@ impl<'a> Parser<'a> {
             if self.eat_kw(Kw::In) {
                 let obj = self.expr()?;
                 self.expect(P::RParen)?;
-                let body = Box::new(self.stmt()?);
+                let body = self.stmt()?;
                 return Ok(self.mk_stmt(
                     lo,
-                    StmtKind::ForIn {
+                    StmtKind::ForIn(Box::new(ForEachStmt {
                         head: ForHead::VarDecl { kind, pat },
-                        obj,
+                        right: obj,
                         body,
-                    },
+                    })),
                 ));
             }
             if self.at_ident("of") {
                 self.bump();
                 let iter = self.assign_expr()?;
                 self.expect(P::RParen)?;
-                let body = Box::new(self.stmt()?);
+                let body = self.stmt()?;
                 return Ok(self.mk_stmt(
                     lo,
-                    StmtKind::ForOf {
+                    StmtKind::ForOf(Box::new(ForEachStmt {
                         head: ForHead::VarDecl { kind, pat },
-                        iter,
+                        right: iter,
                         body,
-                    },
+                    })),
                 ));
             }
             // C-style: finish the declarator list.
@@ -635,6 +634,7 @@ impl<'a> Parser<'a> {
                 });
             }
             self.expect(P::Semi)?;
+            let decls = decls.into_boxed_slice();
             return self.for_rest(lo, Some(ForInit::VarDecl(VarDecl { kind, decls })));
         }
 
@@ -646,28 +646,28 @@ impl<'a> Parser<'a> {
         if self.eat_kw(Kw::In) {
             let obj = self.expr()?;
             self.expect(P::RParen)?;
-            let body = Box::new(self.stmt()?);
+            let body = self.stmt()?;
             return Ok(self.mk_stmt(
                 lo,
-                StmtKind::ForIn {
+                StmtKind::ForIn(Box::new(ForEachStmt {
                     head: ForHead::Target(Box::new(e)),
-                    obj,
+                    right: obj,
                     body,
-                },
+                })),
             ));
         }
         if self.at_ident("of") {
             self.bump();
             let iter = self.assign_expr()?;
             self.expect(P::RParen)?;
-            let body = Box::new(self.stmt()?);
+            let body = self.stmt()?;
             return Ok(self.mk_stmt(
                 lo,
-                StmtKind::ForOf {
+                StmtKind::ForOf(Box::new(ForEachStmt {
                     head: ForHead::Target(Box::new(e)),
-                    iter,
+                    right: iter,
                     body,
-                },
+                })),
             ));
         }
         self.expect(P::Semi)?;
@@ -687,15 +687,15 @@ impl<'a> Parser<'a> {
             Some(self.expr()?)
         };
         self.expect(P::RParen)?;
-        let body = Box::new(self.stmt()?);
+        let body = self.stmt()?;
         Ok(self.mk_stmt(
             lo,
-            StmtKind::For {
+            StmtKind::For(Box::new(ForStmt {
                 init,
                 test,
                 update,
                 body,
-            },
+            })),
         ))
     }
 
@@ -733,7 +733,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(P::RBracket)?;
-                PatternKind::Array { elems, rest }
+                PatternKind::Array {
+                    elems: elems.into_boxed_slice(),
+                    rest,
+                }
             }
             Tok::P(P::LBrace) => {
                 self.bump();
@@ -779,7 +782,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(P::RBrace)?;
-                PatternKind::Object { props, rest }
+                PatternKind::Object {
+                    props: props.into_boxed_slice(),
+                    rest,
+                }
             }
             _ => return Err(self.unexpected("binding pattern")),
         };
@@ -841,7 +847,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn param_list(&mut self) -> Result<(Vec<Param>, Option<Pattern>), ParseError> {
+    fn param_list(&mut self) -> Result<(Box<[Param]>, Option<Pattern>), ParseError> {
         self.expect(P::LParen)?;
         let mut params = Vec::new();
         let mut rest = None;
@@ -862,17 +868,12 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(P::RParen)?;
-        Ok((params, rest))
+        Ok((params.into_boxed_slice(), rest))
     }
 
     fn func_block_body(&mut self) -> Result<FuncBody, ParseError> {
         self.expect(P::LBrace)?;
-        let mut body = Vec::new();
-        while !self.at(P::RBrace) && !self.at_eof() {
-            body.push(self.stmt()?);
-        }
-        self.expect(P::RBrace)?;
-        Ok(FuncBody::Block(body))
+        Ok(FuncBody::Block(self.block_body()?))
     }
 
     fn class(&mut self) -> Result<Class, ParseError> {
@@ -904,7 +905,7 @@ impl<'a> Parser<'a> {
             span: self.span_from(lo),
             name,
             super_class,
-            members,
+            members: members.into_boxed_slice(),
         })
     }
 
@@ -956,7 +957,7 @@ impl<'a> Parser<'a> {
             let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
-                name: key.static_name(),
+                name: key.static_name().map(String::into_boxed_str),
                 params,
                 rest,
                 body,
@@ -1003,7 +1004,7 @@ impl<'a> Parser<'a> {
             Tok::Ident(_) => Ok(PropName::Ident(self.bump_str())),
             Tok::Kw(k) => {
                 self.bump();
-                Ok(PropName::Ident(k.as_str().to_string()))
+                Ok(PropName::Ident(k.as_str().into()))
             }
             Tok::Str(_) => Ok(PropName::Str(self.bump_str())),
             Tok::Num(n) => {
@@ -1032,7 +1033,7 @@ impl<'a> Parser<'a> {
         while self.eat(P::Comma) {
             exprs.push(self.assign_expr()?);
         }
-        Ok(self.mk_expr(lo, ExprKind::Seq(exprs)))
+        Ok(self.mk_expr(lo, ExprKind::Seq(exprs.into_boxed_slice())))
     }
 
     fn mk_expr(&mut self, lo: u32, kind: ExprKind) -> Expr {
@@ -1077,7 +1078,7 @@ impl<'a> Parser<'a> {
             _ => return Ok(left),
         };
         self.bump();
-        let target = self.expr_to_assign_target(left)?;
+        let target = Box::new(self.expr_to_assign_target(left)?);
         let value = Box::new(self.assign_expr()?);
         Ok(self.mk_expr(lo, ExprKind::Assign { op, target, value }))
     }
@@ -1111,7 +1112,7 @@ impl<'a> Parser<'a> {
                 target,
                 value,
             } => {
-                let pat = match target {
+                let pat = match *target {
                     AssignTarget::Ident { id, span, name } => Pattern {
                         id,
                         span,
@@ -1134,7 +1135,7 @@ impl<'a> Parser<'a> {
                 let mut pelems = Vec::new();
                 let mut rest = None;
                 let n = elems.len();
-                for (i, el) in elems.into_iter().enumerate() {
+                for (i, el) in elems.into_vec().into_iter().enumerate() {
                     match el {
                         None => pelems.push(None),
                         Some(ExprOrSpread { spread: true, expr }) => {
@@ -1152,14 +1153,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 PatternKind::Array {
-                    elems: pelems,
+                    elems: pelems.into_boxed_slice(),
                     rest,
                 }
             }
             ExprKind::Object(props) => {
                 let mut pprops = Vec::new();
                 let mut rest = None;
-                for p in props {
+                for p in props.into_vec() {
                     match p {
                         Property::KeyValue { key, value } => {
                             pprops.push(ObjectPatProp {
@@ -1182,7 +1183,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 PatternKind::Object {
-                    props: pprops,
+                    props: pprops.into_boxed_slice(),
                     rest,
                 }
             }
@@ -1270,7 +1271,8 @@ impl<'a> Parser<'a> {
                 span: self.span_from(plo),
                 kind: PatternKind::Ident(name),
             };
-            (vec![Param { pat, default: None }], None)
+            let params = vec![Param { pat, default: None }];
+            (params.into_boxed_slice(), None)
         };
         self.expect(P::Arrow)?;
         let body = if self.at(P::LBrace) {
@@ -1581,10 +1583,10 @@ impl<'a> Parser<'a> {
                     lo,
                     ExprKind::Call {
                         callee: Box::new(e),
-                        args: vec![ExprOrSpread {
+                        args: Box::new([ExprOrSpread {
                             spread: false,
                             expr: tpl,
-                        }],
+                        }]),
                         optional: false,
                     },
                 );
@@ -1650,7 +1652,7 @@ impl<'a> Parser<'a> {
         let args = if self.at(P::LParen) {
             self.call_args()?
         } else {
-            Vec::new()
+            Box::default()
         };
         self.release_links(links);
         Ok(self.mk_expr(
@@ -1662,7 +1664,7 @@ impl<'a> Parser<'a> {
         ))
     }
 
-    fn call_args(&mut self) -> Result<Vec<ExprOrSpread>, ParseError> {
+    fn call_args(&mut self) -> Result<Box<[ExprOrSpread]>, ParseError> {
         self.expect(P::LParen)?;
         let saved_no_in = self.no_in;
         self.no_in = false;
@@ -1677,20 +1679,20 @@ impl<'a> Parser<'a> {
         }
         self.no_in = saved_no_in;
         self.expect(P::RParen)?;
-        Ok(args)
+        Ok(args.into_boxed_slice())
     }
 
     fn template_expr(&mut self) -> Result<Expr, ParseError> {
         let lo = self.lo();
         match *self.cur() {
             Tok::TemplateNoSub(_) => {
-                let quasis = vec![self.bump_str()];
+                let quasis = Box::new([self.bump_str()]);
                 Ok(self.mk_expr(
                     lo,
-                    ExprKind::Template {
+                    ExprKind::Template(Box::new(Template {
                         quasis,
-                        exprs: vec![],
-                    },
+                        exprs: Box::default(),
+                    })),
                 ))
             }
             Tok::TemplateHead(_) => {
@@ -1707,7 +1709,11 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.unexpected("template continuation")),
                     }
                 }
-                Ok(self.mk_expr(lo, ExprKind::Template { quasis, exprs }))
+                let template = Template {
+                    quasis: quasis.into_boxed_slice(),
+                    exprs: exprs.into_boxed_slice(),
+                };
+                Ok(self.mk_expr(lo, ExprKind::Template(Box::new(template))))
             }
             _ => Err(self.unexpected("template literal")),
         }
@@ -1729,7 +1735,11 @@ impl<'a> Parser<'a> {
                 let Tok::Regex { pattern, flags } = self.bump().kind else {
                     unreachable!("matched a regex token")
                 };
-                Ok(self.mk_expr(lo, ExprKind::Regex { pattern, flags }))
+                let regex = Regex {
+                    pattern: pattern.into_boxed_str(),
+                    flags: flags.into_boxed_str(),
+                };
+                Ok(self.mk_expr(lo, ExprKind::Regex(Box::new(regex))))
             }
             Tok::Kw(Kw::True) => {
                 self.bump();
@@ -1805,7 +1815,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(P::RBracket)?;
-                Ok(self.mk_expr(lo, ExprKind::Array(elems)))
+                Ok(self.mk_expr(lo, ExprKind::Array(elems.into_boxed_slice())))
             }
             Tok::P(P::LBrace) => {
                 self.bump();
@@ -1817,7 +1827,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(P::RBrace)?;
-                Ok(self.mk_expr(lo, ExprKind::Object(props)))
+                Ok(self.mk_expr(lo, ExprKind::Object(props.into_boxed_slice())))
             }
             _ => Err(self.unexpected("expression")),
         }
@@ -1849,7 +1859,7 @@ impl<'a> Parser<'a> {
             let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
-                name: key.static_name(),
+                name: key.static_name().map(String::into_boxed_str),
                 params,
                 rest,
                 body,
@@ -1882,7 +1892,7 @@ impl<'a> Parser<'a> {
             let func = Arc::new(Function {
                 id: self.fresh(),
                 span: self.span_from(flo),
-                name: key.static_name(),
+                name: key.static_name().map(String::into_boxed_str),
                 params,
                 rest,
                 body,

@@ -224,7 +224,7 @@ fn dynamic_property_read_write() {
     let m = parse("o[k] = o2[p];");
     match &first_expr(&m).kind {
         ExprKind::Assign { target, value, .. } => {
-            assert!(matches!(target, AssignTarget::Member(_)));
+            assert!(matches!(**target, AssignTarget::Member(_)));
             assert!(matches!(
                 value.kind,
                 ExprKind::Member {
@@ -339,8 +339,9 @@ fn template_literals() {
     let m = parse("var s = `a${x}b${y.z}c`;");
     match &m.body[0].kind {
         StmtKind::VarDecl(d) => match &d.decls[0].init.as_ref().unwrap().kind {
-            ExprKind::Template { quasis, exprs } => {
-                assert_eq!(quasis, &vec!["a".to_string(), "b".into(), "c".into()]);
+            ExprKind::Template(template) => {
+                let Template { quasis, exprs } = &**template;
+                assert_eq!(&**quasis, ["a".into(), "b".into(), "c".into()]);
                 assert_eq!(exprs.len(), 2);
             }
             _ => panic!(),
@@ -381,7 +382,7 @@ fn destructuring_assignment() {
     let m = parse("[a, b] = pair;");
     match &first_expr(&m).kind {
         ExprKind::Assign { target, .. } => {
-            assert!(matches!(target, AssignTarget::Pattern(_)));
+            assert!(matches!(**target, AssignTarget::Pattern(_)));
         }
         _ => panic!(),
     }
@@ -421,7 +422,7 @@ fn regex_literals() {
         StmtKind::VarDecl(d) => {
             assert!(matches!(
                 d.decls[0].init.as_ref().unwrap().kind,
-                ExprKind::Regex { .. }
+                ExprKind::Regex(_)
             ));
         }
         _ => panic!(),

@@ -242,12 +242,13 @@ impl<'a> Gen<'a> {
                 self.stmt(body);
                 self.expr(test);
             }
-            StmtKind::For {
-                init,
-                test,
-                update,
-                body,
-            } => {
+            StmtKind::For(for_stmt) => {
+                let ForStmt {
+                    init,
+                    test,
+                    update,
+                    body,
+                } = &**for_stmt;
                 match init {
                     Some(ForInit::VarDecl(d)) => {
                         for decl in &d.decls {
@@ -270,13 +271,23 @@ impl<'a> Gen<'a> {
                 }
                 self.stmt(body);
             }
-            StmtKind::ForIn { head, obj, body } => {
+            StmtKind::ForIn(for_in) => {
+                let ForEachStmt {
+                    head,
+                    right: obj,
+                    body,
+                } = &**for_in;
                 // Keys are strings: no token flow.
                 self.for_head_no_flow(head);
                 self.expr(obj);
                 self.stmt(body);
             }
-            StmtKind::ForOf { head, iter, body } => {
+            StmtKind::ForOf(for_of) => {
+                let ForEachStmt {
+                    head,
+                    right: iter,
+                    body,
+                } = &**for_of;
                 let it = self.expr(iter);
                 let elems = self.solver.tmp();
                 let elems_sym = self.solver.elems_sym;
@@ -314,11 +325,12 @@ impl<'a> Gen<'a> {
             StmtKind::Throw(e) => {
                 self.expr(e);
             }
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => {
+            StmtKind::Try(try_stmt) => {
+                let TryStmt {
+                    block,
+                    catch,
+                    finally,
+                } = &**try_stmt;
                 for s in block {
                     self.stmt(s);
                 }
@@ -592,18 +604,18 @@ impl<'a> Gen<'a> {
         let cell = self.expr_cell(e);
         match &e.kind {
             ExprKind::Num(_) | ExprKind::Str(_) | ExprKind::Bool(_) | ExprKind::Null => {}
-            ExprKind::Template { exprs, .. } => {
-                for x in exprs {
+            ExprKind::Template(template) => {
+                for x in &template.exprs {
                     self.expr(x);
                 }
             }
-            ExprKind::Regex { .. } => {
+            ExprKind::Regex(_) => {
                 let loc = self.loc(e.span);
                 let tok = self.obj_token(loc);
                 self.solver.add_token(cell, tok);
             }
             ExprKind::Ident(name) => {
-                if name != "super" {
+                if &**name != "super" {
                     if let Some(v) = self.var_cell_of(e.id) {
                         self.solver.add_edge(v, cell);
                     }
@@ -728,7 +740,7 @@ impl<'a> Gen<'a> {
                     AssignOp::Assign | AssignOp::And | AssignOp::Or | AssignOp::Nullish
                 );
                 if flows {
-                    match target {
+                    match &**target {
                         AssignTarget::Ident { id, .. } => {
                             if let Some(var) = self.var_cell_of(*id) {
                                 self.solver.add_edge(v, var);
@@ -746,7 +758,7 @@ impl<'a> Gen<'a> {
                     // Arithmetic compound assignment: no object flow, but
                     // the target expression's sub-expressions must still be
                     // generated.
-                    match target {
+                    match &**target {
                         AssignTarget::Member(m) => {
                             self.expr(m);
                         }
@@ -769,7 +781,7 @@ impl<'a> Gen<'a> {
                 return self.call(e, callee, args, true);
             }
             ExprKind::Member { obj, prop, .. } => {
-                if matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") {
+                if matches!(&obj.unparen().kind, ExprKind::Ident(n) if &**n == "super") {
                     // `super.x` is not modeled statically.
                     return cell;
                 }
@@ -822,7 +834,7 @@ impl<'a> Gen<'a> {
         let ExprKind::Member { obj, prop, .. } = &m.unparen().kind else {
             return;
         };
-        if matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") {
+        if matches!(&obj.unparen().kind, ExprKind::Ident(n) if &**n == "super") {
             return;
         }
         let base = self.expr(obj);
@@ -902,8 +914,8 @@ impl<'a> Gen<'a> {
         let callee_u = callee.unparen();
         match &callee_u.kind {
             // `super(...)` — constructor chaining is not modeled.
-            ExprKind::Ident(n) if n == "super" => {}
-            ExprKind::Member { obj, prop, .. } if !matches!(&obj.unparen().kind, ExprKind::Ident(n) if n == "super") =>
+            ExprKind::Ident(n) if &**n == "super" => {}
+            ExprKind::Member { obj, prop, .. } if !matches!(&obj.unparen().kind, ExprKind::Ident(n) if &**n == "super") =>
             {
                 let base = self.expr(obj);
                 self.solver.sites[site_idx as usize].this_cell = Some(base);

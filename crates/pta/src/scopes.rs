@@ -167,7 +167,7 @@ impl<'a> Resolver<'a> {
             let mut names = Vec::new();
             collect_var_names(stmts, &mut names);
             for n in names {
-                self.declare(&n);
+                self.declare(n);
             }
         }
         for s in stmts {
@@ -295,12 +295,13 @@ impl<'a> Resolver<'a> {
                 self.stmt_in_block(body);
                 self.expr(test);
             }
-            StmtKind::For {
-                init,
-                test,
-                update,
-                body,
-            } => {
+            StmtKind::For(for_stmt) => {
+                let ForStmt {
+                    init,
+                    test,
+                    update,
+                    body,
+                } = &**for_stmt;
                 self.push_scope();
                 match init {
                     Some(ForInit::VarDecl(d)) => {
@@ -323,24 +324,14 @@ impl<'a> Resolver<'a> {
                 self.stmt_in_block(body);
                 self.pop_scope();
             }
-            StmtKind::ForIn { head, obj, body } => {
+            StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
                 self.push_scope();
-                match head {
+                match &f.head {
                     ForHead::VarDecl { pat, .. } => self.declare_pattern_names(pat),
                     ForHead::Target(e) => self.expr(e),
                 }
-                self.expr(obj);
-                self.stmt_in_block(body);
-                self.pop_scope();
-            }
-            StmtKind::ForOf { head, iter, body } => {
-                self.push_scope();
-                match head {
-                    ForHead::VarDecl { pat, .. } => self.declare_pattern_names(pat),
-                    ForHead::Target(e) => self.expr(e),
-                }
-                self.expr(iter);
-                self.stmt_in_block(body);
+                self.expr(&f.right);
+                self.stmt_in_block(&f.body);
                 self.pop_scope();
             }
             StmtKind::Block(body) => {
@@ -370,11 +361,12 @@ impl<'a> Resolver<'a> {
                 self.pop_scope();
             }
             StmtKind::Throw(e) => self.expr(e),
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => {
+            StmtKind::Try(try_stmt) => {
+                let TryStmt {
+                    block,
+                    catch,
+                    finally,
+                } = &**try_stmt;
                 self.push_scope();
                 self.hoist_stmts(block, false);
                 for s in block {
@@ -466,7 +458,7 @@ impl<'a> Resolver<'a> {
     fn expr(&mut self, e: &Expr) {
         match &e.kind {
             ExprKind::Ident(name) => {
-                if name == "super" {
+                if &**name == "super" {
                     return;
                 }
                 let v = self.lookup(name);
@@ -475,7 +467,7 @@ impl<'a> Resolver<'a> {
             ExprKind::Function(f) | ExprKind::Arrow(f) => self.function(f),
             ExprKind::Class(c) => self.class(c),
             ExprKind::Assign { target, value, .. } => {
-                match target {
+                match &**target {
                     AssignTarget::Ident { id, name, .. } => {
                         let v = self.lookup(name);
                         self.res.set_ref(*id, v);
@@ -529,13 +521,13 @@ impl<'a> Resolver<'a> {
 }
 
 /// Collects `var` names without entering nested functions.
-fn collect_var_names(stmts: &[Stmt], out: &mut Vec<String>) {
+fn collect_var_names<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
     for s in stmts {
         collect_stmt(s, out);
     }
 }
 
-fn collect_stmt(s: &Stmt, out: &mut Vec<String>) {
+fn collect_stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
     match &s.kind {
         StmtKind::VarDecl(d) if d.kind == VarKind::Var => {
             for decl in &d.decls {
@@ -549,7 +541,8 @@ fn collect_stmt(s: &Stmt, out: &mut Vec<String>) {
             }
         }
         StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => collect_stmt(body, out),
-        StmtKind::For { init, body, .. } => {
+        StmtKind::For(for_stmt) => {
+            let ForStmt { init, body, .. } = &**for_stmt;
             if let Some(ForInit::VarDecl(d)) = init {
                 if d.kind == VarKind::Var {
                     for decl in &d.decls {
@@ -559,15 +552,15 @@ fn collect_stmt(s: &Stmt, out: &mut Vec<String>) {
             }
             collect_stmt(body, out);
         }
-        StmtKind::ForIn { head, body, .. } | StmtKind::ForOf { head, body, .. } => {
+        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
             if let ForHead::VarDecl {
                 kind: VarKind::Var,
                 pat,
-            } = head
+            } = &f.head
             {
                 pattern_names(pat, out);
             }
-            collect_stmt(body, out);
+            collect_stmt(&f.body, out);
         }
         StmtKind::Block(body) => collect_var_names(body, out),
         StmtKind::Labeled { body, .. } => collect_stmt(body, out),
@@ -576,11 +569,12 @@ fn collect_stmt(s: &Stmt, out: &mut Vec<String>) {
                 collect_var_names(&c.body, out);
             }
         }
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
+        StmtKind::Try(try_stmt) => {
+            let TryStmt {
+                block,
+                catch,
+                finally,
+            } = &**try_stmt;
             collect_var_names(block, out);
             if let Some(c) = catch {
                 collect_var_names(&c.body, out);
@@ -593,9 +587,9 @@ fn collect_stmt(s: &Stmt, out: &mut Vec<String>) {
     }
 }
 
-fn pattern_names(p: &Pattern, out: &mut Vec<String>) {
+fn pattern_names<'a>(p: &'a Pattern, out: &mut Vec<&'a str>) {
     match &p.kind {
-        PatternKind::Ident(n) => out.push(n.clone()),
+        PatternKind::Ident(n) => out.push(n),
         PatternKind::Array { elems, rest } => {
             for e in elems.iter().flatten() {
                 pattern_names(e, out);
@@ -635,7 +629,7 @@ mod tests {
         impl Visit for F<'_> {
             fn visit_expr(&mut self, e: &Expr) {
                 if let ExprKind::Ident(n) = &e.kind {
-                    if n == self.0 {
+                    if &**n == self.0 {
                         self.1.push(e.id);
                     }
                 }

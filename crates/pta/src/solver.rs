@@ -167,7 +167,7 @@ pub struct FuncInfo {
     /// File containing the definition.
     pub file: FileId,
     /// Name (diagnostics).
-    pub name: Option<String>,
+    pub name: Option<Box<str>>,
     /// Number of declared parameters.
     pub param_count: u16,
     /// Whether the function has a rest parameter.

@@ -4,7 +4,11 @@
 //!
 //! 1. **Parse layer** — per-file [`Module`] parses, keyed by `(source
 //!    digest, node-id offset)`. In-memory only: modules are `Rc` trees
-//!    and re-parsing is cheap next to re-analysis.
+//!    and re-parsing is cheap next to re-analysis. It is the daemon's
+//!    largest resident cost; the compact AST layout (exact-length lists,
+//!    `Box<str>` names, boxed rare payloads — see [`aji_ast::ast`]) keeps
+//!    the whole population's parses at about 19 MB, and
+//!    `tests/ast_footprint.rs` gates it.
 //! 2. **Hint layer** — solved approximate-interpretation results
 //!    ([`Hints`] + [`ApproxStats`]), keyed by `(project digest,
 //!    approx-options fingerprint)`. Persisted: §5 puts approximate

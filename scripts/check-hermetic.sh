@@ -25,6 +25,9 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> cargo test -q --offline --test ast_footprint (bytes the daemon's parse layer retains for the population)"
+cargo test -q --offline --test ast_footprint -- --nocapture
+
 echo "==> cargo test -q --offline --test corpus_determinism"
 cargo test -q --offline --test corpus_determinism
 
