@@ -14,7 +14,8 @@
 //!   with `node_modules`, a main module and an optional test driver), and
 //!   [`resolve_module`], the one `require` resolution policy that the
 //!   interpreter and the points-to analysis share.
-//! * [`visit`] — read-only AST visitors.
+//! * [`visit`] — read-only AST visitors and the declaration walkers that
+//!   hold JavaScript's hoisting rules for the interpreter and the analysis.
 //! * [`mod@print`] — an AST-to-source printer used for testing and diagnostics.
 //!
 //! # Example

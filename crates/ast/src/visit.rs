@@ -4,6 +4,11 @@
 //! default implementation that recurses via the free `walk_*` functions.
 //! Overriding a method and *not* calling the corresponding `walk_*` prunes
 //! the traversal below that node.
+//!
+//! The declaration walkers [`var_names`], [`pattern_names`] and
+//! [`block_decls`] are the one statement of JavaScript's hoisting rules;
+//! the interpreter and the points-to analysis's scope resolution both use
+//! them.
 
 use crate::ast::*;
 use std::sync::Arc;
@@ -326,6 +331,135 @@ pub fn walk_prop_name<V: Visit>(v: &mut V, p: &PropName) {
     if let PropName::Computed(e) = p {
         v.visit_expr(e);
     }
+}
+
+// ----- Declarations -------------------------------------------------------
+//
+// JavaScript's binding rules live here once, so that the interpreter and
+// the points-to analysis agree on what every name is bound to: `var` names
+// belong to the enclosing function, module or `eval` body ([`var_names`]);
+// functions, classes and `let`/`const` bind in the statement list they
+// appear in ([`block_decls`]).
+
+/// Collects the `var` names a function, module or `eval` body declares, in
+/// source order: through every nested statement and `for` head, but not
+/// into nested functions or classes. A name declared twice appears twice.
+pub fn var_names<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
+    for s in stmts {
+        stmt_var_names(s, out);
+    }
+}
+
+fn stmt_var_names<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
+    match &s.kind {
+        StmtKind::VarDecl(d) => var_decl_names(d, out),
+        StmtKind::If { cons, alt, .. } => {
+            stmt_var_names(cons, out);
+            if let Some(a) = alt {
+                stmt_var_names(a, out);
+            }
+        }
+        StmtKind::While { body, .. }
+        | StmtKind::DoWhile { body, .. }
+        | StmtKind::Labeled { body, .. } => stmt_var_names(body, out),
+        StmtKind::For(f) => {
+            if let Some(ForInit::VarDecl(d)) = &f.init {
+                var_decl_names(d, out);
+            }
+            stmt_var_names(&f.body, out);
+        }
+        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
+            if let ForHead::VarDecl {
+                kind: VarKind::Var,
+                pat,
+            } = &f.head
+            {
+                pattern_names(pat, out);
+            }
+            stmt_var_names(&f.body, out);
+        }
+        StmtKind::Block(body) => var_names(body, out),
+        StmtKind::Switch { cases, .. } => {
+            for c in cases {
+                var_names(&c.body, out);
+            }
+        }
+        StmtKind::Try(t) => {
+            var_names(&t.block, out);
+            if let Some(c) = &t.catch {
+                var_names(&c.body, out);
+            }
+            if let Some(f) = &t.finally {
+                var_names(f, out);
+            }
+        }
+        StmtKind::Expr(_)
+        | StmtKind::FuncDecl(_)
+        | StmtKind::ClassDecl(_)
+        | StmtKind::Return(_)
+        | StmtKind::Empty
+        | StmtKind::Break(_)
+        | StmtKind::Continue(_)
+        | StmtKind::Throw(_)
+        | StmtKind::Debugger => {}
+    }
+}
+
+fn var_decl_names<'a>(d: &'a VarDecl, out: &mut Vec<&'a str>) {
+    if d.kind == VarKind::Var {
+        for decl in &d.decls {
+            pattern_names(&decl.name, out);
+        }
+    }
+}
+
+/// Collects the names a binding pattern binds, in source order: through
+/// array and object destructuring, defaults and rest elements.
+pub fn pattern_names<'a>(p: &'a Pattern, out: &mut Vec<&'a str>) {
+    match &p.kind {
+        PatternKind::Ident(n) => out.push(n),
+        PatternKind::Array { elems, rest } => {
+            for e in elems.iter().flatten() {
+                pattern_names(e, out);
+            }
+            if let Some(r) = rest {
+                pattern_names(r, out);
+            }
+        }
+        PatternKind::Object { props, rest } => {
+            for pr in props {
+                pattern_names(&pr.value, out);
+            }
+            if let Some(r) = rest {
+                pattern_names(r, out);
+            }
+        }
+        PatternKind::Assign { pat, .. } => pattern_names(pat, out),
+    }
+}
+
+/// A declaration that binds its names in the statement list it appears
+/// in, rather than in the enclosing function.
+#[derive(Debug, Clone, Copy)]
+pub enum BlockDecl<'a> {
+    /// A function declaration, bound (with its value) on entry.
+    Function(&'a Arc<Function>),
+    /// A class declaration.
+    Class(&'a Class),
+    /// A `let` or `const` declaration list.
+    Lexical(&'a VarDecl),
+}
+
+/// Lists a statement list's own block-level declarations — functions,
+/// classes and `let`/`const` — in source order. Nested statements are not
+/// entered: each block, case list and loop head scopes its own.
+pub fn block_decls(stmts: &[Stmt]) -> impl Iterator<Item = BlockDecl<'_>> {
+    stmts.iter().filter_map(|s| match &s.kind {
+        StmtKind::FuncDecl(f) => Some(BlockDecl::Function(f)),
+        StmtKind::ClassDecl(c) => Some(BlockDecl::Class(c)),
+        StmtKind::VarDecl(d) if d.kind != VarKind::Var => Some(BlockDecl::Lexical(d)),
+        _ => None,
+    })
 }
 
 /// Collects the [`NodeId`]s and spans of every function definition in a

@@ -1282,53 +1282,56 @@ fn array_includes(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     Ok(Value::Bool(elems.iter().any(|e| e.strict_eq(&needle))))
 }
 
-fn array_for_each(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
+/// Calls the callback `args[0]` on each element of `this` with `args[1]` as
+/// its `this`, as `forEach`, `map`, `filter`, `some`, `every`, `find` and
+/// `findIndex` do. `visit` sees each element, its index and the callback's
+/// result; the walk stops at the first `Some` it returns, which becomes
+/// the answer.
+fn each_callback(
+    i: &mut Interp,
+    this: &Value,
+    args: &[Value],
+    mut visit: impl FnMut(&mut Interp, Value, usize, Value) -> Option<Value>,
+) -> Result<Option<Value>, JsError> {
+    let elems = this_elems(i, this)?;
     let cb = arg(args, 0);
     let cb_this = arg(args, 1);
     for (idx, e) in elems.into_iter().enumerate() {
-        i.call_value(
-            cb.clone(),
-            cb_this.clone(),
-            &[e, Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?;
-    }
-    Ok(Value::Undefined)
-}
-
-fn array_map(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    let cb_this = arg(args, 1);
-    let mut out = Vec::with_capacity(elems.len());
-    for (idx, e) in elems.into_iter().enumerate() {
-        out.push(i.call_value(
-            cb.clone(),
-            cb_this.clone(),
-            &[e, Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?);
-    }
-    Ok(new_array(i, out))
-}
-
-fn array_filter(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    let cb_this = arg(args, 1);
-    let mut out = Vec::new();
-    for (idx, e) in elems.into_iter().enumerate() {
-        let keep = i.call_value(
+        let r = i.call_value(
             cb.clone(),
             cb_this.clone(),
             &[e.clone(), Value::Num(idx as f64), this.clone()],
             i.current_call_site,
         )?;
-        if i.truthy(&keep) {
-            out.push(e);
+        if let Some(done) = visit(i, e, idx, r) {
+            return Ok(Some(done));
         }
     }
+    Ok(None)
+}
+
+fn array_for_each(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
+    each_callback(i, &this, args, |_, _, _, _| None)?;
+    Ok(Value::Undefined)
+}
+
+fn array_map(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
+    let mut out = Vec::new();
+    each_callback(i, &this, args, |_, _, _, r| {
+        out.push(r);
+        None
+    })?;
+    Ok(new_array(i, out))
+}
+
+fn array_filter(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
+    let mut out = Vec::new();
+    each_callback(i, &this, args, |i, e, _, r| {
+        if i.truthy(&r) {
+            out.push(e);
+        }
+        None
+    })?;
     Ok(new_array(i, out))
 }
 
@@ -1364,71 +1367,29 @@ fn array_reduce_right(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) ->
 }
 
 fn array_some(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    for (idx, e) in elems.into_iter().enumerate() {
-        let r = i.call_value(
-            cb.clone(),
-            Value::Undefined,
-            &[e, Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?;
-        if i.truthy(&r) {
-            return Ok(Value::Bool(true));
-        }
-    }
-    Ok(Value::Bool(false))
+    let hit = each_callback(i, &this, args, |i, _, _, r| {
+        i.truthy(&r).then_some(Value::Bool(true))
+    })?;
+    Ok(hit.unwrap_or(Value::Bool(false)))
 }
 
 fn array_every(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    for (idx, e) in elems.into_iter().enumerate() {
-        let r = i.call_value(
-            cb.clone(),
-            Value::Undefined,
-            &[e, Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?;
-        if !i.truthy(&r) {
-            return Ok(Value::Bool(false));
-        }
-    }
-    Ok(Value::Bool(true))
+    let miss = each_callback(i, &this, args, |i, _, _, r| {
+        (!i.truthy(&r)).then_some(Value::Bool(false))
+    })?;
+    Ok(miss.unwrap_or(Value::Bool(true)))
 }
 
 fn array_find(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    for (idx, e) in elems.into_iter().enumerate() {
-        let r = i.call_value(
-            cb.clone(),
-            Value::Undefined,
-            &[e.clone(), Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?;
-        if i.truthy(&r) {
-            return Ok(e);
-        }
-    }
-    Ok(Value::Undefined)
+    let hit = each_callback(i, &this, args, |i, e, _, r| i.truthy(&r).then_some(e))?;
+    Ok(hit.unwrap_or(Value::Undefined))
 }
 
 fn array_find_index(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
-    let cb = arg(args, 0);
-    for (idx, e) in elems.into_iter().enumerate() {
-        let r = i.call_value(
-            cb.clone(),
-            Value::Undefined,
-            &[e, Value::Num(idx as f64), this.clone()],
-            i.current_call_site,
-        )?;
-        if i.truthy(&r) {
-            return Ok(Value::Num(idx as f64));
-        }
-    }
-    Ok(Value::Num(-1.0))
+    let hit = each_callback(i, &this, args, |i, _, idx, r| {
+        i.truthy(&r).then_some(Value::Num(idx as f64))
+    })?;
+    Ok(hit.unwrap_or(Value::Num(-1.0)))
 }
 
 fn array_sort(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
@@ -1695,7 +1656,7 @@ fn string_concat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
 
 fn string_repeat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let s = this_string(i, &this);
-    let n = (i.to_number_value(&arg(args, 0))?.max(0.0) as usize).min(10_000);
+    let n = i.to_number_value(&arg(args, 0))?.max(0.0) as usize;
     i.check_string_len(s.len().saturating_mul(n))?;
     Ok(Value::from(s.repeat(n)))
 }

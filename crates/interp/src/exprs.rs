@@ -1040,7 +1040,7 @@ impl Interp {
         };
         self.eval_depth += 1;
         let result = (|| -> Result<Value, JsError> {
-            self.hoist(&module.body, scope)?;
+            self.hoist_body(&module.body, scope);
             let mut completion = Value::Undefined;
             for s in &module.body {
                 if let StmtKind::Expr(e) = &s.kind {

@@ -510,7 +510,7 @@ impl Interp {
     }
 
     fn exec_module_body(&mut self, module: &Rc<Module>, scope: &ScopeRef) -> Result<(), JsError> {
-        self.hoist(&module.body, scope)?;
+        self.hoist_body(&module.body, scope);
         for stmt in &module.body {
             match self.exec_stmt(stmt, scope)? {
                 Flow::Normal => {}
@@ -814,7 +814,7 @@ impl Interp {
 
         match &def.body {
             aji_ast::ast::FuncBody::Block(stmts) => {
-                self.hoist(stmts, &scope)?;
+                self.hoist_body(stmts, &scope);
                 for s in stmts {
                     match self.exec_stmt(s, &scope)? {
                         Flow::Normal => {}

@@ -6,16 +6,16 @@ use crate::heap::ObjKind;
 use crate::machine::Interp;
 use crate::value::Value;
 use aji_ast::ast::*;
+use aji_ast::visit::{self, BlockDecl};
 
 impl Interp {
-    /// Hoists declarations for a statement list about to execute in
-    /// `scope`: `var` names to the nearest function scope, function
-    /// declarations (fully initialized) and `let`/`const`/`class` names
-    /// into `scope` itself.
-    pub(crate) fn hoist(&mut self, stmts: &[Stmt], scope: &ScopeRef) -> Result<(), JsError> {
-        // 1. var hoisting (recursive, not entering nested functions).
+    /// Hoists the declarations of a function, module or `eval` body about
+    /// to execute in `scope`: its `var` names (through nested blocks, see
+    /// [`visit::var_names`]) to the nearest function scope, then its
+    /// block-level declarations as [`Interp::hoist_block`] does.
+    pub(crate) fn hoist_body(&mut self, stmts: &[Stmt], scope: &ScopeRef) {
         let mut var_names = Vec::new();
-        collect_var_names(stmts, &mut var_names);
+        visit::var_names(stmts, &mut var_names);
         let target = env::hoist_target(scope);
         {
             let mut t = target.borrow_mut();
@@ -25,38 +25,37 @@ impl Interp {
                 }
             }
         }
-        // 2. Function declarations at this statement-list level.
-        for s in stmts {
-            if let StmtKind::FuncDecl(f) = &s.kind {
+        self.hoist_block(stmts, scope);
+    }
+
+    /// Hoists a statement list's block-level declarations into `scope`:
+    /// function declarations fully initialized, then `let`/`const`/`class`
+    /// names initialized to undefined (TDZ is not modeled).
+    pub(crate) fn hoist_block(&mut self, stmts: &[Stmt], scope: &ScopeRef) {
+        for d in visit::block_decls(stmts) {
+            if let BlockDecl::Function(f) = d {
                 let v = self.make_closure(f, scope);
                 if let Some(name) = &f.name {
                     scope.borrow_mut().declare(&**name, v);
                 }
             }
         }
-        // 3. Lexical declarations (initialized to undefined; TDZ is not
-        // modeled).
-        for s in stmts {
-            match &s.kind {
-                StmtKind::VarDecl(d) if d.kind != VarKind::Var => {
-                    let mut names = Vec::new();
+        let mut names = Vec::new();
+        for d in visit::block_decls(stmts) {
+            match d {
+                BlockDecl::Function(_) => {}
+                BlockDecl::Class(c) => names.extend(c.name.as_deref()),
+                BlockDecl::Lexical(d) => {
                     for decl in &d.decls {
-                        collect_pattern_names(&decl.name, &mut names);
-                    }
-                    let mut b = scope.borrow_mut();
-                    for n in names {
-                        b.declare(n, Value::Undefined);
+                        visit::pattern_names(&decl.name, &mut names);
                     }
                 }
-                StmtKind::ClassDecl(c) => {
-                    if let Some(n) = &c.name {
-                        scope.borrow_mut().declare(&**n, Value::Undefined);
-                    }
-                }
-                _ => {}
             }
         }
-        Ok(())
+        let mut b = scope.borrow_mut();
+        for n in names {
+            b.declare(n, Value::Undefined);
+        }
     }
 
     /// Executes one statement.
@@ -129,7 +128,7 @@ impl Interp {
                         if d.kind != VarKind::Var {
                             let mut names = Vec::new();
                             for decl in &d.decls {
-                                collect_pattern_names(&decl.name, &mut names);
+                                visit::pattern_names(&decl.name, &mut names);
                             }
                             let mut b = loop_scope.borrow_mut();
                             for n in names {
@@ -198,7 +197,7 @@ impl Interp {
             }
             StmtKind::Block(body) => {
                 let block_scope = Scope::new(ScopeKind::Block, Some(scope.clone()));
-                self.hoist(body, &block_scope)?;
+                self.hoist_block(body, &block_scope);
                 for s in body {
                     match self.exec_stmt(s, &block_scope)? {
                         Flow::Normal => {}
@@ -227,7 +226,7 @@ impl Interp {
                 } = &**t;
                 let mut outcome = (|| -> Result<Flow, JsError> {
                     let try_scope = Scope::new(ScopeKind::Block, Some(scope.clone()));
-                    self.hoist(block, &try_scope)?;
+                    self.hoist_block(block, &try_scope);
                     for s in block {
                         match self.exec_stmt(s, &try_scope)? {
                             Flow::Normal => {}
@@ -248,7 +247,7 @@ impl Interp {
                                 self.bind_pattern(p, caught, &catch_scope, true)?;
                             }
                             outcome = (|| -> Result<Flow, JsError> {
-                                self.hoist(&c.body, &catch_scope)?;
+                                self.hoist_block(&c.body, &catch_scope);
                                 for s in &c.body {
                                     match self.exec_stmt(s, &catch_scope)? {
                                         Flow::Normal => {}
@@ -262,7 +261,7 @@ impl Interp {
                 }
                 if let Some(fin) = finally {
                     let fin_scope = Scope::new(ScopeKind::Block, Some(scope.clone()));
-                    self.hoist(fin, &fin_scope)?;
+                    self.hoist_block(fin, &fin_scope);
                     for s in fin {
                         match self.exec_stmt(s, &fin_scope)? {
                             Flow::Normal => {}
@@ -342,7 +341,7 @@ impl Interp {
             return Ok(Flow::Normal);
         };
         for c in &cases[start..] {
-            self.hoist(&c.body, &switch_scope)?;
+            self.hoist_block(&c.body, &switch_scope);
             for s in &c.body {
                 match self.exec_stmt(s, &switch_scope)? {
                     Flow::Normal => {}
@@ -399,15 +398,9 @@ impl Interp {
 
     fn bind_for_head(&mut self, head: &ForHead, v: Value, scope: &ScopeRef) -> Result<(), JsError> {
         match head {
+            // A `var` head writes through to the hoisted binding.
             ForHead::VarDecl { kind, pat } => {
-                let declare = *kind != VarKind::Var;
-                if !declare {
-                    // var heads write through to the hoisted binding.
-                    self.bind_pattern(pat, v, scope, false)?;
-                } else {
-                    self.bind_pattern(pat, v, scope, true)?;
-                }
-                Ok(())
+                self.bind_pattern(pat, v, scope, *kind != VarKind::Var)
             }
             ForHead::Target(e) => {
                 self.assign_to_expr(e, v, scope)?;
@@ -488,96 +481,8 @@ enum LoopStep<'a> {
     BodyIn(&'a Stmt, ScopeRef),
 }
 
-/// Collects `var`-declared names without entering nested functions.
-fn collect_var_names<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
-    for s in stmts {
-        collect_var_names_stmt(s, out);
-    }
-}
-
-fn collect_var_names_stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
-    match &s.kind {
-        StmtKind::VarDecl(d) if d.kind == VarKind::Var => {
-            for decl in &d.decls {
-                collect_pattern_names(&decl.name, out);
-            }
-        }
-        StmtKind::VarDecl(_) => {}
-        StmtKind::If { cons, alt, .. } => {
-            collect_var_names_stmt(cons, out);
-            if let Some(a) = alt {
-                collect_var_names_stmt(a, out);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            collect_var_names_stmt(body, out)
-        }
-        StmtKind::For(f) => {
-            if let Some(ForInit::VarDecl(d)) = &f.init {
-                if d.kind == VarKind::Var {
-                    for decl in &d.decls {
-                        collect_pattern_names(&decl.name, out);
-                    }
-                }
-            }
-            collect_var_names_stmt(&f.body, out);
-        }
-        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
-            if let ForHead::VarDecl {
-                kind: VarKind::Var,
-                pat,
-            } = &f.head
-            {
-                collect_pattern_names(pat, out);
-            }
-            collect_var_names_stmt(&f.body, out);
-        }
-        StmtKind::Block(body) => collect_var_names(body, out),
-        StmtKind::Labeled { body, .. } => collect_var_names_stmt(body, out),
-        StmtKind::Switch { cases, .. } => {
-            for c in cases {
-                collect_var_names(&c.body, out);
-            }
-        }
-        StmtKind::Try(t) => {
-            collect_var_names(&t.block, out);
-            if let Some(c) = &t.catch {
-                collect_var_names(&c.body, out);
-            }
-            if let Some(f) = &t.finally {
-                collect_var_names(f, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Collects the identifiers bound by a pattern.
-pub(crate) fn collect_pattern_names<'a>(p: &'a Pattern, out: &mut Vec<&'a str>) {
-    match &p.kind {
-        PatternKind::Ident(n) => out.push(n),
-        PatternKind::Array { elems, rest } => {
-            for e in elems.iter().flatten() {
-                collect_pattern_names(e, out);
-            }
-            if let Some(r) = rest {
-                collect_pattern_names(r, out);
-            }
-        }
-        PatternKind::Object { props, rest } => {
-            for pr in props {
-                collect_pattern_names(&pr.value, out);
-            }
-            if let Some(r) = rest {
-                collect_pattern_names(r, out);
-            }
-        }
-        PatternKind::Assign { pat, .. } => collect_pattern_names(pat, out),
-    }
-}
-
 fn pattern_names_bound(p: &Pattern, scope: &ScopeRef) -> bool {
     let mut names = Vec::new();
-    collect_pattern_names(p, &mut names);
+    visit::pattern_names(p, &mut names);
     names.iter().all(|n| crate::env::lookup(scope, n).is_some())
 }

@@ -127,6 +127,39 @@ fn array_find_and_find_index() {
 }
 
 #[test]
+fn array_callbacks_take_this_arg() {
+    // Every callback-taking iteration method calls its callback with the
+    // second argument as `this`.
+    assert_eq!(
+        run("var o = { n: 0, run: function() { this.n++; } };\n\
+             [1].forEach(function() { this.run(); }, o);\n\
+             [1].map(function() { this.run(); }, o);\n\
+             [1].filter(function() { this.run(); }, o);\n\
+             [1].some(function() { this.run(); }, o);\n\
+             [1].every(function() { this.run(); return true; }, o);\n\
+             [1].find(function() { this.run(); }, o);\n\
+             [1].findIndex(function() { this.run(); }, o);\n\
+             exports.result = o.n;"),
+        "7"
+    );
+}
+
+#[test]
+fn array_callback_results_stop_the_walk() {
+    assert_eq!(
+        run("var seen = [];\n\
+             var r = [1, 2, 3].some(function(x) { seen.push(x); return x == 2; });\n\
+             var e = [1, 2, 3].every(function(x) { seen.push(x); return x < 2; });\n\
+             exports.result = r + ':' + e + ':' + seen.join('');"),
+        "true:false:1212"
+    );
+    assert_eq!(
+        run("exports.result = [1, 2].map(function(x, i, a) { return x + i + a.length; }).join();"),
+        "3,5"
+    );
+}
+
+#[test]
 fn array_sort_with_comparator() {
     assert_eq!(
         run("exports.result = [5, 1, 4, 2].sort(function(a, b) { return a - b; }).join('');"),
@@ -263,6 +296,14 @@ fn unicode_string_handling() {
     assert_eq!(run("exports.result = 'héllo'.length;"), "5");
     assert_eq!(run("exports.result = 'héllo'.charAt(1);"), "é");
     assert_eq!(run("exports.result = '😀x'.charAt(1);"), "x");
+}
+
+#[test]
+fn string_repeat_is_not_clamped() {
+    // The result length is bounded by `max_string_len`, not by a hidden
+    // cap on the count.
+    assert_eq!(run("exports.result = 'ab'.repeat(20000).length;"), "40000");
+    assert_eq!(run("exports.result = 'ab'.repeat(0) + '|';"), "|");
 }
 
 #[test]

@@ -69,9 +69,12 @@ impl Tracer for Calls {
     }
 }
 
-/// Runs `src` as `index.js` and returns its calls, with each location
-/// shortened to `(line, col)`.
-fn calls(src: &str) -> Vec<(Option<(u32, u32)>, Option<(u32, u32)>)> {
+/// A location shortened to `(line, col)`.
+type LineCol = Option<(u32, u32)>;
+
+/// Runs `src` as `index.js` and returns its calls as `(call site, callee)`
+/// pairs.
+fn calls(src: &str) -> Vec<(LineCol, LineCol)> {
     let mut project = Project::new("t");
     project.add_file("index.js", src);
     let log = Rc::new(RefCell::new(Calls::default()));

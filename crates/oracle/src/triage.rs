@@ -34,8 +34,8 @@
 //! documented limits of the approach (proxy-dependent keys, coverage).
 
 use aji_approx::{ApproxResult, Hints, WriteHint};
-use aji_ast::ast::{Expr, ExprKind, Function, MemberProp, Pattern, PatternKind};
-use aji_ast::visit::{walk_expr, walk_function, FunctionCollector, Visit};
+use aji_ast::ast::{Expr, ExprKind, Function, MemberProp};
+use aji_ast::visit::{pattern_names, walk_expr, walk_function, FunctionCollector, Visit};
 use aji_ast::{FileId, Loc, NodeId, SourceMap};
 use aji_parser::ParsedProject;
 use aji_pta::CallGraph;
@@ -164,32 +164,6 @@ struct SiteIndex {
     funcs: BTreeMap<Loc, NodeId>,
 }
 
-/// Collects identifier names appearing anywhere in a pattern.
-fn pattern_names(p: &Pattern, out: &mut BTreeSet<String>) {
-    match &p.kind {
-        PatternKind::Ident(n) => {
-            out.insert(n.to_string());
-        }
-        PatternKind::Array { elems, rest } => {
-            for el in elems.iter().flatten() {
-                pattern_names(el, out);
-            }
-            if let Some(r) = rest {
-                pattern_names(r, out);
-            }
-        }
-        PatternKind::Object { props, rest } => {
-            for pr in props {
-                pattern_names(&pr.value, out);
-            }
-            if let Some(r) = rest {
-                pattern_names(r, out);
-            }
-        }
-        PatternKind::Assign { pat, .. } => pattern_names(pat, out),
-    }
-}
-
 /// Collects identifier names appearing anywhere in an expression.
 struct IdentCollector(BTreeSet<String>);
 
@@ -213,14 +187,12 @@ struct IndexBuilder<'a> {
 
 impl Visit for IndexBuilder<'_> {
     fn visit_function(&mut self, f: &Arc<Function>) {
-        let mut names = BTreeSet::new();
-        for p in &f.params {
-            pattern_names(&p.pat, &mut names);
+        let mut names = Vec::new();
+        for p in f.params.iter().map(|p| &p.pat).chain(f.rest.as_ref()) {
+            pattern_names(p, &mut names);
         }
-        if let Some(r) = &f.rest {
-            pattern_names(r, &mut names);
-        }
-        self.params.push(names);
+        self.params
+            .push(names.into_iter().map(str::to_string).collect());
         walk_function(self, f);
         self.params.pop();
     }

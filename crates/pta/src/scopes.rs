@@ -6,6 +6,7 @@
 //! variables, as in sloppy-mode JavaScript.
 
 use aji_ast::ast::*;
+use aji_ast::visit::{self, BlockDecl};
 use aji_ast::{FileId, NodeId};
 use aji_support::FxHashMap;
 use std::sync::Arc;
@@ -161,51 +162,62 @@ impl<'a> Resolver<'a> {
 
     /// Hoists declarations for a statement list. With `function_scope`,
     /// `var` names are declared here (the caller is a function or module
-    /// body); otherwise only block-scoped names are.
+    /// body, see [`visit::var_names`]); otherwise only block-level names
+    /// are.
     fn hoist_stmts(&mut self, stmts: &[Stmt], function_scope: bool) {
+        let mut names = Vec::new();
         if function_scope {
-            let mut names = Vec::new();
-            collect_var_names(stmts, &mut names);
-            for n in names {
-                self.declare(n);
-            }
+            visit::var_names(stmts, &mut names);
         }
-        for s in stmts {
-            match &s.kind {
-                StmtKind::FuncDecl(f) => {
-                    if let Some(n) = &f.name {
-                        let v = self.declare(n);
-                        self.res.decls.insert(f.id, v);
-                    }
-                }
-                StmtKind::ClassDecl(c) => {
-                    if let Some(n) = &c.name {
-                        let v = self.declare(n);
-                        self.res.decls.insert(c.id, v);
-                    }
-                }
-                StmtKind::VarDecl(d) if d.kind != VarKind::Var => {
+        for n in names.drain(..) {
+            self.declare(n);
+        }
+        for d in visit::block_decls(stmts) {
+            match d {
+                BlockDecl::Function(f) => self.declare_decl(f.id, f.name.as_deref()),
+                BlockDecl::Class(c) => self.declare_decl(c.id, c.name.as_deref()),
+                BlockDecl::Lexical(d) => {
                     for decl in &d.decls {
-                        self.declare_pattern_names(&decl.name);
+                        visit::pattern_names(&decl.name, &mut names);
+                    }
+                    for n in names.drain(..) {
+                        self.declare(n);
                     }
                 }
-                _ => {}
             }
         }
     }
 
-    fn declare_pattern_names(&mut self, p: &Pattern) {
+    /// Declares a function or class declaration's name and records the
+    /// binding against the declaration node.
+    fn declare_decl(&mut self, node: NodeId, name: Option<&str>) {
+        if let Some(n) = name {
+            let v = self.declare(n);
+            self.res.decls.insert(node, v);
+        }
+    }
+
+    /// Binds a pattern's idents and resolves its defaults and computed
+    /// keys. A `let`/`const`/parameter/catch pattern (`declare`) binds in
+    /// the innermost scope; a `var` pattern or an assignment target
+    /// resolves to the binding already in scope, so a `var` in a nested
+    /// block or loop head writes the function's hoisted binding.
+    fn bind_pattern(&mut self, p: &Pattern, declare: bool) {
         match &p.kind {
             PatternKind::Ident(n) => {
-                let v = self.declare(n);
+                let v = if declare {
+                    self.declare(n)
+                } else {
+                    self.lookup(n)
+                };
                 self.res.set_ref(p.id, v);
             }
             PatternKind::Array { elems, rest } => {
                 for e in elems.iter().flatten() {
-                    self.declare_pattern_names(e);
+                    self.bind_pattern(e, declare);
                 }
                 if let Some(r) = rest {
-                    self.declare_pattern_names(r);
+                    self.bind_pattern(r, declare);
                 }
             }
             PatternKind::Object { props, rest } => {
@@ -213,49 +225,26 @@ impl<'a> Resolver<'a> {
                     if let PropName::Computed(e) = &pr.key {
                         self.expr(e);
                     }
-                    self.declare_pattern_names(&pr.value);
+                    self.bind_pattern(&pr.value, declare);
                 }
                 if let Some(r) = rest {
-                    self.declare_pattern_names(r);
+                    self.bind_pattern(r, declare);
                 }
             }
             PatternKind::Assign { pat, default } => {
-                self.declare_pattern_names(pat);
+                self.bind_pattern(pat, declare);
                 self.expr(default);
             }
         }
     }
 
-    /// Re-resolves a pattern's idents against existing bindings (for
-    /// assignment-style destructuring).
-    fn resolve_pattern_refs(&mut self, p: &Pattern) {
-        match &p.kind {
-            PatternKind::Ident(n) => {
-                let v = self.lookup(n);
-                self.res.set_ref(p.id, v);
-            }
-            PatternKind::Array { elems, rest } => {
-                for e in elems.iter().flatten() {
-                    self.resolve_pattern_refs(e);
-                }
-                if let Some(r) = rest {
-                    self.resolve_pattern_refs(r);
-                }
-            }
-            PatternKind::Object { props, rest } => {
-                for pr in props {
-                    if let PropName::Computed(e) = &pr.key {
-                        self.expr(e);
-                    }
-                    self.resolve_pattern_refs(&pr.value);
-                }
-                if let Some(r) = rest {
-                    self.resolve_pattern_refs(r);
-                }
-            }
-            PatternKind::Assign { pat, default } => {
-                self.resolve_pattern_refs(pat);
-                self.expr(default);
+    /// Resolves a declaration list: binds each declarator's pattern (see
+    /// [`Resolver::bind_pattern`]) and walks its initializer.
+    fn var_decl(&mut self, d: &VarDecl) {
+        for decl in &d.decls {
+            self.bind_pattern(&decl.name, d.kind != VarKind::Var);
+            if let Some(init) = &decl.init {
+                self.expr(init);
             }
         }
     }
@@ -263,16 +252,7 @@ impl<'a> Resolver<'a> {
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Expr(e) => self.expr(e),
-            StmtKind::VarDecl(d) => {
-                for decl in &d.decls {
-                    // Names were hoisted; bind the pattern refs and walk
-                    // the initializer.
-                    self.declare_pattern_names(&decl.name);
-                    if let Some(init) = &decl.init {
-                        self.expr(init);
-                    }
-                }
-            }
+            StmtKind::VarDecl(d) => self.var_decl(d),
             StmtKind::FuncDecl(f) => self.function(f),
             StmtKind::ClassDecl(c) => self.class(c),
             StmtKind::Return(e) => {
@@ -304,14 +284,7 @@ impl<'a> Resolver<'a> {
                 } = &**for_stmt;
                 self.push_scope();
                 match init {
-                    Some(ForInit::VarDecl(d)) => {
-                        for decl in &d.decls {
-                            self.declare_pattern_names(&decl.name);
-                            if let Some(i) = &decl.init {
-                                self.expr(i);
-                            }
-                        }
-                    }
+                    Some(ForInit::VarDecl(d)) => self.var_decl(d),
                     Some(ForInit::Expr(e)) => self.expr(e),
                     None => {}
                 }
@@ -327,7 +300,7 @@ impl<'a> Resolver<'a> {
             StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
                 self.push_scope();
                 match &f.head {
-                    ForHead::VarDecl { pat, .. } => self.declare_pattern_names(pat),
+                    ForHead::VarDecl { kind, pat } => self.bind_pattern(pat, *kind != VarKind::Var),
                     ForHead::Target(e) => self.expr(e),
                 }
                 self.expr(&f.right);
@@ -376,7 +349,7 @@ impl<'a> Resolver<'a> {
                 if let Some(c) = catch {
                     self.push_scope();
                     if let Some(p) = &c.param {
-                        self.declare_pattern_names(p);
+                        self.bind_pattern(p, true);
                     }
                     self.hoist_stmts(&c.body, false);
                     for s in &c.body {
@@ -415,13 +388,13 @@ impl<'a> Resolver<'a> {
             self.res.selfs.insert(f.id, v);
         }
         for p in &f.params {
-            self.declare_pattern_names(&p.pat);
+            self.bind_pattern(&p.pat, true);
             if let Some(d) = &p.default {
                 self.expr(d);
             }
         }
         if let Some(r) = &f.rest {
-            self.declare_pattern_names(r);
+            self.bind_pattern(r, true);
         }
         // `arguments` is a binding of its own.
         let av = self.declare("arguments");
@@ -473,7 +446,7 @@ impl<'a> Resolver<'a> {
                         self.res.set_ref(*id, v);
                     }
                     AssignTarget::Member(m) => self.expr(m),
-                    AssignTarget::Pattern(p) => self.resolve_pattern_refs(p),
+                    AssignTarget::Pattern(p) => self.bind_pattern(p, false),
                 }
                 self.expr(value);
             }
@@ -511,102 +484,12 @@ impl<'a> Resolver<'a> {
                         self.0.class(c);
                     }
                     fn visit_pattern(&mut self, p: &Pattern) {
-                        self.0.resolve_pattern_refs(p);
+                        self.0.bind_pattern(p, false);
                     }
                 }
                 walk_expr(&mut Walk(self), e);
             }
         }
-    }
-}
-
-/// Collects `var` names without entering nested functions.
-fn collect_var_names<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
-    for s in stmts {
-        collect_stmt(s, out);
-    }
-}
-
-fn collect_stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
-    match &s.kind {
-        StmtKind::VarDecl(d) if d.kind == VarKind::Var => {
-            for decl in &d.decls {
-                pattern_names(&decl.name, out);
-            }
-        }
-        StmtKind::If { cons, alt, .. } => {
-            collect_stmt(cons, out);
-            if let Some(a) = alt {
-                collect_stmt(a, out);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => collect_stmt(body, out),
-        StmtKind::For(for_stmt) => {
-            let ForStmt { init, body, .. } = &**for_stmt;
-            if let Some(ForInit::VarDecl(d)) = init {
-                if d.kind == VarKind::Var {
-                    for decl in &d.decls {
-                        pattern_names(&decl.name, out);
-                    }
-                }
-            }
-            collect_stmt(body, out);
-        }
-        StmtKind::ForIn(f) | StmtKind::ForOf(f) => {
-            if let ForHead::VarDecl {
-                kind: VarKind::Var,
-                pat,
-            } = &f.head
-            {
-                pattern_names(pat, out);
-            }
-            collect_stmt(&f.body, out);
-        }
-        StmtKind::Block(body) => collect_var_names(body, out),
-        StmtKind::Labeled { body, .. } => collect_stmt(body, out),
-        StmtKind::Switch { cases, .. } => {
-            for c in cases {
-                collect_var_names(&c.body, out);
-            }
-        }
-        StmtKind::Try(try_stmt) => {
-            let TryStmt {
-                block,
-                catch,
-                finally,
-            } = &**try_stmt;
-            collect_var_names(block, out);
-            if let Some(c) = catch {
-                collect_var_names(&c.body, out);
-            }
-            if let Some(f) = finally {
-                collect_var_names(f, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn pattern_names<'a>(p: &'a Pattern, out: &mut Vec<&'a str>) {
-    match &p.kind {
-        PatternKind::Ident(n) => out.push(n),
-        PatternKind::Array { elems, rest } => {
-            for e in elems.iter().flatten() {
-                pattern_names(e, out);
-            }
-            if let Some(r) = rest {
-                pattern_names(r, out);
-            }
-        }
-        PatternKind::Object { props, rest } => {
-            for pr in props {
-                pattern_names(&pr.value, out);
-            }
-            if let Some(r) = rest {
-                pattern_names(r, out);
-            }
-        }
-        PatternKind::Assign { pat, .. } => pattern_names(pat, out),
     }
 }
 
@@ -696,6 +579,56 @@ mod tests {
         let refs = find_ident(&ms[0], "a");
         let v = res.var_of(refs[0]).unwrap();
         assert!(matches!(res.vars[v.0 as usize], VarInfo::Local(_)));
+    }
+
+    /// Ids of the binding patterns that declare `name`.
+    fn find_binding(m: &Module, name: &str) -> Vec<NodeId> {
+        use aji_ast::visit::{walk_module, walk_pattern, Visit};
+        struct F<'a>(&'a str, Vec<NodeId>);
+        impl Visit for F<'_> {
+            fn visit_pattern(&mut self, p: &Pattern) {
+                if matches!(&p.kind, PatternKind::Ident(n) if &**n == self.0) {
+                    self.1.push(p.id);
+                }
+                walk_pattern(self, p);
+            }
+        }
+        let mut f = F(name, Vec::new());
+        walk_module(&mut f, m);
+        f.1
+    }
+
+    #[test]
+    fn nested_var_declarations_bind_the_hoisted_name() {
+        for src in [
+            "function f() { { var a = 1; } use(a); }",
+            "function f(c) { if (c) var a = 1; use(a); }",
+            "function f(c) { if (c) { var a = 1; } use(a); }",
+            "function f() { for (var a = 0; a < 1; a++) {} use(a); }",
+            "function f(o) { for (var a in o) {} use(a); }",
+            "function f(o) { for (var a of o) {} use(a); }",
+        ] {
+            let (ms, res) = resolve_src(src);
+            let decl = find_binding(&ms[0], "a");
+            let uses = find_ident(&ms[0], "a");
+            let (Some(&decl), Some(&after)) = (decl.first(), uses.last()) else {
+                panic!("no declaration or use of `a` in {src}");
+            };
+            let v = res.var_of(decl).unwrap();
+            assert_eq!(Some(v), res.var_of(after), "{src}");
+            assert!(matches!(res.vars[v.0 as usize], VarInfo::Local(_)), "{src}");
+        }
+    }
+
+    #[test]
+    fn let_in_a_loop_head_stays_in_the_loop() {
+        let (ms, res) = resolve_src("function f(o) { for (let a in o) { g(a); } use(a); }");
+        let uses = find_ident(&ms[0], "a");
+        assert_eq!(uses.len(), 2);
+        let inner = res.var_of(uses[0]).unwrap();
+        let after = res.var_of(uses[1]).unwrap();
+        assert!(matches!(res.vars[inner.0 as usize], VarInfo::Local(_)));
+        assert!(matches!(res.vars[after.0 as usize], VarInfo::Global(_)));
     }
 
     #[test]

@@ -13,14 +13,14 @@ cargo fmt --all --check
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --workspace --offline"
+cargo test -q --workspace --offline
 
 echo "==> cargo test -q --release --offline --manifest-path perfbench/Cargo.toml (layer-by-layer composition = run_benchmark / run_oracle, byte-identical)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy --offline --all-targets -- -D warnings"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --offline --all-targets -- -D warnings"
+cargo clippy --workspace --offline --all-targets -- -D warnings
 
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

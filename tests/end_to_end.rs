@@ -93,6 +93,30 @@ fn baseline_resolves_root_relative_requires_like_the_interpreter() {
 }
 
 #[test]
+fn baseline_follows_a_var_declared_in_a_nested_block() {
+    // `var g` inside the `if` block binds the function's hoisted `g`, in
+    // the interpreter and the analysis alike, so the call `g()` after the
+    // block reaches `h` in the baseline without any hint.
+    let mut project = aji_ast::Project::new("block-var");
+    project.add_file(
+        "index.js",
+        "function h() { return 1; }\n\
+         function f(c) { if (c) { var g = h; } g(); }\n\
+         f(true);",
+    );
+    let report = run_benchmark(&project, &PipelineOptions::with_dynamic_cg()).unwrap();
+    let dynamic = aji::dynamic_call_graph(&project, &aji_interp::InterpOptions::default()).unwrap();
+    assert_eq!(dynamic.len(), 2, "{dynamic:?}");
+    for edge in &dynamic {
+        assert!(
+            report.baseline_call_graph.edges.contains(edge),
+            "baseline misses dynamic edge {edge:?}"
+        );
+    }
+    assert_eq!(report.accuracy.unwrap().baseline.matched_edges, 2);
+}
+
+#[test]
 fn hints_are_deterministic() {
     let project = aji_corpus::pattern_projects()
         .into_iter()
