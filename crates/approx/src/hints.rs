@@ -171,16 +171,12 @@ impl ToJson for Hints {
 
 impl FromJson for Hints {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| JsonError::shape(format!("hints missing field '{k}'")))
-        };
         Ok(Hints {
-            reads: FromJson::from_json(field("reads")?)?,
-            writes: FromJson::from_json(field("writes")?)?,
-            modules: FromJson::from_json(field("modules")?)?,
-            write_props: FromJson::from_json(field("write_props")?)?,
-            proxy_reads: FromJson::from_json(field("proxy_reads")?)?,
+            reads: FromJson::from_json(v.field("reads")?)?,
+            writes: FromJson::from_json(v.field("writes")?)?,
+            modules: FromJson::from_json(v.field("modules")?)?,
+            write_props: FromJson::from_json(v.field("write_props")?)?,
+            proxy_reads: FromJson::from_json(v.field("proxy_reads")?)?,
         })
     }
 }

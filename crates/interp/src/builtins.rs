@@ -14,7 +14,9 @@ use crate::error::JsError;
 use crate::heap::{Heap, ObjKind, Prop, PropValue};
 use crate::machine::{Interp, Protos};
 use crate::value::{ObjId, Value};
+use aji_ast::Loc;
 use aji_support::hash::FxHashMap;
+use aji_support::json;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -1656,7 +1658,13 @@ fn string_concat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
 
 fn string_repeat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let s = this_string(i, &this);
-    let n = i.to_number_value(&arg(args, 0))?.max(0.0) as usize;
+    let n = i.to_number_value(&arg(args, 0))?;
+    let count = if n.is_nan() { 0.0 } else { n.trunc() };
+    if count < 0.0 || count == f64::INFINITY {
+        let shown = crate::value::num_to_string(n);
+        return Err(i.throw_error("RangeError", format!("Invalid count value: {shown}")));
+    }
+    let n = count as usize;
     i.check_string_len(s.len().saturating_mul(n))?;
     Ok(Value::from(s.repeat(n)))
 }
@@ -2141,260 +2149,152 @@ fn promise_all(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
 // ----- JSON -----
 
 fn json_stringify(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
-    let mut out = String::new();
-    if stringify_value(i, &arg(args, 0), &mut out, 0) {
-        Ok(Value::from(out))
+    let mut w = JsonWriter {
+        out: String::new(),
+        open: Vec::new(),
+    };
+    Ok(if w.value(i, &arg(args, 0))? {
+        Value::from(w.out)
     } else {
-        Ok(Value::Undefined)
-    }
+        Value::Undefined
+    })
 }
 
-fn stringify_value(i: &mut Interp, v: &Value, out: &mut String, depth: u32) -> bool {
-    if depth > 24 {
-        out.push_str("null");
-        return true;
+/// `JSON.stringify`'s output so far and the arrays and objects it is
+/// inside of, outermost first.
+struct JsonWriter {
+    out: String,
+    open: Vec<ObjId>,
+}
+
+impl JsonWriter {
+    /// Writes `v`, charging one step. Returns `false`, having written
+    /// nothing, for the values JSON leaves out: `undefined` and functions.
+    fn value(&mut self, i: &mut Interp, v: &Value) -> Result<bool, JsError> {
+        i.step()?;
+        match v {
+            Value::Undefined => return Ok(false),
+            Value::Null => self.out.push_str("null"),
+            Value::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) if n.is_finite() => self.out.push_str(&crate::value::num_to_string(*n)),
+            Value::Num(_) => self.out.push_str("null"),
+            Value::Str(s) => json::write_escaped(s, &mut self.out),
+            Value::Obj(id) => {
+                let elems = match &i.heap.get(*id).kind {
+                    ObjKind::Array(elems) => Some(elems.clone()),
+                    ObjKind::Plain => None,
+                    ObjKind::Function(_) | ObjKind::Native(_) | ObjKind::Proxy => return Ok(false),
+                };
+                if self.open.contains(id) {
+                    return Err(i.throw_error("TypeError", "Converting circular structure to JSON"));
+                }
+                if self.open.len() == json::MAX_DEPTH {
+                    let msg = format!(
+                        "JSON.stringify nests deeper than {} levels",
+                        json::MAX_DEPTH
+                    );
+                    return Err(i.throw_error("RangeError", msg));
+                }
+                self.open.push(*id);
+                match elems {
+                    Some(elems) => self.array(i, &elems)?,
+                    None => self.object(i, *id)?,
+                }
+                self.open.pop();
+            }
+        }
+        i.check_string_len(self.out.len())?;
+        Ok(true)
     }
-    match v {
-        Value::Undefined => false,
-        Value::Null => {
-            out.push_str("null");
-            true
+
+    fn array(&mut self, i: &mut Interp, elems: &[Value]) -> Result<(), JsError> {
+        self.out.push('[');
+        for (k, e) in elems.iter().enumerate() {
+            if k > 0 {
+                self.out.push(',');
+            }
+            if !self.value(i, e)? {
+                self.out.push_str("null");
+            }
         }
-        Value::Bool(b) => {
-            out.push_str(if *b { "true" } else { "false" });
-            true
-        }
-        Value::Num(n) => {
-            if n.is_finite() {
-                out.push_str(&crate::value::num_to_string(*n));
+        self.out.push(']');
+        Ok(())
+    }
+
+    fn object(&mut self, i: &mut Interp, id: ObjId) -> Result<(), JsError> {
+        self.out.push('{');
+        let mut first = true;
+        for k in i.heap.own_enumerable_keys(id) {
+            let pv = i.get_property(Value::Obj(id), &k, None)?;
+            // Write the key, then take it back if the value is left out.
+            let mark = self.out.len();
+            if !first {
+                self.out.push(',');
+            }
+            json::write_escaped(&k, &mut self.out);
+            self.out.push(':');
+            if self.value(i, &pv)? {
+                first = false;
             } else {
-                out.push_str("null");
-            }
-            true
-        }
-        Value::Str(s) => {
-            out.push_str(&aji_ast::print::quote_str(s));
-            true
-        }
-        Value::Obj(id) => {
-            let kind = i.heap.get(*id).kind.clone();
-            match kind {
-                ObjKind::Array(elems) => {
-                    out.push('[');
-                    for (k, e) in elems.iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
-                        }
-                        if !stringify_value(i, e, out, depth + 1) {
-                            out.push_str("null");
-                        }
-                    }
-                    out.push(']');
-                    true
-                }
-                ObjKind::Function(_) | ObjKind::Native(_) | ObjKind::Proxy => false,
-                ObjKind::Plain => {
-                    out.push('{');
-                    let mut first = true;
-                    for k in i.heap.own_enumerable_keys(*id) {
-                        let pv = match i.get_property(v.clone(), &k, None) {
-                            Ok(pv) => pv,
-                            Err(_) => continue,
-                        };
-                        let mut piece = String::new();
-                        if stringify_value(i, &pv, &mut piece, depth + 1) {
-                            if !first {
-                                out.push(',');
-                            }
-                            first = false;
-                            out.push_str(&aji_ast::print::quote_str(&k));
-                            out.push(':');
-                            out.push_str(&piece);
-                        }
-                    }
-                    out.push('}');
-                    true
-                }
+                self.out.truncate(mark);
             }
         }
+        self.out.push('}');
+        Ok(())
     }
 }
 
 fn json_parse(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let text = i.to_string_value(&arg(args, 0));
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.ws();
-    match p.value(i) {
-        Some(v) => Ok(v),
-        None => Err(i.throw_error("SyntaxError", "Unexpected token in JSON")),
-    }
+    let site = i.current_call_site;
+    parse_json(i, &text, site)
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Parses `text` with the shared JSON grammar into JavaScript values
+/// whose objects and arrays are born at `site`. Throws `SyntaxError`
+/// where `text` is not JSON.
+pub(crate) fn parse_json(i: &mut Interp, text: &str, site: Option<Loc>) -> R {
+    let parsed = json::parse_with(text, &mut JsValues { i, site });
+    parsed.map_err(|e| {
+        i.throw_error(
+            "SyntaxError",
+            format!("{} in JSON at position {}", e.msg, e.offset),
+        )
+    })
 }
 
-impl<'a> JsonParser<'a> {
-    fn peek(&self) -> u8 {
-        *self.bytes.get(self.pos).unwrap_or(&0)
-    }
+/// Builds JavaScript values for [`parse_json`].
+struct JsValues<'a> {
+    i: &'a mut Interp,
+    site: Option<Loc>,
+}
 
-    fn ws(&mut self) {
-        while matches!(self.peek(), b' ' | b'\t' | b'\n' | b'\r') {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self, i: &mut Interp) -> Option<Value> {
-        self.ws();
-        match self.peek() {
-            b'{' => {
-                self.pos += 1;
-                let site = i.current_call_site;
-                let o = i.heap.alloc_plain(Some(i.protos.object), site);
-                i.tracer.on_alloc(site);
-                self.ws();
-                if self.peek() == b'}' {
-                    self.pos += 1;
-                    return Some(Value::Obj(o));
-                }
-                loop {
-                    self.ws();
-                    let k = self.string()?;
-                    self.ws();
-                    if self.peek() != b':' {
-                        return None;
-                    }
-                    self.pos += 1;
-                    let v = self.value(i)?;
-                    i.heap.set_prop(o, &k, v);
-                    self.ws();
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Some(Value::Obj(o));
-                        }
-                        _ => return None,
-                    }
-                }
+impl json::Builder for JsValues<'_> {
+    type Value = Value;
+    fn build(&mut self, node: json::Node<Value>) -> Result<Value, &'static str> {
+        let (i, site) = (&mut *self.i, self.site);
+        let id = match node {
+            json::Node::Null => return Ok(Value::Null),
+            json::Node::Bool(b) => return Ok(Value::Bool(b)),
+            json::Node::Num(n) => return Ok(Value::Num(n)),
+            json::Node::Str(s) => return Ok(Value::from(s)),
+            json::Node::Arr(items) => {
+                let id = i.heap.alloc(ObjKind::Array(items));
+                i.heap.get_mut(id).proto = Some(i.protos.array);
+                i.heap.get_mut(id).born_at = site;
+                id
             }
-            b'[' => {
-                self.pos += 1;
-                let mut elems = Vec::new();
-                self.ws();
-                if self.peek() == b']' {
-                    self.pos += 1;
-                    return Some(new_array(i, elems));
+            json::Node::Obj(pairs) => {
+                let id = i.heap.alloc_plain(Some(i.protos.object), site);
+                // A repeated key keeps its first position and its last value.
+                for (k, v) in pairs {
+                    i.heap.set_prop(id, &k, v);
                 }
-                loop {
-                    let v = self.value(i)?;
-                    elems.push(v);
-                    self.ws();
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Some(new_array(i, elems));
-                        }
-                        _ => return None,
-                    }
-                }
+                id
             }
-            b'"' => self.string().map(Value::from),
-            b't' => {
-                if self.bytes[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    Some(Value::Bool(true))
-                } else {
-                    None
-                }
-            }
-            b'f' => {
-                if self.bytes[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    Some(Value::Bool(false))
-                } else {
-                    None
-                }
-            }
-            b'n' => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Some(Value::Null)
-                } else {
-                    None
-                }
-            }
-            _ => {
-                let start = self.pos;
-                if self.peek() == b'-' {
-                    self.pos += 1;
-                }
-                while matches!(self.peek(), b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(Value::Num)
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.peek() != b'"' {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let c = self.peek();
-            self.pos += 1;
-            match c {
-                0 => return None,
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = self.peek();
-                    self.pos += 1;
-                    match e {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => out.push(other as char),
-                    }
-                }
-                c if c < 0x80 => out.push(c as char),
-                c => {
-                    let start = self.pos - 1;
-                    let len = if c >= 0xf0 {
-                        4
-                    } else if c >= 0xe0 {
-                        3
-                    } else {
-                        2
-                    };
-                    self.pos = (start + len).min(self.bytes.len());
-                    if let Ok(s) = std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        out.push_str(s);
-                    }
-                }
-            }
-        }
+        };
+        i.tracer.on_alloc(site);
+        Ok(Value::Obj(id))
     }
 }
 

@@ -36,10 +36,11 @@ pub struct InterpOptions {
     /// long-running-loop abort).
     pub max_loop_iters: u64,
     /// Maximum length, in UTF-8 bytes, of a string built by `+`/`+=`, a
-    /// template literal, `concat`, `repeat`, `padStart`, `padEnd` or
-    /// `join`. The length is checked before the string is allocated;
-    /// past it the run stops with a [`crate::BudgetKind::StringLength`]
-    /// budget error. The default is V8's maximum string length.
+    /// template literal, `concat`, `repeat`, `padStart`, `padEnd`, `join`
+    /// or `JSON.stringify`. The length is checked before the string is
+    /// allocated (as it grows, for `JSON.stringify`); past it the run
+    /// stops with a [`crate::BudgetKind::StringLength`] budget error. The
+    /// default is V8's maximum string length.
     pub max_string_len: usize,
     /// Emit [`crate::Tracer::on_prop_access`] events for *static* member
     /// reads (and string-keyed computed reads) on plain objects — the feed
@@ -638,8 +639,7 @@ impl Interp {
             .file(aji_ast::FileId(idx as u32))
             .src
             .clone();
-        let json = builtins::make_native(&mut self.heap, self.protos.function, "json_parse");
-        let v = self.call_value(json, Value::Undefined, &[Value::from(text)], None)?;
+        let v = builtins::parse_json(self, &text, None)?;
         let mobj = self.heap.alloc_plain(Some(self.protos.object), None);
         self.heap.set_prop(mobj, "exports", v.clone());
         self.module_cache.insert(idx, mobj);

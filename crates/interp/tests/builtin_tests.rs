@@ -3,7 +3,7 @@
 //! and the Node core-module implementations.
 
 use aji_ast::Project;
-use aji_interp::Interp;
+use aji_interp::{BudgetKind, Interp, InterpOptions, JsError, NoopTracer};
 
 fn run(src: &str) -> String {
     let mut p = Project::new("t");
@@ -307,6 +307,17 @@ fn string_repeat_is_not_clamped() {
 }
 
 #[test]
+fn string_repeat_rejects_negative_and_infinite_counts() {
+    // Node: `RangeError: Invalid count value`, which the program can
+    // catch; fractions truncate and NaN counts as 0.
+    assert_eq!(
+        run("function t(n) { try { return 'x'.repeat(n) + '!'; } catch (e) { return e.name; } }\n\
+             exports.result = [t(-1), t(Infinity), t(-Infinity), t(-0.5), t(NaN), t(2.9)].join('|');"),
+        "RangeError|RangeError|RangeError|!|!|xx!"
+    );
+}
+
+#[test]
 fn string_padding_cuts_the_pad_to_length() {
     assert_eq!(
         run("exports.result = 'abc'.padStart(10, '123');"),
@@ -400,6 +411,109 @@ fn json_parse_invalid_throws() {
         run("var r = 'no'; try { JSON.parse('{bad'); } catch (e) { r = e.name; } exports.result = r;"),
         "SyntaxError"
     );
+}
+
+/// Evaluates the JavaScript expression `expr` and returns its value as a
+/// string, or the `name` of the error it throws.
+fn eval_or_error_name(expr: &str) -> String {
+    run(&format!(
+        "exports.result = (function () {{ try {{ return '' + ({expr}); }} \
+         catch (e) {{ return e.name; }} }})();"
+    ))
+}
+
+/// Runs `f` on a thread with a default spawned thread's 2 MiB stack.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no panic")
+}
+
+#[test]
+fn json_matches_node_on_probes() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let cases: Vec<(&str, String)> = vec![
+        // Trailing garbage, leading zeros and unknown escapes are not JSON.
+        (r#"JSON.parse('[1] x')"#, "SyntaxError".into()),
+        (r#"JSON.parse('01')"#, "SyntaxError".into()),
+        (r#"JSON.parse('"\\x"')"#, "SyntaxError".into()),
+        // A surrogate-pair escape is one astral character.
+        (r#"JSON.parse('"\\ud83d\\ude00"')"#, "\u{1F600}".into()),
+        // Controls without a short escape print as `\u00XX`.
+        (r#"JSON.stringify('\0\b\f')"#, r#""\u0000\b\f""#.into()),
+        (
+            "(function () { var o = {}; o.self = o; return JSON.stringify(o); })()",
+            "TypeError".into(),
+        ),
+        (
+            "(function () { var a = []; for (var k = 0; k < 30; k++) a = [a]; \
+             return JSON.stringify(a); })()",
+            nested(31),
+        ),
+        // Past `f64`'s range a number is Infinity, as in JavaScript.
+        ("JSON.parse('1e999')", "Infinity".into()),
+        ("JSON.parse('-1e999')", "-Infinity".into()),
+        // A repeated key keeps its first position and its last value.
+        (
+            r#"(function () { var o = JSON.parse('{"a":1,"b":2,"a":3}');
+             return Object.keys(o).join() + '=' + o.a; })()"#,
+            "a,b=3".into(),
+        ),
+        (
+            r#"JSON.stringify({ k: [1, 'two', null, true] })"#,
+            r#"{"k":[1,"two",null,true]}"#.into(),
+        ),
+        ("JSON.stringify([NaN, -0, 1.5])", "[null,0,1.5]".into()),
+    ];
+    for (expr, node) in cases {
+        assert_eq!(eval_or_error_name(expr), node, "{expr}");
+    }
+}
+
+#[test]
+fn json_nesting_past_128_levels_is_a_catchable_error_on_a_small_stack() {
+    let (parsed, stringified) = on_small_stack(|| {
+        let parse = |n: usize| {
+            eval_or_error_name(&format!(
+                "JSON.parse('['.repeat({n}) + ']'.repeat({n})).length"
+            ))
+        };
+        let stringify = |n: usize| {
+            eval_or_error_name(&format!(
+                "(function () {{ var a = []; for (var k = 1; k < {n}; k++) a = [a]; \
+                 return JSON.stringify(a).length; }})()"
+            ))
+        };
+        let depths = [128, 129, 200_000];
+        (depths.map(parse), depths.map(stringify))
+    });
+    assert_eq!(parsed, ["1", "SyntaxError", "SyntaxError"]);
+    assert_eq!(stringified, ["256", "RangeError", "RangeError"]);
+}
+
+#[test]
+fn json_stringify_charges_a_step_per_value() {
+    // Eighteen levels of `{a: o, b: o}` share every child, so the source
+    // runs in a few hundred steps while the output holds 2^19 values.
+    let mut p = Project::new("t");
+    p.add_file(
+        "index.js",
+        "var o = {};\n\
+         for (var k = 0; k < 18; k++) { o = { a: o, b: o }; }\n\
+         exports.result = JSON.stringify(o).length;",
+    );
+    let opts = InterpOptions {
+        max_steps: 100_000,
+        ..InterpOptions::default()
+    };
+    let mut interp = Interp::with_options(&p, opts, Box::new(NoopTracer)).expect("parse");
+    assert!(matches!(
+        interp.run_module("index.js"),
+        Err(JsError::Budget(BudgetKind::Steps))
+    ));
 }
 
 // ----- errors and prototypes -----

@@ -171,11 +171,6 @@ impl ObsReport {
     }
 }
 
-fn get<'j>(v: &'j Json, key: &str) -> Result<&'j Json, JsonError> {
-    v.get(key)
-        .ok_or_else(|| JsonError::shape(format!("missing field '{key}'")))
-}
-
 impl ToJson for SpanRecord {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -189,9 +184,9 @@ impl ToJson for SpanRecord {
 impl FromJson for SpanRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(SpanRecord {
-            path: String::from_json(get(v, "path")?)?,
-            count: u64::from_json(get(v, "count")?)?,
-            total_ns: u64::from_json(get(v, "total_ns")?)?,
+            path: String::from_json(v.field("path")?)?,
+            count: u64::from_json(v.field("count")?)?,
+            total_ns: u64::from_json(v.field("total_ns")?)?,
         })
     }
 }
@@ -208,8 +203,8 @@ impl ToJson for CounterRecord {
 impl FromJson for CounterRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(CounterRecord {
-            name: String::from_json(get(v, "name")?)?,
-            value: u64::from_json(get(v, "value")?)?,
+            name: String::from_json(v.field("name")?)?,
+            value: u64::from_json(v.field("value")?)?,
         })
     }
 }
@@ -228,10 +223,10 @@ impl ToJson for HistogramRecord {
 impl FromJson for HistogramRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(HistogramRecord {
-            name: String::from_json(get(v, "name")?)?,
-            count: u64::from_json(get(v, "count")?)?,
-            sum: u64::from_json(get(v, "sum")?)?,
-            buckets: Vec::from_json(get(v, "buckets")?)?,
+            name: String::from_json(v.field("name")?)?,
+            count: u64::from_json(v.field("count")?)?,
+            sum: u64::from_json(v.field("sum")?)?,
+            buckets: Vec::from_json(v.field("buckets")?)?,
         })
     }
 }
@@ -248,8 +243,8 @@ impl ToJson for GaugeRecord {
 impl FromJson for GaugeRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(GaugeRecord {
-            name: String::from_json(get(v, "name")?)?,
-            value: u64::from_json(get(v, "value")?)?,
+            name: String::from_json(v.field("name")?)?,
+            value: u64::from_json(v.field("value")?)?,
         })
     }
 }
@@ -277,9 +272,9 @@ impl ToJson for ObsReport {
 impl FromJson for ObsReport {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(ObsReport {
-            spans: Vec::from_json(get(v, "spans")?)?,
-            counters: Vec::from_json(get(v, "counters")?)?,
-            histograms: Vec::from_json(get(v, "histograms")?)?,
+            spans: Vec::from_json(v.field("spans")?)?,
+            counters: Vec::from_json(v.field("counters")?)?,
+            histograms: Vec::from_json(v.field("histograms")?)?,
             gauges: match v.get("gauges") {
                 Some(g) => Vec::from_json(g)?,
                 None => Vec::new(),

@@ -344,11 +344,6 @@ impl TraceReport {
     }
 }
 
-fn get<'j>(v: &'j Json, key: &str) -> Result<&'j Json, JsonError> {
-    v.get(key)
-        .ok_or_else(|| JsonError::shape(format!("missing field '{key}'")))
-}
-
 impl ToJson for TraceEvent {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -363,15 +358,15 @@ impl ToJson for TraceEvent {
 
 impl FromJson for TraceEvent {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let key = String::from_json(get(v, "kind")?)?;
+        let key = String::from_json(v.field("kind")?)?;
         let kind = TraceKind::from_key(&key)
             .ok_or_else(|| JsonError::shape(format!("unknown trace kind '{key}'")))?;
         Ok(TraceEvent {
-            step: u64::from_json(get(v, "step")?)?,
-            wall_ns: u64::from_json(get(v, "wall_ns")?)?,
+            step: u64::from_json(v.field("step")?)?,
+            wall_ns: u64::from_json(v.field("wall_ns")?)?,
             kind,
-            name: String::from_json(get(v, "name")?)?,
-            detail: String::from_json(get(v, "detail")?)?,
+            name: String::from_json(v.field("name")?)?,
+            detail: String::from_json(v.field("detail")?)?,
         })
     }
 }
@@ -388,8 +383,8 @@ impl ToJson for TraceReport {
 impl FromJson for TraceReport {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(TraceReport {
-            events: Vec::from_json(get(v, "events")?)?,
-            dropped: u64::from_json(get(v, "dropped")?)?,
+            events: Vec::from_json(v.field("events")?)?,
+            dropped: u64::from_json(v.field("dropped")?)?,
         })
     }
 }

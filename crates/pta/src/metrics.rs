@@ -66,11 +66,7 @@ impl ToJson for CgMetrics {
 
 impl FromJson for CgMetrics {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| JsonError::shape(format!("metrics missing field '{k}'")))
-                .and_then(usize::from_json)
-        };
+        let field = |k: &str| v.field(k).and_then(usize::from_json);
         Ok(CgMetrics {
             call_edges: field("call_edges")?,
             reachable_functions: field("reachable_functions")?,

@@ -160,15 +160,26 @@ mod tests {
     fn malformed_frames_get_an_error_and_do_not_kill_the_daemon() {
         use std::io::Write;
         let path = temp_socket("garbage");
+        // The daemon runs on a default 2 MiB spawned-thread stack, which
+        // 200 000 open brackets would overflow without the nesting limit.
         let daemon = spawn_daemon(&path);
-        // Raw garbage on one connection…
-        let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
-        stream.write_all(b"{not json}\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let resp = wire::read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        drop(stream);
-        // …leaves the daemon serving the next one.
+        for (frame, why) in [
+            ("{not json}".to_string(), "expected '\"'"),
+            ("[".repeat(200_000), "nested deeper than"),
+        ] {
+            let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
+            stream.write_all(format!("{frame}\n").as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let resp = wire::read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+            let error = resp.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains(why), "{error}");
+            drop(stream);
+            // A bad frame leaves the daemon serving the next connection.
+            let stats = Json::obj(vec![("op", Json::Str("stats".into()))]);
+            let resp = wire::request(&path, &stats).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        }
         let resp = wire::request(
             &path,
             &Json::obj(vec![("op", Json::Str("shutdown".into()))]),

@@ -8,8 +8,12 @@
 //! Scope: everything the analyses persist — objects, arrays, finite
 //! numbers, escaped strings (including `\uXXXX` and surrogate pairs),
 //! booleans and null. Not supported (by design): `NaN`/`Infinity`
-//! (rejected on output), duplicate-key semantics beyond last-wins, and
-//! comments.
+//! (rejected on output), comments, and nesting deeper than
+//! [`MAX_DEPTH`].
+//!
+//! The parser is the workspace's one JSON grammar (RFC 8259): it feeds a
+//! [`Builder`], so the interpreter's `JSON.parse` reads the same language
+//! into JavaScript values through [`parse_with`].
 //!
 //! Output is **deterministic**: objects print their pairs in insertion
 //! order, with no whitespace, so equal values always serialize to equal
@@ -133,21 +137,18 @@ impl Json {
             .map(|(_, v)| v)
     }
 
+    /// First value under `key`, or a shape error naming the missing
+    /// field: the lookup [`FromJson`] impls use for required fields.
+    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::shape(format!("missing field '{key}'")))
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Numbers must be finite, and arrays and
+    /// objects may nest at most [`MAX_DEPTH`] deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text: input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
-        Ok(v)
+        parse_with(input, &mut Values)
     }
 
     fn write(&self, out: &mut String) {
@@ -211,7 +212,9 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`, `\\`
+/// and every control character escaped, and everything else verbatim.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -231,13 +234,88 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// How deep arrays and objects may nest: [`parse_with`] rejects a
+/// document nested deeper, and the interpreter's `JSON.stringify` throws
+/// past it. Both recurse once per level, and this bound keeps them well
+/// inside a 2 MiB thread stack (overflow measured at 2 000 to 4 000
+/// levels in debug builds), so no input can abort the process.
+pub const MAX_DEPTH: usize = 128;
+
+/// One value as [`parse_with`] reads it, its elements already built.
+#[derive(Debug)]
+pub enum Node<V> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number: an infinity past `f64`'s range (`1e999`).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<V>),
+    /// An object's pairs in source order, repeated keys included.
+    Obj(Vec<(String, V)>),
+}
+
+/// What [`parse_with`] builds, innermost value first: [`Json::parse`]
+/// builds [`Json`] trees, the interpreter's `JSON.parse` JavaScript values.
+pub trait Builder {
+    /// The value built.
+    type Value;
+    /// Builds `node`'s value, or refuses it with a message.
+    fn build(&mut self, node: Node<Self::Value>) -> Result<Self::Value, &'static str>;
+}
+
+/// Parses a complete JSON document into `b`'s values. Whitespace around
+/// the value is allowed and anything else after it rejected, as are
+/// leading zeros, lone surrogate escapes and nesting past [`MAX_DEPTH`].
+pub fn parse_with<B: Builder>(input: &str, b: &mut B) -> Result<B::Value, JsonError> {
+    let mut p = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+        b,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after value"));
+    }
+    Ok(v)
+}
+
+/// Builds [`Json`] trees, refusing non-finite numbers: the serializer
+/// would panic on them.
+struct Values;
+
+impl Builder for Values {
+    type Value = Json;
+    fn build(&mut self, node: Node<Json>) -> Result<Json, &'static str> {
+        Ok(match node {
+            Node::Null => Json::Null,
+            Node::Bool(b) => Json::Bool(b),
+            Node::Num(n) if n.is_finite() => Json::Num(n),
+            Node::Num(_) => return Err("number overflows to a non-finite value"),
+            Node::Str(s) => Json::Str(s),
+            Node::Arr(xs) => Json::Arr(xs),
+            Node::Obj(pairs) => Json::Obj(pairs),
+        })
+    }
+}
+
+struct Parser<'a, B> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
+    b: &'a mut B,
 }
 
-impl<'a> Parser<'a> {
+impl<B: Builder> Parser<'_, B> {
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             msg: msg.into(),
@@ -267,36 +345,48 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
+    fn value(&mut self) -> Result<B::Value, JsonError> {
+        let node = match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Node::Null)?,
+            Some(b't') => self.literal("true").map(|()| Node::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|()| Node::Bool(false))?,
+            Some(b'"') => Node::Str(self.string()?),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let node = if open == b'[' {
+                    Node::Arr(self.array()?)
+                } else {
+                    Node::Obj(self.object()?)
+                };
+                self.depth -= 1;
+                node
+            }
+            Some(b'-' | b'0'..=b'9') => Node::Num(self.number()?),
+            Some(c) => return Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.b.build(node).map_err(|msg| self.err(msg))
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self) -> Result<Vec<B::Value>, JsonError> {
         self.expect(b'[')?;
         let mut xs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(xs));
+            return Ok(xs);
         }
         loop {
             self.skip_ws();
@@ -306,20 +396,20 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(xs));
+                    return Ok(xs);
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self) -> Result<Vec<(String, B::Value)>, JsonError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(pairs);
         }
         loop {
             self.skip_ws();
@@ -334,7 +424,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(pairs);
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -424,45 +514,46 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits = |p: &mut Parser| {
+        let digits = |p: &mut Self| {
             let before = p.pos;
             while matches!(p.peek(), Some(b'0'..=b'9')) {
                 p.pos += 1;
             }
-            p.pos > before
+            p.pos - before
         };
-        if !digits(self) {
-            return Err(self.err("expected digits"));
+        let int_start = self.pos;
+        match digits(self) {
+            0 => return Err(self.err("expected digits")),
+            n if n > 1 && self.bytes[int_start] == b'0' => {
+                return Err(self.err("leading zero in number"))
+            }
+            _ => {}
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            if !digits(self) {
+            if digits(self) == 0 {
                 return Err(self.err("expected digits after '.'"));
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            if !digits(self) {
+            if digits(self) == 0 {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        match text.parse::<f64>() {
-            // Rust's f64 parser overflows to infinity (e.g. "1e999"), but
-            // the value model holds finite numbers only — accepting one
-            // here would make the serializer panic on the round trip.
-            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
-            Ok(_) => Err(self.err("number overflows to a non-finite value")),
-            Err(_) => Err(self.err("invalid number")),
-        }
+        // Past f64's range this gives an infinity, which the builder
+        // judges.
+        self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -712,6 +803,11 @@ mod tests {
             "1.2.3",
             "\"unterminated",
             "01x",
+            "01",
+            "-01",
+            "00",
+            "[01]",
+            "01.5",
             "[1]]",
             "{} {}",
             "\"bad \\q escape\"",

@@ -267,3 +267,42 @@ fn a_one_mebibyte_string_parses() {
         start.elapsed()
     );
 }
+
+#[test]
+fn nesting_is_limited_to_max_depth() {
+    use aji_support::json::MAX_DEPTH;
+    let nested = |open: &str, close: &str, depth: usize| {
+        format!("{}{}", open.repeat(depth), close.repeat(depth))
+    };
+    for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+        // Objects need a value at the bottom.
+        let bottom = |d| {
+            let s = nested(open, close, d);
+            if open == "[" {
+                s
+            } else {
+                s.replacen("}", "0}", 1)
+            }
+        };
+        assert!(
+            Json::parse(&bottom(MAX_DEPTH)).is_ok(),
+            "{open} x {MAX_DEPTH}"
+        );
+        let err = Json::parse(&bottom(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
+    }
+}
+
+#[test]
+fn deep_nesting_is_an_error_on_a_small_stack() {
+    // 200 000 open brackets: unbounded recursion would overflow the
+    // 2 MiB stack of a default spawned thread and abort the process.
+    let text = "[".repeat(200_000);
+    let r = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Json::parse(&text).map(|_| ()))
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(r.unwrap_err().msg.contains("nested deeper than"));
+}
