@@ -518,7 +518,7 @@ impl PropName {
     pub fn static_name(&self) -> Option<String> {
         match self {
             PropName::Ident(s) | PropName::Str(s) => Some(s.to_string()),
-            PropName::Num(n) => Some(crate::num_to_prop_name(*n)),
+            PropName::Num(n) => Some(crate::number::to_string(*n)),
             PropName::Computed(_) => None,
         }
     }

@@ -7,6 +7,7 @@
 //! structure.
 
 use crate::ast::*;
+use crate::number;
 use std::fmt::Write;
 
 /// Prints a module as JavaScript source.
@@ -566,7 +567,7 @@ impl Printer {
         match p {
             PropName::Ident(s) => self.word(s),
             PropName::Str(s) => self.word(&quote_str(s)),
-            PropName::Num(n) => self.word(&crate::num_to_prop_name(*n)),
+            PropName::Num(n) => self.word(&number::to_string(*n)),
             PropName::Computed(e) => {
                 self.word("[");
                 self.expr(e, PREC_ASSIGN);
@@ -639,15 +640,11 @@ impl Printer {
 
     fn expr_inner(&mut self, e: &Expr) {
         match &e.kind {
-            ExprKind::Num(n) => {
-                if *n < 0.0 || (n.fract() != 0.0) {
-                    let _ = write!(self.out, "{}", n);
-                } else if n.is_finite() && *n < 1e21 {
-                    let _ = write!(self.out, "{}", *n as u64);
-                } else {
-                    let _ = write!(self.out, "{}", n);
-                }
+            // `Infinity` is an identifier; `1e999` is the literal.
+            ExprKind::Num(n) if n.is_infinite() => {
+                self.word(if *n > 0.0 { "1e999" } else { "-1e999" });
             }
+            ExprKind::Num(n) => self.word(&number::to_string(*n)),
             ExprKind::Str(s) => self.word(&quote_str(s)),
             ExprKind::Bool(b) => self.word(if *b { "true" } else { "false" }),
             ExprKind::Null => self.word("null"),

@@ -14,7 +14,7 @@ use crate::error::JsError;
 use crate::heap::{Heap, ObjKind, Prop, PropValue};
 use crate::machine::{Interp, Protos};
 use crate::value::{ObjId, Value};
-use aji_ast::Loc;
+use aji_ast::{number, Loc};
 use aji_support::hash::FxHashMap;
 use aji_support::json;
 use std::rc::Rc;
@@ -584,15 +584,12 @@ fn new_array(i: &mut Interp, elems: Vec<Value>) -> Value {
     let proto = i.protos.array;
     i.heap.get_mut(id).proto = Some(proto);
     i.heap.get_mut(id).born_at = i.current_call_site;
-    i.tracer.on_alloc(i.current_call_site);
     Value::Obj(id)
 }
 
 fn new_object(i: &mut Interp) -> ObjId {
     let site = i.pending_new_loc.or(i.current_call_site);
-    let id = i.heap.alloc_plain(Some(i.protos.object), site);
-    i.tracer.on_alloc(site);
-    id
+    i.heap.alloc_plain(Some(i.protos.object), site)
 }
 
 /// Reads the dense element list of an array `this`, or materializes an
@@ -799,10 +796,7 @@ fn object_create(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
         Value::Null => None,
         _ => Some(i.protos.object),
     };
-    let site = i.current_call_site;
-    let id = i.heap.alloc_plain(proto, site);
-    i.tracer.on_alloc(site);
-    let objv = Value::Obj(id);
+    let objv = Value::Obj(i.heap.alloc_plain(proto, i.current_call_site));
     if let Some(props) = args.get(1) {
         define_properties_from(i, &objv, props)?;
     }
@@ -1102,9 +1096,7 @@ fn array_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let id = i.heap.alloc(ObjKind::Array(elems));
     let proto = i.protos.array;
     i.heap.get_mut(id).proto = Some(proto);
-    let site = i.pending_new_loc.or(i.current_call_site);
-    i.heap.get_mut(id).born_at = site;
-    i.tracer.on_alloc(site);
+    i.heap.get_mut(id).born_at = i.pending_new_loc.or(i.current_call_site);
     Ok(Value::Obj(id))
 }
 
@@ -1234,11 +1226,32 @@ fn array_concat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
 }
 
 fn array_join(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
-    let elems = this_elems(i, &this)?;
     let sep = match args.first() {
         Some(Value::Undefined) | None => ",".to_string(),
         Some(v) => i.to_string_value(v),
     };
+    join(i, &this, &sep)
+}
+
+/// `Array.prototype.join`, also behind an array's `ToPrimitive`. An array
+/// that is already being joined further up joins as `""`, V8's rule, so
+/// a cycle ends; deep nesting ends at `max_stack`, which every
+/// `ToPrimitive` of an array counts against.
+pub(crate) fn join(i: &mut Interp, this: &Value, sep: &str) -> R {
+    let id = this.as_obj();
+    if id.is_some_and(|id| i.joining.contains(&id)) {
+        return Ok(Value::str(""));
+    }
+    let elems = this_elems(i, this)?;
+    i.joining.extend(id);
+    let joined = join_elems(i, &elems, sep);
+    if id.is_some() {
+        i.joining.pop();
+    }
+    joined
+}
+
+fn join_elems(i: &mut Interp, elems: &[Value], sep: &str) -> R {
     let mut out = String::new();
     for (k, e) in elems.iter().enumerate() {
         let part = if e.is_nullish() {
@@ -1246,7 +1259,7 @@ fn array_join(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
         } else {
             i.to_string_value(e)
         };
-        let sep = if k == 0 { "" } else { sep.as_str() };
+        let sep = if k == 0 { "" } else { sep };
         i.check_string_len(out.len() + sep.len() + part.len())?;
         out.push_str(sep);
         out.push_str(&part);
@@ -1661,7 +1674,7 @@ fn string_repeat(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let n = i.to_number_value(&arg(args, 0))?;
     let count = if n.is_nan() { 0.0 } else { n.trunc() };
     if count < 0.0 || count == f64::INFINITY {
-        let shown = crate::value::num_to_string(n);
+        let shown = number::to_string(n);
         return Err(i.throw_error("RangeError", format!("Invalid count value: {shown}")));
     }
     let n = count as usize;
@@ -1731,52 +1744,34 @@ fn boolean_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     Ok(Value::Bool(i.truthy(&arg(args, 0))))
 }
 
-fn number_is_integer(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
+fn number_is_integer(_i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
+    // The infinities' `fract()` is NaN.
     Ok(Value::Bool(
-        matches!(
-            arg(args, 0),
-            Value::Num(n) if n.fract() == 0.0 && n.is_finite()
-        ) && {
-            let _ = i;
-            true
-        },
+        matches!(arg(args, 0), Value::Num(n) if n.fract() == 0.0),
     ))
 }
 
 fn number_to_string(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let n = i.to_number_value(&this)?;
-    match args.first() {
-        Some(Value::Num(radix)) if *radix != 10.0 => {
-            let r = *radix as u32;
-            if !(2..=36).contains(&r) || !n.is_finite() {
-                return Ok(Value::from(crate::value::num_to_string(n)));
-            }
-            let mut v = n.trunc() as i64;
-            let neg = v < 0;
-            v = v.abs();
-            let digits = "0123456789abcdefghijklmnopqrstuvwxyz".as_bytes();
-            let mut out = Vec::new();
-            if v == 0 {
-                out.push(b'0');
-            }
-            while v > 0 {
-                out.push(digits[(v % r as i64) as usize]);
-                v /= r as i64;
-            }
-            if neg {
-                out.push(b'-');
-            }
-            out.reverse();
-            Ok(Value::from(String::from_utf8(out).unwrap_or_default()))
+    Ok(Value::from(match args.first() {
+        Some(Value::Num(radix)) if (2.0..37.0).contains(radix) => {
+            number::to_radix_string(n, *radix as u32)
         }
-        _ => Ok(Value::from(crate::value::num_to_string(n))),
-    }
+        _ => number::to_string(n),
+    }))
 }
 
 fn number_to_fixed(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let n = i.to_number_value(&this)?;
-    let digits = i.to_number_value(&arg(args, 0))?.max(0.0) as usize;
-    Ok(Value::from(format!("{:.*}", digits.min(20), n)))
+    let digits = i.to_number_value(&arg(args, 0))?;
+    let digits = if digits.is_nan() { 0.0 } else { digits.trunc() };
+    if !(0.0..=100.0).contains(&digits) {
+        return Err(i.throw_error(
+            "RangeError",
+            "toFixed() digits argument must be between 0 and 100",
+        ));
+    }
+    Ok(Value::from(number::to_fixed(n, digits as usize)))
 }
 
 macro_rules! math_unary {
@@ -1829,60 +1824,13 @@ fn math_random(i: &mut Interp, _s: ObjId, _t: Value, _a: &[Value]) -> R {
 
 fn global_parse_int(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let s = i.to_string_value(&arg(args, 0));
-    let t = s.trim();
-    let (neg, t) = match t.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, t.strip_prefix('+').unwrap_or(t)),
-    };
-    // An explicit radix wins; otherwise a 0x prefix selects hex.
-    let explicit = match args.get(1) {
-        Some(Value::Num(r)) if *r >= 2.0 && *r <= 36.0 => Some(*r as u32),
-        _ => None,
-    };
-    let has_hex_prefix = t.starts_with("0x") || t.starts_with("0X");
-    let radix = explicit.unwrap_or(if has_hex_prefix { 16 } else { 10 });
-    let t = if radix == 16 {
-        t.strip_prefix("0x")
-            .or_else(|| t.strip_prefix("0X"))
-            .unwrap_or(t)
-    } else {
-        t
-    };
-    let digits: String = t.chars().take_while(|c| c.is_digit(radix)).collect();
-    if digits.is_empty() {
-        return Ok(Value::Num(f64::NAN));
-    }
-    let v = i64::from_str_radix(&digits, radix).unwrap_or(0) as f64;
-    Ok(Value::Num(if neg { -v } else { v }))
+    let radix = number::to_int32(i.to_number_value(&arg(args, 1))?);
+    Ok(Value::Num(number::parse_int(&s, radix)))
 }
 
 fn global_parse_float(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
     let s = i.to_string_value(&arg(args, 0));
-    let t = s.trim();
-    // Longest numeric prefix.
-    let mut end = 0;
-    let bytes = t.as_bytes();
-    let mut seen_dot = false;
-    let mut seen_e = false;
-    while end < bytes.len() {
-        let c = bytes[end] as char;
-        let ok = c.is_ascii_digit()
-            || (c == '-' && end == 0)
-            || (c == '+' && end == 0)
-            || (c == '.' && !seen_dot && !seen_e)
-            || ((c == 'e' || c == 'E') && !seen_e && end > 0);
-        if !ok {
-            break;
-        }
-        if c == '.' {
-            seen_dot = true;
-        }
-        if c == 'e' || c == 'E' {
-            seen_e = true;
-        }
-        end += 1;
-    }
-    Ok(Value::Num(t[..end].parse().unwrap_or(f64::NAN)))
+    Ok(Value::Num(number::parse_float(&s)))
 }
 
 fn global_is_nan(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
@@ -1937,7 +1885,6 @@ fn error_ctor(i: &mut Interp, s: ObjId, _t: Value, args: &[Value]) -> R {
     };
     let site = i.pending_new_loc.or(i.current_call_site);
     let e = i.heap.alloc_plain(Some(proto), site);
-    i.tracer.on_alloc(site);
     i.heap.set_prop(e, "message", Value::from(msg));
     i.heap
         .set_prop(e, "stack", Value::str("Error\n    at <anonymous>"));
@@ -1959,10 +1906,9 @@ fn error_to_string(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
 // ----- RegExp -----
 
 fn regexp_ctor(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
-    let site = i.pending_new_loc.or(i.current_call_site);
     let proto = i.protos.regexp;
+    let site = i.pending_new_loc.or(i.current_call_site);
     let o = i.heap.alloc_plain(Some(proto), site);
-    i.tracer.on_alloc(site);
     let src = i.to_string_value(&arg(args, 0));
     let flags = match args.get(1) {
         Some(Value::Undefined) | None => String::new(),
@@ -1996,7 +1942,6 @@ fn date_ctor(i: &mut Interp, s: ObjId, _t: Value, _a: &[Value]) -> R {
     };
     let site = i.pending_new_loc.or(i.current_call_site);
     let d = i.heap.alloc_plain(Some(proto), site);
-    i.tracer.on_alloc(site);
     let t = deterministic_now(i);
     i.heap.set_prop(d, "__time__", Value::Num(t));
     Ok(Value::Obj(d))
@@ -2176,7 +2121,7 @@ impl JsonWriter {
             Value::Undefined => return Ok(false),
             Value::Null => self.out.push_str("null"),
             Value::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) if n.is_finite() => self.out.push_str(&crate::value::num_to_string(*n)),
+            Value::Num(n) if n.is_finite() => self.out.push_str(&number::to_string(*n)),
             Value::Num(_) => self.out.push_str("null"),
             Value::Str(s) => json::write_escaped(s, &mut self.out),
             Value::Obj(id) => {
@@ -2293,7 +2238,6 @@ impl json::Builder for JsValues<'_> {
                 id
             }
         };
-        i.tracer.on_alloc(site);
         Ok(Value::Obj(id))
     }
 }

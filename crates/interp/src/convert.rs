@@ -1,7 +1,8 @@
 //! JavaScript value conversions and operator semantics that do not need
-//! heap access (numeric coercions, bit operations, string arithmetic).
+//! heap access. The number grammar itself is `aji_ast::number`.
 
-use crate::value::{num_to_string, str_to_num, Value};
+use crate::value::Value;
+use aji_ast::number::{str_to_number, to_string};
 
 /// `ToNumber` for primitive values; objects must be converted to a
 /// primitive by the caller first (the interpreter does that with
@@ -18,7 +19,7 @@ pub fn prim_to_number(v: &Value) -> f64 {
             }
         }
         Value::Num(n) => *n,
-        Value::Str(s) => str_to_num(s),
+        Value::Str(s) => str_to_number(s),
         Value::Obj(_) => f64::NAN,
     }
 }
@@ -29,24 +30,10 @@ pub fn prim_to_string(v: &Value) -> String {
         Value::Undefined => "undefined".to_string(),
         Value::Null => "null".to_string(),
         Value::Bool(b) => b.to_string(),
-        Value::Num(n) => num_to_string(*n),
+        Value::Num(n) => to_string(*n),
         Value::Str(s) => s.to_string(),
         Value::Obj(_) => "[object Object]".to_string(),
     }
-}
-
-/// `ToInt32` (for bitwise operators).
-pub fn to_int32(n: f64) -> i32 {
-    if !n.is_finite() || n == 0.0 {
-        return 0;
-    }
-    let m = n.trunc() as i64;
-    (m & 0xffff_ffff) as u32 as i32
-}
-
-/// `ToUint32` (for `>>>`).
-pub fn to_uint32(n: f64) -> u32 {
-    to_int32(n) as u32
 }
 
 /// Loose equality (`==`) over primitives. Object-vs-primitive cases must
@@ -58,8 +45,8 @@ pub fn prim_loose_eq(a: &Value, b: &Value) -> bool {
         (Num(x), Num(y)) => x == y,
         (Str(x), Str(y)) => x == y,
         (Bool(x), Bool(y)) => x == y,
-        (Num(x), Str(y)) => *x == str_to_num(y),
-        (Str(x), Num(y)) => str_to_num(x) == *y,
+        (Num(x), Str(y)) => *x == str_to_number(y),
+        (Str(x), Num(y)) => str_to_number(x) == *y,
         (Bool(_), _) => prim_loose_eq(&Num(prim_to_number(a)), b),
         (_, Bool(_)) => prim_loose_eq(a, &Num(prim_to_number(b))),
         (Obj(x), Obj(y)) => x == y,
@@ -77,18 +64,6 @@ mod tests {
         assert_eq!(prim_to_number(&Value::Null), 0.0);
         assert_eq!(prim_to_number(&Value::Bool(true)), 1.0);
         assert_eq!(prim_to_number(&Value::str("8")), 8.0);
-    }
-
-    #[test]
-    fn int32_wrapping() {
-        assert_eq!(to_int32(0.0), 0);
-        assert_eq!(to_int32(1.9), 1);
-        assert_eq!(to_int32(-1.0), -1);
-        assert_eq!(to_int32(4294967296.0), 0);
-        assert_eq!(to_int32(4294967297.0), 1);
-        assert_eq!(to_int32(2147483648.0), -2147483648);
-        assert_eq!(to_int32(f64::NAN), 0);
-        assert_eq!(to_uint32(-1.0), 4294967295);
     }
 
     #[test]

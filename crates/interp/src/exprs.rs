@@ -1,13 +1,14 @@
 //! Expression evaluation, including the dynamic-property-access
 //! instrumentation points that drive the approximate interpreter's hints.
 
-use crate::convert::{prim_to_number, to_int32, to_uint32};
+use crate::convert::prim_to_number;
 use crate::env::{self, ScopeRef};
 use crate::error::JsError;
 use crate::heap::{FuncData, ObjKind, Prop, PropValue};
 use crate::machine::Interp;
 use crate::value::{ObjId, Value};
 use aji_ast::ast::*;
+use aji_ast::number::{to_int32, to_uint32};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -39,7 +40,6 @@ impl Interp {
                 let Regex { pattern, flags } = &**re;
                 let loc = self.static_loc(e.span);
                 let obj = self.heap.alloc_plain(Some(self.protos.regexp), loc);
-                self.tracer.on_alloc(loc);
                 self.heap.set_prop(obj, "source", Value::str(pattern));
                 self.heap.set_prop(obj, "flags", Value::str(flags));
                 self.heap.set_prop(obj, "lastIndex", Value::Num(0.0));
@@ -62,11 +62,9 @@ impl Interp {
                         }
                     }
                 }
-                let loc = self.static_loc(e.span);
                 let arr = self.heap.alloc(ObjKind::Array(out));
                 self.heap.get_mut(arr).proto = Some(self.protos.array);
-                self.heap.get_mut(arr).born_at = loc;
-                self.tracer.on_alloc(loc);
+                self.heap.get_mut(arr).born_at = self.static_loc(e.span);
                 Ok(Value::Obj(arr))
             }
             ExprKind::Object(props) => self.eval_object_literal(e, props, scope),
@@ -245,7 +243,6 @@ impl Interp {
     ) -> Result<Value, JsError> {
         let loc = self.static_loc(e.span);
         let obj = self.heap.alloc_plain(Some(self.protos.object), loc);
-        self.tracer.on_alloc(loc);
         let objv = Value::Obj(obj);
         for p in props {
             match p {

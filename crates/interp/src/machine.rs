@@ -156,6 +156,8 @@ pub struct Interp {
     pub(crate) steps_reported: u64,
     pub(crate) depth: u32,
     pub(crate) eval_depth: u32,
+    /// Arrays whose `join` is running, innermost last (cycle detection).
+    pub(crate) joining: Vec<ObjId>,
     pub(crate) rng: u64,
     pub(crate) current_call_site: Option<Loc>,
     pub(crate) pending_new_loc: Option<Loc>,
@@ -247,6 +249,7 @@ impl Interp {
             steps_reported: 0,
             depth: 0,
             eval_depth: 0,
+            joining: Vec::new(),
             rng: 0x9E37_79B9_7F4A_7C15,
             current_call_site: None,
             pending_new_loc: None,
@@ -689,18 +692,14 @@ impl Interp {
                 self.obs.builtin_dispatches.inc();
                 // Natives count against the stack budget too: some call
                 // back into user code (callbacks, getters, toString).
-                self.depth += 1;
-                if self.depth > self.opts.max_stack {
-                    self.depth -= 1;
-                    return Err(self.trip_budget(BudgetKind::Stack));
-                }
-                let saved_site = self.current_call_site;
-                self.current_call_site = call_site;
-                let (_, f) = builtins::native(n);
-                let r = f(self, id, this, args);
-                self.current_call_site = saved_site;
-                self.depth -= 1;
-                r
+                self.nested(|i| {
+                    let saved_site = i.current_call_site;
+                    i.current_call_site = call_site;
+                    let (_, f) = builtins::native(n);
+                    let r = f(i, id, this, args);
+                    i.current_call_site = saved_site;
+                    r
+                })
             }
             ObjKind::Function(data) => self.call_closure(id, &data, this, args, call_site),
             _ => {
@@ -721,22 +720,34 @@ impl Interp {
         args: &[Value],
         call_site: Option<Loc>,
     ) -> Result<Value, JsError> {
+        self.nested(|i| {
+            i.obs.calls.inc();
+            let profiled = i.profiler.is_some();
+            if profiled {
+                i.profile_enter(&data.def);
+            }
+            let result = i.call_closure_inner(fobj, data, this, args, call_site);
+            if profiled {
+                i.profile_exit();
+            }
+            result
+        })
+    }
+
+    /// Runs `f` one level deeper on the JavaScript stack: a
+    /// [`BudgetKind::Stack`] budget error past `max_stack` levels.
+    pub(crate) fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Interp) -> Result<T, JsError>,
+    ) -> Result<T, JsError> {
         self.depth += 1;
         if self.depth > self.opts.max_stack {
             self.depth -= 1;
             return Err(self.trip_budget(BudgetKind::Stack));
         }
-        self.obs.calls.inc();
-        let profiled = self.profiler.is_some();
-        if profiled {
-            self.profile_enter(&data.def);
-        }
-        let result = self.call_closure_inner(fobj, data, this, args, call_site);
-        if profiled {
-            self.profile_exit();
-        }
+        let r = f(self);
         self.depth -= 1;
-        result
+        r
     }
 
     fn call_closure_inner(
@@ -913,7 +924,6 @@ impl Interp {
             ObjKind::Function(data) => {
                 let proto = self.function_prototype(id);
                 let obj = self.heap.alloc_plain(Some(proto), site_loc);
-                self.tracer.on_alloc(site_loc);
                 let this = Value::Obj(obj);
                 // A derived class's default constructor forwards its
                 // arguments to the superclass constructor.

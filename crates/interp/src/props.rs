@@ -1,6 +1,7 @@
 //! Property access (with prototype chains, accessors, proxies and
 //! primitive wrappers) and the conversions that need heap access.
 
+use crate::builtins;
 use crate::convert::{prim_loose_eq, prim_to_number, prim_to_string};
 use crate::error::JsError;
 use crate::heap::{ObjKind, Prop, PropValue};
@@ -196,19 +197,7 @@ impl Interp {
         };
         match &self.heap.get(id).kind {
             ObjKind::Proxy => Ok(Value::str("")),
-            ObjKind::Array(elems) => {
-                // Array toString = join(",").
-                let elems = elems.clone();
-                let mut parts = Vec::with_capacity(elems.len());
-                for e in &elems {
-                    if e.is_nullish() {
-                        parts.push(String::new());
-                    } else {
-                        parts.push(self.to_string_value(e));
-                    }
-                }
-                Ok(Value::from(parts.join(",")))
-            }
+            ObjKind::Array(_) => self.nested(|i| builtins::join(i, v, ",")),
             ObjKind::Function(_) | ObjKind::Native(_) => {
                 Ok(Value::str("function () { [native code] }"))
             }

@@ -11,10 +11,6 @@ use std::collections::BTreeSet;
 
 /// Receiver of runtime events. All methods default to no-ops.
 pub trait Tracer {
-    /// An object (or array) literal was evaluated; `loc` is its allocation
-    /// site. `None` while executing dynamically generated (`eval`) code.
-    fn on_alloc(&mut self, _loc: Option<Loc>) {}
-
     /// A function definition was evaluated into a function value
     /// (`value` is the closure object, usable for later forced calls).
     fn on_function_def(&mut self, _def: NodeId, _loc: Option<Loc>, _value: &Value) {}
@@ -74,9 +70,6 @@ pub trait Tracer {
 }
 
 impl<T: Tracer> Tracer for std::rc::Rc<std::cell::RefCell<T>> {
-    fn on_alloc(&mut self, loc: Option<Loc>) {
-        self.borrow_mut().on_alloc(loc);
-    }
     fn on_function_def(&mut self, def: NodeId, loc: Option<Loc>, value: &Value) {
         self.borrow_mut().on_function_def(def, loc, value);
     }

@@ -120,30 +120,11 @@ impl fmt::Display for Value {
             Value::Undefined => write!(f, "undefined"),
             Value::Null => write!(f, "null"),
             Value::Bool(b) => write!(f, "{}", b),
-            Value::Num(n) => write!(f, "{}", num_to_string(*n)),
+            Value::Num(n) => write!(f, "{}", aji_ast::number::to_string(*n)),
             Value::Str(s) => write!(f, "{}", s),
             Value::Obj(id) => write!(f, "[object #{}]", id.0),
         }
     }
-}
-
-/// JavaScript `ToString` for numbers (shared with property-key conversion).
-pub fn num_to_string(n: f64) -> String {
-    aji_ast::num_to_prop_name(n)
-}
-
-/// JavaScript `ToNumber` for strings.
-pub fn str_to_num(s: &str) -> f64 {
-    let t = s.trim();
-    if t.is_empty() {
-        return 0.0;
-    }
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        return u64::from_str_radix(hex, 16)
-            .map(|v| v as f64)
-            .unwrap_or(f64::NAN);
-    }
-    t.parse().unwrap_or(f64::NAN)
 }
 
 #[cfg(test)]
@@ -171,15 +152,6 @@ mod tests {
         assert!(!Value::Num(1.0).strict_eq(&Value::str("1")));
         assert!(Value::Obj(ObjId(3)).strict_eq(&Value::Obj(ObjId(3))));
         assert!(!Value::Obj(ObjId(3)).strict_eq(&Value::Obj(ObjId(4))));
-    }
-
-    #[test]
-    fn string_to_number() {
-        assert_eq!(str_to_num("42"), 42.0);
-        assert_eq!(str_to_num("  3.5 "), 3.5);
-        assert_eq!(str_to_num(""), 0.0);
-        assert_eq!(str_to_num("0x10"), 16.0);
-        assert!(str_to_num("abc").is_nan());
     }
 
     #[test]

@@ -372,6 +372,125 @@ fn parse_int_radices() {
     assert_eq!(run("exports.result = isNaN(parseInt('zz'));"), "true");
 }
 
+/// Each probe is a JavaScript expression and what Node 20 prints for it.
+/// The literal rows are source the parser must take, and the
+/// conversions share `aji_ast::number` with the lexer and the analysis.
+#[test]
+fn numbers_match_node_on_probes() {
+    let cases: &[(&str, &str)] = &[
+        ("0x1fffffffffffffffff", "590295810358705700000"),
+        ("0o777777777777777777777777", "4.722366482869645e+21"),
+        ("010", "8"),
+        ("String(1e21)", "1e+21"),
+        ("String(-1e21)", "-1e+21"),
+        ("String(2 ** 63)", "9223372036854776000"),
+        ("String(1e20)", "100000000000000000000"),
+        ("String(1e-7)", "1e-7"),
+        ("String(123e-20)", "1.23e-18"),
+        ("String(5e-324)", "5e-324"),
+        (
+            "JSON.stringify([1e21, 1e-7, 2 ** 63])",
+            "[1e+21,1e-7,9223372036854776000]",
+        ),
+        ("Object.keys({ [1e21]: 1 })[0]", "1e+21"),
+        ("Number('INF')", "NaN"),
+        ("Number('infinity')", "NaN"),
+        ("Number('0b101')", "5"),
+        ("Number('0o17')", "15"),
+        ("Number(' 0b1 ')", "1"),
+        ("Number('0x1fffffffffffffffff')", "590295810358705700000"),
+        ("parseFloat('1e+5')", "100000"),
+        ("parseFloat('Infinity')", "Infinity"),
+        ("parseFloat('1e')", "1"),
+        ("parseFloat('-.5e-3x')", "-0.0005"),
+        ("parseInt('0x1fffffffffffffffff')", "590295810358705700000"),
+        // Past 20 digits the spec allows an approximation; this one is
+        // the double nearest the exact value, as in Node.
+        (
+            "parseInt('123456789012345678901234')",
+            "1.2345678901234569e+23",
+        ),
+        ("(0.5).toString(2)", "0.1"),
+        ("(-255.5).toString(16)", "-ff.8"),
+        ("(1e21).toString(16)", "3635c9adc5dea00000"),
+        ("(1e21).toFixed(2)", "1e+21"),
+        ("1e20 | 0", "1661992960"),
+        ("-1e20 | 0", "-1661992960"),
+        ("(2 ** 64) | 0", "0"),
+        ("1e20 >>> 0", "1661992960"),
+        ("~1e20", "-1661992961"),
+        // Unchanged: separators are for source only, and -0 prints as 0.
+        ("Number('1_000')", "NaN"),
+        ("String(-0)", "0"),
+    ];
+    for &(expr, node) in cases {
+        assert_eq!(eval_or_error_name(expr), node, "{expr}");
+    }
+}
+
+#[test]
+fn printed_number_literals_reparse_to_the_same_value() {
+    for src in ["x = 1e20;", "x = 1e999;", "x = 1e21;", "x = 5e-324;"] {
+        let value = |src: &str| {
+            let m =
+                aji_parser::parse_module(src, aji_ast::FileId(0), &mut aji_ast::NodeIdGen::new())
+                    .unwrap_or_else(|e| panic!("{src}: {e}"));
+            let printed = aji_ast::print::print_module(&m);
+            let aji_ast::ast::StmtKind::Expr(e) = &m.body[0].kind else {
+                panic!("{src}: not an expression statement");
+            };
+            let aji_ast::ast::ExprKind::Assign { value, .. } = &e.kind else {
+                panic!("{src}: not an assignment");
+            };
+            let aji_ast::ast::ExprKind::Num(n) = value.kind else {
+                panic!("{src}: not a number");
+            };
+            (n, printed)
+        };
+        let (n, printed) = value(src);
+        let (again, _) = value(&printed);
+        assert_eq!(n.to_bits(), again.to_bits(), "{src} printed as {printed}");
+    }
+}
+
+/// Runs `src` under a fresh registry with a flight recorder, on a 2 MiB
+/// thread, and returns `exports.result` with the budget kinds it tripped.
+fn run_recorded_on_small_stack(src: &'static str) -> (String, Vec<String>) {
+    on_small_stack(move || {
+        let reg = std::sync::Arc::new(aji_obs::Registry::new());
+        reg.install_recorder(aji_obs::TraceConfig::deterministic());
+        let result = aji_obs::scoped(&reg, || run(src));
+        let trips = reg
+            .report()
+            .trace
+            .expect("recorder installed")
+            .events
+            .into_iter()
+            .filter(|e| e.kind == aji_obs::TraceKind::BudgetTrip)
+            .map(|e| e.name)
+            .collect();
+        (result, trips)
+    })
+}
+
+#[test]
+fn join_ends_on_cycles_and_deep_nesting_on_a_small_stack() {
+    let (cycle, trips) =
+        run_recorded_on_small_stack("var a = []; a.push(a); exports.result = String(a);");
+    assert_eq!((cycle.as_str(), trips.len()), ("", 0));
+    let (joined, trips) =
+        run_recorded_on_small_stack("var b = [1]; b.push(b); exports.result = b.join('-');");
+    assert_eq!((joined.as_str(), trips.len()), ("1-", 0));
+    // Node throws RangeError here. Each nested `ToPrimitive` counts one
+    // stack level, so the join ends at `max_stack`; `ToString` still
+    // folds that error into "[object Object]" and the run goes on.
+    let (_, trips) = run_recorded_on_small_stack(
+        "var a = []; for (var k = 0; k < 200000; k++) a = [a]; \
+         exports.result = String(a).length;",
+    );
+    assert_eq!(trips, ["stack"]);
+}
+
 // ----- JSON -----
 
 #[test]

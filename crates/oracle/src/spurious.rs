@@ -7,16 +7,16 @@
 //! where. The classification is a fixed precedence chain (first match
 //! wins), so two runs over the same project always agree:
 //!
-//! 1. the site is a static member call named `on`/`once`/`addListener`/
-//!    `prependListener` and the spurious callee is one of the site's own
-//!    function-literal arguments → [`SpuriousCause::ListenerModel`]: the
+//! 1. the site is a static member call named in
+//!    [`aji_pta::LISTENER_METHODS`] and the spurious callee is one of the
+//!    site's own function-literal arguments → [`SpuriousCause::ListenerModel`]: the
 //!    name-based listener-registration model in `aji-pta`'s `method_model`
 //!    attributed the future listener invocation to the registration site.
 //!    When the receiver's `on` is itself a user function (a pure-JS
 //!    emitter) *and* read hints recover the real dispatch loop, the model
 //!    edge is pure over-approximation;
 //! 2. the site is a static member call with a known stdlib **callback
-//!    model** (`forEach`, `map`, `then`, …) and the callee is a function
+//!    model** ([`aji_pta::CALLBACK_METHODS`]) and the callee is a function
 //!    argument of the site → [`SpuriousCause::CallbackModel`]: the model
 //!    fired but the run never invoked that callback (empty receiver,
 //!    short-circuit, rejected promise path);
@@ -44,7 +44,7 @@ use aji_ast::ast::{Expr, ExprKind, MemberProp};
 use aji_ast::visit::{walk_expr, Visit};
 use aji_ast::{Loc, SourceMap};
 use aji_parser::ParsedProject;
-use aji_pta::CallGraph;
+use aji_pta::{CallGraph, CALLBACK_METHODS, LISTENER_METHODS};
 use aji_support::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -134,28 +134,6 @@ impl SpuriousEdge {
         ])
     }
 }
-
-/// Methods `aji-pta`'s `method_model` treats as listener registrations.
-const LISTENER_METHODS: &[&str] = &["on", "once", "addListener", "prependListener"];
-
-/// Methods with a stdlib callback model that invokes function arguments
-/// at the call site.
-const CALLBACK_METHODS: &[&str] = &[
-    "forEach",
-    "map",
-    "filter",
-    "find",
-    "findIndex",
-    "some",
-    "every",
-    "sort",
-    "flatMap",
-    "reduce",
-    "reduceRight",
-    "then",
-    "catch",
-    "finally",
-];
 
 /// Facts about one call expression, keyed by its location.
 struct CallInfo {
@@ -260,7 +238,7 @@ fn classify(
                         ),
                     );
                 }
-                if CALLBACK_METHODS.contains(&m.as_str()) {
+                if CALLBACK_METHODS.iter().any(|ms| ms.contains(&m.as_str())) {
                     return (
                         SpuriousCause::CallbackModel,
                         format!(

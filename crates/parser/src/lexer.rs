@@ -14,7 +14,8 @@ use crate::token::{Kw, Tok, Token, P};
 /// # Errors
 ///
 /// Returns a [`ParseError`] for unterminated strings/templates/comments and
-/// malformed numbers or escapes.
+/// malformed escapes. Every numeric literal lexes
+/// ([`aji_ast::number::scan_literal`]).
 pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
     Lexer::new(src).run()
 }
@@ -89,8 +90,8 @@ impl<'a> Lexer<'a> {
             }
             let c = self.peek();
             match c {
-                b'0'..=b'9' => self.number(lo)?,
-                b'.' if self.peek2().is_ascii_digit() => self.number(lo)?,
+                b'0'..=b'9' => self.number(lo),
+                b'.' if self.peek2().is_ascii_digit() => self.number(lo),
                 b'"' | b'\'' => self.string(lo)?,
                 b'`' => self.template(lo, true)?,
                 b'/' => {
@@ -188,80 +189,10 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn number(&mut self, lo: usize) -> Result<(), ParseError> {
-        if self.peek() == b'0' && matches!(self.peek2(), b'x' | b'X') {
-            self.pos += 2;
-            let start = self.pos;
-            while self.peek().is_ascii_hexdigit() || self.peek() == b'_' {
-                self.pos += 1;
-            }
-            let text: String = std::str::from_utf8(&self.src[start..self.pos])
-                .unwrap()
-                .replace('_', "");
-            let v =
-                u64::from_str_radix(&text, 16).map_err(|_| self.error("invalid hex literal"))?;
-            self.push(Tok::Num(v as f64), lo);
-            return Ok(());
-        }
-        if self.peek() == b'0' && matches!(self.peek2(), b'o' | b'O') {
-            self.pos += 2;
-            let start = self.pos;
-            while matches!(self.peek(), b'0'..=b'7' | b'_') {
-                self.pos += 1;
-            }
-            let text: String = std::str::from_utf8(&self.src[start..self.pos])
-                .unwrap()
-                .replace('_', "");
-            let v =
-                u64::from_str_radix(&text, 8).map_err(|_| self.error("invalid octal literal"))?;
-            self.push(Tok::Num(v as f64), lo);
-            return Ok(());
-        }
-        if self.peek() == b'0' && matches!(self.peek2(), b'b' | b'B') {
-            self.pos += 2;
-            let start = self.pos;
-            while matches!(self.peek(), b'0' | b'1' | b'_') {
-                self.pos += 1;
-            }
-            let text: String = std::str::from_utf8(&self.src[start..self.pos])
-                .unwrap()
-                .replace('_', "");
-            let v =
-                u64::from_str_radix(&text, 2).map_err(|_| self.error("invalid binary literal"))?;
-            self.push(Tok::Num(v as f64), lo);
-            return Ok(());
-        }
-        while self.peek().is_ascii_digit() || self.peek() == b'_' {
-            self.pos += 1;
-        }
-        if self.peek() == b'.' {
-            self.pos += 1;
-            while self.peek().is_ascii_digit() || self.peek() == b'_' {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), b'e' | b'E') {
-            let save = self.pos;
-            self.pos += 1;
-            if matches!(self.peek(), b'+' | b'-') {
-                self.pos += 1;
-            }
-            if self.peek().is_ascii_digit() {
-                while self.peek().is_ascii_digit() {
-                    self.pos += 1;
-                }
-            } else {
-                self.pos = save;
-            }
-        }
-        let text: String = std::str::from_utf8(&self.src[lo..self.pos])
-            .unwrap()
-            .replace('_', "");
-        let v: f64 = text
-            .parse()
-            .map_err(|_| self.error(format!("invalid number literal `{}`", text)))?;
+    fn number(&mut self, lo: usize) {
+        let (v, len) = aji_ast::number::scan_literal(&self.src[lo..]);
+        self.pos = lo + len;
         self.push(Tok::Num(v), lo);
-        Ok(())
     }
 
     fn string(&mut self, lo: usize) -> Result<(), ParseError> {
@@ -703,6 +634,11 @@ mod tests {
         assert_eq!(kinds("1.5e3")[0], Tok::Num(1500.0));
         assert_eq!(kinds(".25")[0], Tok::Num(0.25));
         assert_eq!(kinds("1_000")[0], Tok::Num(1000.0));
+        assert_eq!(kinds("010")[0], Tok::Num(8.0));
+        assert_eq!(
+            kinds("0x1fffffffffffffffff")[0],
+            Tok::Num(590295810358705700000.0)
+        );
     }
 
     #[test]

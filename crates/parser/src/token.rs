@@ -238,7 +238,7 @@ pub enum P {
 impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Tok::Num(n) => write!(f, "number {}", n),
+            Tok::Num(n) => write!(f, "number {}", aji_ast::number::to_string(*n)),
             Tok::Str(_) => write!(f, "string literal"),
             Tok::TemplateNoSub(_)
             | Tok::TemplateHead(_)

@@ -1,7 +1,7 @@
 //! Property-based parser tests (ported from proptest to the in-tree
 //! `aji-support` check harness): generated programs must parse, and
 //! `print ∘ parse` must be a fixpoint (printing is stable and loses no
-//! structure).
+//! structure, and every number literal keeps its value).
 
 use aji_ast::print::print_module;
 use aji_ast::{FileId, NodeIdGen};
@@ -66,9 +66,28 @@ fn ident(tc: &mut TestCase) -> String {
     s
 }
 
+/// Number literals whose printing once lost their value or failed to
+/// parse, with every spelling the lexer reads.
+const NUMBER_EDGES: &[&str] = &[
+    "1e20",
+    "1e21",
+    "1e-7",
+    "5e-324",
+    "1.7976931348623157e308",
+    "1e999",
+    "0x1fffffffffffffffff",
+    "0o17",
+    "0b101",
+    "1_000",
+    "010",
+    ".5",
+    "5.",
+];
+
 fn literal(tc: &mut TestCase) -> String {
-    match tc.int_in(0u32..6) {
+    match tc.int_in(0u32..7) {
         0 => tc.int_in(0u32..100_000).to_string(),
+        6 => tc.pick(NUMBER_EDGES).to_string(),
         1 => format!(
             "'{}'",
             tc.string_of(
@@ -186,8 +205,32 @@ fn print_parse_fixpoint() {
         };
         let twice = print_module(&m2);
         prop_assert_eq!(&once, &twice, "printer unstable for:\n{}", src);
+        prop_assert_eq!(
+            number_bits(&m1),
+            number_bits(&m2),
+            "number literals changed value:\n{}\nprinted:\n{}",
+            src,
+            once
+        );
         Ok(())
     });
+}
+
+/// The bits of every number literal in `m`, in source order.
+fn number_bits(m: &aji_ast::Module) -> Vec<u64> {
+    use aji_ast::visit::{walk_expr, walk_module, Visit};
+    struct Nums(Vec<u64>);
+    impl Visit for Nums {
+        fn visit_expr(&mut self, e: &aji_ast::ast::Expr) {
+            if let aji_ast::ast::ExprKind::Num(n) = e.kind {
+                self.0.push(n.to_bits());
+            }
+            walk_expr(self, e);
+        }
+    }
+    let mut v = Nums(Vec::new());
+    walk_module(&mut v, m);
+    v.0
 }
 
 #[test]

@@ -54,6 +54,35 @@ const BUILTIN_GLOBALS: &[&str] = &[
     "decodeURIComponent",
 ];
 
+/// Array methods whose model calls the first argument on each element.
+pub const ELEMENT_CALLBACK_METHODS: &[&str] = &[
+    "forEach",
+    "map",
+    "filter",
+    "find",
+    "findIndex",
+    "some",
+    "every",
+    "sort",
+    "flatMap",
+];
+
+/// Folds, whose model calls the first argument on the accumulator and
+/// each element.
+pub const FOLD_METHODS: &[&str] = &["reduce", "reduceRight"];
+
+/// Promise reactions: the model calls `then`'s first two arguments and
+/// the first argument of `catch` and `finally`.
+pub const PROMISE_METHODS: &[&str] = &["then", "catch", "finally"];
+
+/// Every method whose model calls a function argument at the call site.
+pub const CALLBACK_METHODS: [&[&str]; 3] =
+    [ELEMENT_CALLBACK_METHODS, FOLD_METHODS, PROMISE_METHODS];
+
+/// Listener registrations, whose model calls the second argument with
+/// the receiver as `this`.
+pub const LISTENER_METHODS: &[&str] = &["on", "once", "addListener", "prependListener"];
+
 /// Output of constraint generation.
 pub struct GenOutput {
     /// The populated solver (not yet solved).
@@ -991,8 +1020,7 @@ impl<'a> Gen<'a> {
                 // Bound functions keep their identity.
                 self.solver.add_edge(base, result);
             }
-            "forEach" | "map" | "filter" | "find" | "findIndex" | "some" | "every" | "sort"
-            | "flatMap" => {
+            n if ELEMENT_CALLBACK_METHODS.contains(&n) => {
                 let elem = self.solver.tmp();
                 self.solver.add_constraint(
                     base,
@@ -1027,7 +1055,7 @@ impl<'a> Gen<'a> {
                     );
                 }
             }
-            "reduce" | "reduceRight" => {
+            n if FOLD_METHODS.contains(&n) => {
                 let elem = self.solver.tmp();
                 self.solver.add_constraint(
                     base,
@@ -1098,9 +1126,10 @@ impl<'a> Gen<'a> {
             "slice" | "splice" | "reverse" | "fill" | "flat" => {
                 self.solver.add_edge(base, result);
             }
-            "then" => {
+            n if PROMISE_METHODS.contains(&n) => {
                 self.solver.add_edge(base, result);
-                for cb in args.iter().take(2) {
+                let callbacks = if n == "then" { 2 } else { 1 };
+                for cb in args.iter().take(callbacks) {
                     self.solver.add_constraint(
                         *cb,
                         Constraint::Callback {
@@ -1113,22 +1142,7 @@ impl<'a> Gen<'a> {
                     );
                 }
             }
-            "catch" | "finally" => {
-                self.solver.add_edge(base, result);
-                if let Some(cb) = args.first() {
-                    self.solver.add_constraint(
-                        *cb,
-                        Constraint::Callback {
-                            site,
-                            p0: None,
-                            p1: None,
-                            this0: None,
-                            ret: None,
-                        },
-                    );
-                }
-            }
-            "on" | "once" | "addListener" | "prependListener" => {
+            n if LISTENER_METHODS.contains(&n) => {
                 // Listener registration: the listener will be invoked.
                 self.solver.add_edge(base, result);
                 if let Some(cb) = args.get(1) {

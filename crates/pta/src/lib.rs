@@ -50,6 +50,9 @@ pub mod solver;
 
 pub use analysis::{analyze, analyze_parsed, Analysis, AnalysisOptions, ConstraintGraph};
 pub use callgraph::CallGraph;
+pub use gen::{
+    CALLBACK_METHODS, ELEMENT_CALLBACK_METHODS, FOLD_METHODS, LISTENER_METHODS, PROMISE_METHODS,
+};
 pub use metrics::{Accuracy, CgMetrics};
 
 /// The slot for id `i` of a dense id-indexed table, growing the table to
